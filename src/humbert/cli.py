@@ -19,6 +19,7 @@ from . import identities as _identities
 from .errors import HumbertError, UnknownFormula, UnknownIdentity
 from .profiles import load_config, profile_params, resolved_params
 from .quadrature import REP_IDS, REPS, QuadratureSpec, cross_check
+from .reports import sort_reports
 from .scalars import SYMBOLS, as_scalar
 from .series import BIVARIATE_KINDS, KINDS, FunctionRef, SINGLE_KINDS, \
     eval_double_series, eval_single_series
@@ -26,14 +27,8 @@ from .series import BIVARIATE_KINDS, KINDS, FunctionRef, SINGLE_KINDS, \
 _KIND_BY_CLI = {name.lower(): name for name in KINDS}
 
 
-def _report_key(report) -> tuple:
-    ident = report.target
-    variant = str(report.settings.get("variant", ""))
-    return (len(ident), ident, variant)
-
-
 def _emit(reports) -> int:
-    reports = sorted(reports, key=_report_key)
+    reports = sort_reports(reports)
     for report in reports:
         print(report.to_json(), file=sys.stdout)
     n_pass = sum(r.status == "pass" for r in reports)

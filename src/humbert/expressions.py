@@ -16,9 +16,10 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .errors import PoleError, SignatureError
-from .scalars import SYMBOLS, Scalar, as_scalar, pochhammer
+from .scalars import SYMBOLS, Scalar, as_scalar, pochhammer_table
 from .series import (
     FunctionRef,
     KINDS,
@@ -149,20 +150,22 @@ def _assemble_function_term(
     return series
 
 
-def _outer_coefficient(e: dict, env: dict, i: int, j: int) -> Scalar:
+def _outer_coefficient(e: dict, env: dict, i: int, j: int,
+                       poch: Callable[[Scalar, int], Scalar]) -> Scalar:
     """Signed Pochhammer weight of the (i, j) term; 0 skips the term."""
+
+    def factor_value(factor: dict) -> Scalar:
+        return poch(eval_affine(factor["param"], env),
+                    _index_value(factor["index"], i, j))
+
     num = Fraction(_sign_value(e.get("sign", "+1"), i, j))
     for factor in e.get("num", ()):
-        num *= pochhammer(
-            eval_affine(factor["param"], env), _index_value(factor["index"], i, j)
-        )
+        num *= factor_value(factor)
         if num == 0:
             return num
     den: Scalar = Fraction(math.factorial(i) * math.factorial(j))
     for factor in e.get("den", ()):
-        den *= pochhammer(
-            eval_affine(factor["param"], env), _index_value(factor["index"], i, j)
-        )
+        den *= factor_value(factor)
     if den == 0:
         raise PoleError(
             f"denominator Pochhammer vanishes at (i, j) = ({i}, {j})"
@@ -186,28 +189,42 @@ def _assemble_sum(e: dict, env: dict, degree: int, outer_bound: int
         pairs = [(i, 0) for i in range(outer_bound + 1)]
     else:
         raise SignatureError(f"indices must be 'ij' or 'i', not {indices!r}")
-    total = TruncatedBiseries.zero(degree)
-    for i, j in pairs:
-        env2 = dict(env)
-        env2["i"] = Fraction(i)
-        env2["j"] = Fraction(j)
-        coeff = _outer_coefficient(e, env2, i, j)
-        if coeff == 0:
-            continue
-        if weight == "xy":
-            si, sj = i, j
-        elif weight == "x":
-            si, sj = i, 0
-        else:
-            si, sj = 0, i
-        if si + sj > degree:
-            continue
-        try:
-            inner = _assemble_function_term(e["inner"], env2, degree)
-        except PoleError as exc:
-            raise PoleError(f"at (i, j) = ({i}, {j}): {exc}") from exc
-        total = total + inner.scale(coeff).shifted(si, sj)
-    return total
+    tables: dict = {}
+
+    def poch(a: Scalar, k: int) -> Scalar:
+        """(a)_k for k <= outer_bound, from one prefix table per argument."""
+        key = (a, type(a))
+        if key not in tables:
+            tables[key] = pochhammer_table(a, outer_bound)
+        return tables[key][k]
+
+    def terms():
+        for i, j in pairs:
+            env2 = dict(env)
+            env2["i"] = Fraction(i)
+            env2["j"] = Fraction(j)
+            coeff = _outer_coefficient(e, env2, i, j, poch)
+            if coeff == 0:
+                continue
+            if weight == "xy":
+                si, sj = i, j
+            elif weight == "x":
+                si, sj = i, 0
+            else:
+                si, sj = 0, i
+            if si + sj > degree:
+                continue
+            # x^si y^sj pushes inner degrees above degree - si - sj out of
+            # the triangle, and no inner step reads a higher degree to build
+            # a lower one, so the inner term is assembled only that far.
+            try:
+                inner = _assemble_function_term(
+                    e["inner"], env2, degree - si - sj)
+            except PoleError as exc:
+                raise PoleError(f"at (i, j) = ({i}, {j}): {exc}") from exc
+            yield coeff, si, sj, inner
+
+    return TruncatedBiseries.shifted_sum(degree, terms())
 
 
 def assemble_expression(

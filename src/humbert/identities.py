@@ -14,7 +14,12 @@ import time
 from fractions import Fraction
 
 from .errors import HumbertError, UnknownIdentity
-from .expressions import assemble_expression, eval_affine, expression_symbols
+from .expressions import (
+    affine_symbols,
+    assemble_expression,
+    eval_affine,
+    expression_symbols,
+)
 from .operators import apply_H, apply_H_bar, delta_pochhammer_action
 from .reports import VerificationReport, sort_reports
 from .scalars import as_scalar, format_scalar, pochhammer
@@ -147,8 +152,6 @@ def identity_symbols(identity_id: str) -> set[str]:
     entry = IDENTITIES[identity_id]
     syms = expression_symbols(entry["lhs"]) | expression_symbols(entry["operand"])
     for op in entry["ops"]:
-        from .expressions import affine_symbols
-
         syms |= affine_symbols(op["a"]) | affine_symbols(op["b"])
     return syms
 

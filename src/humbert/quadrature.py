@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConstraintViolation, DomainError, NonConvergence
+from .errors import ConstraintViolation, DomainError, NoConvergence, NonConvergence
 from .expressions import eval_affine
 from .series import KINDS, FunctionRef, eval_double_series
 
@@ -889,7 +889,7 @@ def cross_check(
             rel = abs(value - target) / max(abs(target), 1e-300)
             if rel > worst[0]:
                 worst = (rel, (gx, gy))
-    except (DomainError, NonConvergence) as exc:
+    except (DomainError, NoConvergence, NonConvergence) as exc:
         return VerificationReport(
             target=rep_id, mode="numeric", status="error",
             settings=settings, duration=_time.perf_counter() - start,

@@ -74,8 +74,16 @@ class VerificationReport:
         return cls.from_dict(json.loads(text))
 
 
+def _id_key(target: str) -> tuple:
+    """Numeric order of dotted ids, so "2.2" comes before "2.10"; a part
+    that is not a number sorts after the numbers, as text."""
+    return tuple((0, int(part), "") if part.isdigit() else (1, 0, part)
+                 for part in target.split("."))
+
+
 def sort_reports(reports: list[VerificationReport]) -> list[VerificationReport]:
     """Deterministic emission order: by target id, then settings variant."""
     return sorted(
-        reports, key=lambda r: (r.target, str(r.settings.get("variant", "")))
+        reports,
+        key=lambda r: (_id_key(r.target), str(r.settings.get("variant", ""))),
     )

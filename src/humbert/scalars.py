@@ -79,6 +79,20 @@ def pochhammer(a: Scalar, n: int) -> Scalar:
     return result
 
 
+def pochhammer_table(a: Scalar, n: int) -> list[Scalar]:
+    """Prefix table [(a)_0, (a)_1, ..., (a)_n] in n multiplications.
+
+    Entry k equals pochhammer(a, k) exactly, in the same field: each entry
+    is the previous one times a + k, the product pochhammer forms.
+    """
+    if n < 0:
+        raise ValueError(f"pochhammer_table needs n >= 0, got {n}")
+    table = [pochhammer(a, 0)]
+    for k in range(n):
+        table.append(table[-1] * (a + k))
+    return table
+
+
 def pochhammer_ratio_step(a: Scalar, b: Scalar, k: int) -> Scalar:
     """Multiplicative step (a+k)/(b+k) of the ratio pochhammer(a,n)/pochhammer(b,n).
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     DomainError,
@@ -21,7 +22,7 @@ from .errors import (
     SignatureError,
     UnsupportedTransform,
 )
-from .scalars import Scalar, as_scalar, check_not_pole, pochhammer
+from .scalars import Scalar, as_scalar, check_not_pole, pochhammer, pochhammer_table
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,7 +55,10 @@ class TruncatedBiseries:
             len(row) != degree + 1 - m for m, row in enumerate(rows)
         ):
             raise ValueError("rows do not form a degree-%d triangle" % degree)
-        self._rows = tuple(tuple(row) for row in rows)
+        # A list, not a generator: tuple() sizes a generator's result by
+        # guess and resizes it, so the freed tuple lands on another size's
+        # free list, and with many triangle degrees those lists fill up.
+        self._rows = tuple([tuple(row) for row in rows])
 
     @classmethod
     def from_function(
@@ -81,6 +85,28 @@ class TruncatedBiseries:
             raise ValueError(f"monomial x^{m} y^{n} outside degree-{degree} triangle")
         rows = [[ZERO] * (degree + 1 - i) for i in range(degree + 1)]
         rows[m][n] = coeff
+        return cls(degree, rows)
+
+    @classmethod
+    def shifted_sum(
+        cls,
+        degree: int,
+        terms: Iterable[tuple[Scalar, int, int, "TruncatedBiseries"]],
+    ) -> "TruncatedBiseries":
+        """Sum of c * x^i y^j * s over terms (c, i, j, s), truncated to degree.
+
+        Each s needs degree >= degree - i - j (i + j <= degree); the terms
+        accumulate in place into one triangle.
+        """
+        rows = [[ZERO] * (degree + 1 - m) for m in range(degree + 1)]
+        for c, i, j, s in terms:
+            top = degree - i - j
+            for m in range(top + 1):
+                src, dst = s._rows[m], rows[m + i]
+                for n in range(top + 1 - m):
+                    v = src[n]
+                    if v:
+                        dst[n + j] += c * v
         return cls(degree, rows)
 
     def coeff(self, m: int, n: int) -> Scalar:
@@ -248,14 +274,32 @@ def triangle_from_json(text: str) -> TruncatedBiseries:
 
 @dataclass(frozen=True)
 class KindInfo:
+    """A series kind, stated by its Pochhammer signature.
+
+    `num` and `den` list the numerator and denominator factors of the
+    coefficient c_{m,n} as (slot, index) pairs, index one of "m+n", "m",
+    "n"; every kind also divides by m! n!, which the signature leaves out.
+    Single-variable kinds index by "m" alone.  The signature is the only
+    statement of the exact coefficients.  `ratio_x` and `ratio_y` are the
+    term ratios c_{m+1,n}/c_{m,n} and c_{m,n+1}/c_{m,n} the float summation
+    steps with; a test holds them to the signature.
+    """
+
     name: str
-    slots: tuple[str, ...]
-    den_slots: tuple[str, ...]
+    num: tuple[tuple[str, str], ...]
+    den: tuple[tuple[str, str], ...]
     bivariate: bool
     x_restricted: bool  # needs |x| < 1
-    coeff: Callable
     ratio_x: Callable
     ratio_y: Callable | None = None
+
+    @cached_property
+    def slots(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(slot for slot, _ in self.num + self.den))
+
+    @cached_property
+    def den_slots(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(slot for slot, _ in self.den))
 
 
 def _fact(n: int) -> int:
@@ -271,14 +315,10 @@ def _register(info: KindInfo) -> None:
 
 _register(KindInfo(
     name="Phi1",
-    slots=("alpha", "beta", "gamma"),
-    den_slots=("gamma",),
+    num=(("alpha", "m+n"), ("beta", "m")),
+    den=(("gamma", "m+n"),),
     bivariate=True,
     x_restricted=True,
-    coeff=lambda p, m, n: (
-        pochhammer(p["alpha"], m + n) * pochhammer(p["beta"], m)
-        / (pochhammer(p["gamma"], m + n) * _fact(m) * _fact(n))
-    ),
     ratio_x=lambda p, m, n: (p["alpha"] + m + n) * (p["beta"] + m)
     / ((p["gamma"] + m + n) * (m + 1)),
     ratio_y=lambda p, m, n: (p["alpha"] + m + n) / ((p["gamma"] + m + n) * (n + 1)),
@@ -286,43 +326,30 @@ _register(KindInfo(
 
 _register(KindInfo(
     name="Phi2",
-    slots=("beta1", "beta2", "gamma"),
-    den_slots=("gamma",),
+    num=(("beta1", "m"), ("beta2", "n")),
+    den=(("gamma", "m+n"),),
     bivariate=True,
     x_restricted=False,
-    coeff=lambda p, m, n: (
-        pochhammer(p["beta1"], m) * pochhammer(p["beta2"], n)
-        / (pochhammer(p["gamma"], m + n) * _fact(m) * _fact(n))
-    ),
     ratio_x=lambda p, m, n: (p["beta1"] + m) / ((p["gamma"] + m + n) * (m + 1)),
     ratio_y=lambda p, m, n: (p["beta2"] + n) / ((p["gamma"] + m + n) * (n + 1)),
 ))
 
 _register(KindInfo(
     name="Phi3",
-    slots=("beta", "gamma"),
-    den_slots=("gamma",),
+    num=(("beta", "m"),),
+    den=(("gamma", "m+n"),),
     bivariate=True,
     x_restricted=False,
-    coeff=lambda p, m, n: (
-        pochhammer(p["beta"], m)
-        / (pochhammer(p["gamma"], m + n) * _fact(m) * _fact(n))
-    ),
     ratio_x=lambda p, m, n: (p["beta"] + m) / ((p["gamma"] + m + n) * (m + 1)),
     ratio_y=lambda p, m, n: 1 / ((p["gamma"] + m + n) * (n + 1)),
 ))
 
 _register(KindInfo(
     name="Psi1",
-    slots=("alpha", "beta", "gamma1", "gamma2"),
-    den_slots=("gamma1", "gamma2"),
+    num=(("alpha", "m+n"), ("beta", "m")),
+    den=(("gamma1", "m"), ("gamma2", "n")),
     bivariate=True,
     x_restricted=True,
-    coeff=lambda p, m, n: (
-        pochhammer(p["alpha"], m + n) * pochhammer(p["beta"], m)
-        / (pochhammer(p["gamma1"], m) * pochhammer(p["gamma2"], n)
-           * _fact(m) * _fact(n))
-    ),
     ratio_x=lambda p, m, n: (p["alpha"] + m + n) * (p["beta"] + m)
     / ((p["gamma1"] + m) * (m + 1)),
     ratio_y=lambda p, m, n: (p["alpha"] + m + n) / ((p["gamma2"] + n) * (n + 1)),
@@ -330,30 +357,20 @@ _register(KindInfo(
 
 _register(KindInfo(
     name="Psi2",
-    slots=("alpha", "gamma1", "gamma2"),
-    den_slots=("gamma1", "gamma2"),
+    num=(("alpha", "m+n"),),
+    den=(("gamma1", "m"), ("gamma2", "n")),
     bivariate=True,
     x_restricted=False,
-    coeff=lambda p, m, n: (
-        pochhammer(p["alpha"], m + n)
-        / (pochhammer(p["gamma1"], m) * pochhammer(p["gamma2"], n)
-           * _fact(m) * _fact(n))
-    ),
     ratio_x=lambda p, m, n: (p["alpha"] + m + n) / ((p["gamma1"] + m) * (m + 1)),
     ratio_y=lambda p, m, n: (p["alpha"] + m + n) / ((p["gamma2"] + n) * (n + 1)),
 ))
 
 _register(KindInfo(
     name="Xi1",
-    slots=("alpha1", "alpha2", "beta", "gamma"),
-    den_slots=("gamma",),
+    num=(("alpha1", "m"), ("alpha2", "n"), ("beta", "m")),
+    den=(("gamma", "m+n"),),
     bivariate=True,
     x_restricted=True,
-    coeff=lambda p, m, n: (
-        pochhammer(p["alpha1"], m) * pochhammer(p["alpha2"], n)
-        * pochhammer(p["beta"], m)
-        / (pochhammer(p["gamma"], m + n) * _fact(m) * _fact(n))
-    ),
     ratio_x=lambda p, m, n: (p["alpha1"] + m) * (p["beta"] + m)
     / ((p["gamma"] + m + n) * (m + 1)),
     ratio_y=lambda p, m, n: (p["alpha2"] + n) / ((p["gamma"] + m + n) * (n + 1)),
@@ -361,14 +378,10 @@ _register(KindInfo(
 
 _register(KindInfo(
     name="Xi2",
-    slots=("alpha", "beta", "gamma"),
-    den_slots=("gamma",),
+    num=(("alpha", "m"), ("beta", "m")),
+    den=(("gamma", "m+n"),),
     bivariate=True,
     x_restricted=True,
-    coeff=lambda p, m, n: (
-        pochhammer(p["alpha"], m) * pochhammer(p["beta"], m)
-        / (pochhammer(p["gamma"], m + n) * _fact(m) * _fact(n))
-    ),
     ratio_x=lambda p, m, n: (p["alpha"] + m) * (p["beta"] + m)
     / ((p["gamma"] + m + n) * (m + 1)),
     ratio_y=lambda p, m, n: 1 / ((p["gamma"] + m + n) * (n + 1)),
@@ -376,36 +389,29 @@ _register(KindInfo(
 
 _register(KindInfo(
     name="Gauss2F1",
-    slots=("alpha", "beta", "gamma"),
-    den_slots=("gamma",),
+    num=(("alpha", "m"), ("beta", "m")),
+    den=(("gamma", "m"),),
     bivariate=False,
     x_restricted=True,
-    coeff=lambda p, m, n: (
-        pochhammer(p["alpha"], m) * pochhammer(p["beta"], m)
-        / (pochhammer(p["gamma"], m) * _fact(m))
-    ),
     ratio_x=lambda p, m, n: (p["alpha"] + m) * (p["beta"] + m)
     / ((p["gamma"] + m) * (m + 1)),
 ))
 
 _register(KindInfo(
     name="Kummer1F1",
-    slots=("alpha", "gamma"),
-    den_slots=("gamma",),
+    num=(("alpha", "m"),),
+    den=(("gamma", "m"),),
     bivariate=False,
     x_restricted=False,
-    coeff=lambda p, m, n: pochhammer(p["alpha"], m)
-    / (pochhammer(p["gamma"], m) * _fact(m)),
     ratio_x=lambda p, m, n: (p["alpha"] + m) / ((p["gamma"] + m) * (m + 1)),
 ))
 
 _register(KindInfo(
     name="Bessel0F1",
-    slots=("gamma",),
-    den_slots=("gamma",),
+    num=(),
+    den=(("gamma", "m"),),
     bivariate=False,
     x_restricted=False,
-    coeff=lambda p, m, n: ONE / (pochhammer(p["gamma"], m) * _fact(m)),
     ratio_x=lambda p, m, n: 1 / ((p["gamma"] + m) * (m + 1)),
 ))
 
@@ -454,6 +460,32 @@ def in_domain(ref: FunctionRef, x: float, y: float) -> bool:
     return True
 
 
+def _coefficient(info: KindInfo, poch: Callable[[str, int], Scalar],
+                 m: int, n: int) -> Scalar:
+    """c_{m,n} read off the kind's signature; poch(slot, k) is the
+    Pochhammer symbol (a)_k of the slot's value a."""
+    at = {"m+n": m + n, "m": m, "n": n}
+    num: Scalar = ONE
+    for slot, index in info.num:
+        num *= poch(slot, at[index])
+    den: Scalar = ONE
+    for slot, index in info.den:
+        den *= poch(slot, at[index])
+    return num / (den * _fact(m) * _fact(n))
+
+
+def _table_rule(ref: FunctionRef, degree: int) -> Callable[[int, int], Scalar]:
+    """c_{m,n} for m+n <= degree, from per-slot Pochhammer prefix tables."""
+    tables = {slot: pochhammer_table(value, degree)
+              for slot, value in ref.params.items()}
+    info = ref.info
+
+    def poch(slot: str, k: int) -> Scalar:
+        return tables[slot][k]
+
+    return lambda m, n: _coefficient(info, poch, m, n)
+
+
 def coefficient_rule(ref: FunctionRef, m: int, n: int) -> Scalar:
     """Exact series coefficient of x^m y^n for the given kind."""
     if m < 0 or n < 0:
@@ -461,18 +493,16 @@ def coefficient_rule(ref: FunctionRef, m: int, n: int) -> Scalar:
     info = ref.info
     if not info.bivariate and n != 0:
         raise SignatureError(f"{ref.kind} is single-variable; coefficient needs n = 0")
-    return info.coeff(ref.params, m, n)
+    return _coefficient(info, lambda slot, k: pochhammer(ref.params[slot], k), m, n)
 
 
 def truncated_series(ref: FunctionRef, degree: int) -> TruncatedBiseries:
     """Exact triangle of the kind's series to total degree <= degree."""
-    info = ref.info
-    if info.bivariate:
-        return TruncatedBiseries.from_function(
-            degree, lambda m, n: info.coeff(ref.params, m, n)
-        )
+    rule = _table_rule(ref, degree)
+    if ref.info.bivariate:
+        return TruncatedBiseries.from_function(degree, rule)
     return TruncatedBiseries.from_function(
-        degree, lambda m, n: info.coeff(ref.params, m, 0) if n == 0 else ZERO
+        degree, lambda m, n: rule(m, 0) if n == 0 else ZERO
     )
 
 
@@ -486,9 +516,9 @@ def single_series_on_axis(
         raise ValueError("axis must be 'x' or 'y'")
     if axis == "x":
         return truncated_series(ref, degree)
+    rule = _table_rule(ref, degree)
     return TruncatedBiseries.from_function(
-        degree,
-        lambda m, n: ref.info.coeff(ref.params, n, 0) if m == 0 else ZERO,
+        degree, lambda m, n: rule(n, 0) if m == 0 else ZERO
     )
 
 
@@ -500,9 +530,9 @@ def elementary_series(kind: str, value, degree: int) -> TruncatedBiseries:
             degree, lambda m, n: c**n / _fact(n) if m == 0 else ZERO
         )
     if kind == "binomial_x":
+        table = pochhammer_table(-c, degree)
         return TruncatedBiseries.from_function(
-            degree,
-            lambda m, n: pochhammer(-c, m) / _fact(m) if n == 0 else ZERO,
+            degree, lambda m, n: table[m] / _fact(m) if n == 0 else ZERO
         )
     raise ValueError(f"unknown elementary series kind {kind!r}")
 

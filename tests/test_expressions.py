@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from humbert.catalog import load_catalog
 from humbert.errors import PoleError, SignatureError
 from humbert.expressions import (
     assemble_expression,
@@ -9,6 +11,7 @@ from humbert.expressions import (
     expression_symbols,
     parse_affine,
 )
+from humbert.scalars import pochhammer
 from humbert.series import FunctionRef, TruncatedBiseries, truncated_series
 
 
@@ -245,6 +248,58 @@ class TestSumAssembly:
         # i >= 3; every i >= 2 term is skipped before the pole at i = 3
         got = assemble_expression(sum_expr, params, degree=4)
         assert got is not None
+
+
+def _first_sum_per_inner_kind():
+    firsts = {}
+    for entry in load_catalog():
+        rhs = entry["rhs"]
+        if rhs["type"] == "sum":
+            firsts.setdefault(rhs["inner"]["kind"], entry)
+    return [firsts[kind] for kind in sorted(firsts)]
+
+
+def _sum_at_full_degree(e, params, degree):
+    """Reference assembly of a sum: every inner term built at the full
+    degree, then scaled, shifted and added as a fresh triangle."""
+    indices = {"i": lambda i, j: i, "j": lambda i, j: j,
+               "i+j": lambda i, j: i + j}
+    sign = {"+1": lambda i, j: 1, "(-1)^i": lambda i, j: (-1) ** i,
+            "(-1)^(i+j)": lambda i, j: (-1) ** (i + j)}[e.get("sign", "+1")]
+    if e.get("indices", "ij") == "ij":
+        pairs = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    else:
+        pairs = [(i, 0) for i in range(degree + 1)]
+    total = TruncatedBiseries.zero(degree)
+    for i, j in pairs:
+        env = {**params, "i": Fraction(i), "j": Fraction(j)}
+        num = Fraction(sign(i, j))
+        for f in e.get("num", ()):
+            num *= pochhammer(eval_affine(f["param"], env), indices[f["index"]](i, j))
+        den = Fraction(factorial(i) * factorial(j))
+        for f in e.get("den", ()):
+            den *= pochhammer(eval_affine(f["param"], env), indices[f["index"]](i, j))
+        si, sj = {"xy": (i, j), "x": (i, 0), "y": (0, i)}[e.get("weight", "xy")]
+        if num == 0 or si + sj > degree:
+            continue
+        inner = assemble_expression({"type": "function", **e["inner"]}, env, degree)
+        total = total + inner.scale(num / den).shifted(si, sj)
+    return total
+
+
+class TestCatalogSums:
+    @pytest.mark.parametrize(
+        "entry", _first_sum_per_inner_kind(),
+        ids=lambda entry: entry["rhs"]["inner"]["kind"])
+    def test_reduced_degree_assembly(self, entry, profile_a):
+        # inner terms are assembled only to degree - si - sj and accumulated
+        # in place; both the full-degree route and a padded outer bound
+        # must give the same triangle
+        degree = 6
+        got = assemble_expression(entry["rhs"], profile_a, degree)
+        assert got == _sum_at_full_degree(entry["rhs"], profile_a, degree)
+        assert got == assemble_expression(
+            entry["rhs"], profile_a, degree, outer_bound=degree + 3)
 
 
 class TestExpressionSymbols:

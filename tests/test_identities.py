@@ -51,7 +51,8 @@ class TestVerification:
     def test_reports_sorted_and_distinct(self, profile_a):
         reports = verify_all_identities(profile_a, degree=4)
         targets = [r.target for r in reports]
-        assert sorted(targets) == targets
+        assert targets == sorted(
+            targets, key=lambda s: tuple(int(p) for p in s.split(".")))
         assert len(set(targets)) == 35
 
     def test_unknown_identity(self, profile_a):

@@ -201,6 +201,14 @@ class TestGuards:
         assert report.status == "error"
         assert "NonConvergence" in report.detail
 
+    def test_cross_check_reports_series_no_convergence(self, config):
+        # near |x| = 1 the Phi1 target series runs out of diagonals; that
+        # too is an error report, not an exception
+        params = resolved_params("generic-A", "4.1", config)
+        report = cross_check("4.1", params, grid=((0.995, 0.2),))
+        assert report.status == "error"
+        assert report.detail.startswith("NoConvergence: Phi1 at (0.995, 0.2)")
+
 
 class TestTableShape:
     def test_twenty_reps(self):

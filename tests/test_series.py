@@ -12,6 +12,7 @@ from humbert.errors import (
     SignatureError,
     UnsupportedTransform,
 )
+from humbert.scalars import pochhammer
 from humbert.series import (
     BIVARIATE_KINDS,
     FunctionRef,
@@ -195,6 +196,68 @@ REFERENCE_PARAMS = {
     "Xi1": {"alpha1": F(2, 9), "alpha2": F(5, 11), "beta": F(1, 3), "gamma": F(5, 4)},
     "Xi2": {"alpha": F(1, 2), "beta": F(1, 3), "gamma": F(5, 4)},
 }
+
+
+SINGLE_PARAMS = {
+    "Gauss2F1": {"alpha": F(1, 2), "beta": F(1, 3), "gamma": F(5, 4)},
+    "Kummer1F1": {"alpha": F(1, 2), "gamma": F(5, 4)},
+    "Bessel0F1": {"gamma": F(5, 4)},
+}
+ALL_PARAMS = {**REFERENCE_PARAMS, **SINGLE_PARAMS}
+
+P = pochhammer
+fact = math.factorial
+
+# Each kind's coefficient c(m, n) as an explicit product of Pochhammer
+# symbols, written out here independently of the package's signatures.
+POCHHAMMER_ORACLE = {
+    "Phi1": lambda p, m, n: P(p["alpha"], m + n) * P(p["beta"], m)
+    / (P(p["gamma"], m + n) * fact(m) * fact(n)),
+    "Phi2": lambda p, m, n: P(p["beta1"], m) * P(p["beta2"], n)
+    / (P(p["gamma"], m + n) * fact(m) * fact(n)),
+    "Phi3": lambda p, m, n: P(p["beta"], m)
+    / (P(p["gamma"], m + n) * fact(m) * fact(n)),
+    "Psi1": lambda p, m, n: P(p["alpha"], m + n) * P(p["beta"], m)
+    / (P(p["gamma1"], m) * P(p["gamma2"], n) * fact(m) * fact(n)),
+    "Psi2": lambda p, m, n: P(p["alpha"], m + n)
+    / (P(p["gamma1"], m) * P(p["gamma2"], n) * fact(m) * fact(n)),
+    "Xi1": lambda p, m, n: P(p["alpha1"], m) * P(p["alpha2"], n) * P(p["beta"], m)
+    / (P(p["gamma"], m + n) * fact(m) * fact(n)),
+    "Xi2": lambda p, m, n: P(p["alpha"], m) * P(p["beta"], m)
+    / (P(p["gamma"], m + n) * fact(m) * fact(n)),
+    "Gauss2F1": lambda p, m, n: P(p["alpha"], m) * P(p["beta"], m)
+    / (P(p["gamma"], m) * fact(m)),
+    "Kummer1F1": lambda p, m, n: P(p["alpha"], m) / (P(p["gamma"], m) * fact(m)),
+    "Bessel0F1": lambda p, m, n: F(1) / (P(p["gamma"], m) * fact(m)),
+}
+
+
+class TestSignatures:
+    @pytest.mark.parametrize("kind", sorted(POCHHAMMER_ORACLE))
+    def test_triangle_matches_pochhammer_oracle(self, kind):
+        params = ALL_PARAMS[kind]
+        s = truncated_series(FunctionRef(kind, params), 6)
+        bivariate = kind in BIVARIATE_KINDS
+        for m, n in graded_indices(6):
+            want = POCHHAMMER_ORACLE[kind](params, m, n) if bivariate or n == 0 \
+                else 0
+            assert s.coeff(m, n) == want, (kind, m, n)
+
+    @pytest.mark.parametrize("kind", sorted(POCHHAMMER_ORACLE))
+    def test_float_ratio_steps_follow_the_signature(self, kind):
+        # the float summation's ratio_x / ratio_y, fed exact parameters,
+        # must be the exact term ratios of the signature's triangle
+        ref = FunctionRef(kind, ALL_PARAMS[kind])
+        info = ref.info
+        s = truncated_series(ref, 6)
+        for m, n in graded_indices(5):
+            if not info.bivariate and n:
+                continue
+            c = s.coeff(m, n)
+            assert s.coeff(m + 1, n) / c == info.ratio_x(ref.params, m, n), (m, n)
+            if info.bivariate:
+                assert s.coeff(m, n + 1) / c == info.ratio_y(ref.params, m, n), \
+                    (m, n)
 
 
 class TestTruncatedSeries:
