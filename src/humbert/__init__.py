@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     HumbertError,
     NoConvergence,
-    NonConvergence,
     PoleError,
     SignatureError,
     UnknownFormula,
@@ -84,7 +83,6 @@ __all__ = [
     "IntegralRep",
     "KINDS",
     "NoConvergence",
-    "NonConvergence",
     "PoleError",
     "QuadratureSpec",
     "REPS",

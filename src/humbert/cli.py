@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import catalog as _catalog
 from . import identities as _identities
-from .errors import HumbertError, UnknownFormula, UnknownIdentity
+from .errors import HumbertError, UnknownFormula
 from .profiles import load_config, profile_params, resolved_params
 from .quadrature import REP_IDS, REPS, QuadratureSpec, cross_check
 from .reports import sort_reports
@@ -56,14 +57,20 @@ def _collect_params(args) -> dict:
     }
 
 
+def _check_tol(tol: float | None) -> None:
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise HumbertError(f"--tol must be finite and positive, got {tol}")
+
+
 def cmd_eval(args) -> int:
     kind = _KIND_BY_CLI.get(args.kind.lower())
     if kind is None:
         print(f"unknown kind {args.kind!r}", file=sys.stderr)
         return 2
-    params = _collect_params(args)
-    x = float(as_scalar(args.x))
     try:
+        _check_tol(args.tol)
+        params = _collect_params(args)
+        x = float(as_scalar(args.x))
         if kind in BIVARIATE_KINDS:
             y = float(as_scalar(args.y)) if args.y is not None else 0.0
             ref = FunctionRef(kind, params)
@@ -95,8 +102,10 @@ def cmd_verify(args) -> int:
     if args.scope != "all" and args.id is None:
         print("an id is required unless scope is 'all'", file=sys.stderr)
         return 2
-    config = load_config(args.config)
     try:
+        if args.n < 0:
+            raise HumbertError(f"--n must be non-negative, got {args.n}")
+        config = load_config(args.config)
         params = profile_params(args.profile, config)
         if args.scope == "all":
             cat = _catalog.load_catalog()
@@ -111,7 +120,7 @@ def cmd_verify(args) -> int:
                 args.id, params, degree=args.n)]
         else:  # pragma: no cover - argparse restricts choices
             raise UnknownFormula(args.scope)
-    except (UnknownFormula, UnknownIdentity, HumbertError, OSError) as exc:
+    except (HumbertError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return _emit(reports)
@@ -132,10 +141,11 @@ def _parse_grid(text: str | None):
 
 
 def cmd_integral_check(args) -> int:
-    config = load_config(args.config)
     rep_ids = REP_IDS if args.rep == "all" else (args.rep,)
     reports = []
     try:
+        _check_tol(args.tol)
+        config = load_config(args.config)
         for rep_id in rep_ids:
             if rep_id not in REPS:
                 raise UnknownFormula(f"unknown representation id {rep_id!r}")
@@ -149,7 +159,7 @@ def cmd_integral_check(args) -> int:
                     spec=QuadratureSpec(),
                 )
             )
-    except (UnknownFormula, HumbertError, OSError) as exc:
+    except (HumbertError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return _emit(reports)

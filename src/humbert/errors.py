@@ -20,11 +20,8 @@ class DomainError(HumbertError):
 
 
 class NoConvergence(HumbertError):
-    """Series summation hit the diagonal/term budget before converging."""
-
-
-class NonConvergence(HumbertError):
-    """Quadrature refinement hit the maximum level before converging."""
+    """A series hit its diagonal/term budget, or quadrature refinement hit
+    its maximum level, before converging."""
 
 
 class UnknownIdentity(HumbertError):

@@ -23,8 +23,13 @@ def load_config(path: str | Path | None = None) -> dict:
     "errata": path-or-null}.  Parameter values stay as strings here;
     resolution converts them."""
     with open(path or DATA_PATH, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if "profiles" not in config or not isinstance(config["profiles"], dict):
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SignatureError(f"profiles config is not JSON: {exc}") from exc
+    if not isinstance(config, dict) or not isinstance(
+        config.get("profiles"), dict
+    ):
         raise SignatureError("profiles config must map profile names")
     config.setdefault("overrides", {})
     config.setdefault("errata", None)

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConstraintViolation, DomainError, NoConvergence, NonConvergence
+from .errors import ConstraintViolation, DomainError, NoConvergence
 from .expressions import eval_affine
 from .series import KINDS, FunctionRef, eval_double_series
 
@@ -33,9 +33,14 @@ T_MAX = 6.0
 @dataclass(frozen=True)
 class QuadratureSpec:
     """tanh-sinh refinement policy: halve the step from start_level until
-    the successive-level relative change drops below rtol."""
+    the successive-level relative change drops below rtol.
 
-    start_level: int = 6
+    The default starts at level 3 because every representation converges
+    between levels 3 and 4, and level 4 is already at round-off.  Each
+    level doubles the nodes per axis, so a higher start only adds work.
+    """
+
+    start_level: int = 3
     max_level: int = 12
     rtol: float = 1e-10
 
@@ -117,7 +122,7 @@ def integrate_beta_kernel(
                     "history": history,
                 }
         prev = current
-    raise NonConvergence(
+    raise NoConvergence(
         f"tanh-sinh did not reach rtol {spec.rtol} by level {spec.max_level}"
     )
 
@@ -138,7 +143,7 @@ def _series_loop(update, start: np.ndarray, tol: float, max_terms: int,
                 return total
         else:
             streak = 0
-    raise NonConvergence(f"{what}: series did not settle in {max_terms} terms")
+    raise NoConvergence(f"{what}: series did not settle in {max_terms} terms")
 
 
 def kummer_arr(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
@@ -186,7 +191,7 @@ def phi1_arr(a: float, b: float, c: float, u: np.ndarray, v: np.ndarray,
             streak = 0
         coef *= (a + m) * (b + m) / ((c + m) * (m + 1.0))
         pu = pu * u
-    raise NonConvergence("row-reduced double series did not settle")
+    raise NoConvergence("row-reduced double series did not settle")
 
 
 # --- power-series coefficients for coupling factors -------------------------
@@ -213,7 +218,7 @@ def _adaptive(step, zmax: float, what: str) -> np.ndarray:
         else:
             streak = 0
             scale = max(scale, abs(g) * pz)
-    raise NonConvergence(f"{what}: coupling series did not settle")
+    raise NoConvergence(f"{what}: coupling series did not settle")
 
 
 def exp_coeffs(c: float, zmax: float) -> np.ndarray:
@@ -264,7 +269,7 @@ def ray_coeffs(kind: str, params: dict, cx: float, cy: float, zmax: float
                 return np.array(out)
         else:
             streak = 0
-    raise NonConvergence(f"{kind} ray series did not settle")
+    raise NoConvergence(f"{kind} ray series did not settle")
 
 
 def poly_arr(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -822,7 +827,7 @@ def eval_integral(
                     "history": history,
                 }
         prev = current
-    raise NonConvergence(
+    raise NoConvergence(
         f"{rep.id}: tanh-sinh did not reach rtol {spec.rtol} "
         f"by level {spec.max_level}"
     )
@@ -863,9 +868,10 @@ def cross_check(
 ):
     """Compare one representation against its series target on a grid.
 
-    Returns a numeric VerificationReport with the max relative error and
-    the worst point.  Constraint violations raise; evaluation failures at
-    some grid point produce an error report.
+    Returns a numeric VerificationReport with the max relative error, the
+    worst point and the highest tanh-sinh level any grid point needed.
+    Constraint violations raise; evaluation failures at some grid point
+    produce an error report.
     """
     import time as _time
 
@@ -882,14 +888,16 @@ def cross_check(
     }
     start = _time.perf_counter()
     worst = (0.0, None)
+    quad_level = 0
     try:
         for gx, gy in grid:
             target = series_value(rep, params, gx, gy)
-            value, _ = eval_integral(rep, params, gx, gy, spec, builder)
+            value, diag = eval_integral(rep, params, gx, gy, spec, builder)
+            quad_level = max(quad_level, diag["final_level"])
             rel = abs(value - target) / max(abs(target), 1e-300)
             if rel > worst[0]:
                 worst = (rel, (gx, gy))
-    except (DomainError, NoConvergence, NonConvergence) as exc:
+    except (DomainError, NoConvergence) as exc:
         return VerificationReport(
             target=rep_id, mode="numeric", status="error",
             settings=settings, duration=_time.perf_counter() - start,
@@ -904,5 +912,6 @@ def cross_check(
             "max_rel_error": worst[0],
             "worst_point": list(worst[1]) if worst[1] else None,
             "tolerance": tol,
+            "quad_level": quad_level,
         },
     )

@@ -22,7 +22,8 @@ class VerificationReport:
     settings: dict = field(default_factory=dict)
     duration: float = 0.0
     mismatch: dict | None = None  # exact fail: {m, n, lhs, rhs, diff}
-    numeric: dict | None = None  # numeric: {max_rel_error, worst_point, tolerance}
+    # numeric: {max_rel_error, worst_point, tolerance, quad_level}
+    numeric: dict | None = None
     detail: str | None = None
 
     def __post_init__(self):

@@ -193,3 +193,44 @@ class TestIntegralCheck:
             if report["status"] == "fail":
                 assert report["numeric"]["worst_point"] is not None
         assert "18 pass, 2 fail" in err
+
+
+PHI1 = ("eval", "phi1", "--alpha", "1", "--beta", "1", "--gamma", "2")
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("verify", "formula", "2.36", "--n", "-1"), "HumbertError"),
+            (PHI1 + ("--x", "0.3", "--tol", "0"), "HumbertError"),
+            (PHI1 + ("--x", "0.3", "--tol", "nan"), "HumbertError"),
+            (PHI1 + ("--x", "0.3", "--tol", "inf"), "HumbertError"),
+            (PHI1 + ("--x", "abc"), "SignatureError"),
+            (PHI1 + ("--x", "0.3", "--y", "abc"), "SignatureError"),
+            (("eval", "phi1", "--alpha", "1/0", "--beta", "1",
+              "--gamma", "2", "--x", "0.1"), "SignatureError"),
+            (("verify", "all", "--config", "{missing}"), "FileNotFoundError"),
+            (("verify", "formula", "2.36", "--config", "{notjson}"),
+             "SignatureError"),
+            (("verify", "formula", "2.36", "--config", "{scalar}"),
+             "SignatureError"),
+            (("integral-check", "4.1", "--config", "{missing}"),
+             "FileNotFoundError"),
+            (("integral-check", "4.1", "--tol", "nan"), "HumbertError"),
+            (("integral-check", "4.1", "--tol", "-1"), "HumbertError"),
+        ],
+    )
+    def test_exit_2_with_package_error(self, capsys, tmp_path, argv, error):
+        notjson = tmp_path / "notjson.json"
+        notjson.write_text("{not json")
+        scalar = tmp_path / "scalar.json"
+        scalar.write_text("5")
+        argv = [a.format(missing=tmp_path / "absent.json", notjson=notjson,
+                         scalar=scalar)
+                for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{error}: ")
+        assert "Traceback" not in err

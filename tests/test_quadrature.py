@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from humbert.errors import ConstraintViolation, DomainError, NonConvergence
+from humbert.errors import ConstraintViolation, DomainError, NoConvergence
 from humbert.profiles import resolved_params
 from humbert.quadrature import (
     CORRECTED_BUILDERS,
@@ -172,8 +172,23 @@ class TestRefinementBehavior:
     def test_nonconvergence_when_no_refinement_allowed(self):
         params = {"alpha": 0.5, "beta": 1 / 3, "gamma": 1.25}
         spec = QuadratureSpec(start_level=6, max_level=6, rtol=1e-10)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NoConvergence):
             eval_integral("4.1", params, 0.2, 0.2, spec)
+
+
+    @pytest.mark.parametrize("rep_id", REP_IDS)
+    def test_default_start_matches_deeper_start(self, rep_id, config):
+        # the default starts at level 3; a start at level 5 is the
+        # reference the default must reproduce to round-off
+        params = resolved_params("generic-A", rep_id, config)
+        pt = default_grid(rep_id)[0]
+        value, diag = eval_integral(rep_id, params, *pt)
+        ref, _ = eval_integral(rep_id, params, *pt,
+                               QuadratureSpec(start_level=5))
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+        assert diag["final_level"] <= 5
+        report = cross_check(rep_id, params, grid=(pt,))
+        assert report.numeric["quad_level"] == diag["final_level"]
 
 
 class TestGuards:
@@ -199,7 +214,7 @@ class TestGuards:
         spec = QuadratureSpec(start_level=6, max_level=6, rtol=1e-10)
         report = cross_check("4.1", params, spec=spec)
         assert report.status == "error"
-        assert "NonConvergence" in report.detail
+        assert report.detail.startswith("NoConvergence: tanh-sinh did not reach")
 
     def test_cross_check_reports_series_no_convergence(self, config):
         # near |x| = 1 the Phi1 target series runs out of diagonals; that
