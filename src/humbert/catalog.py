@@ -17,7 +17,7 @@ import os
 import time
 from pathlib import Path
 
-from .errors import HumbertError, UnknownFormula
+from .errors import HumbertError, SignatureError, UnknownFormula
 from .expressions import assemble_expression, expression_symbols
 from .reports import VerificationReport, sort_reports
 from .scalars import format_scalar
@@ -36,29 +36,40 @@ def catalog_path() -> Path:
 
 
 def validate_entry(entry: dict) -> None:
+    if not isinstance(entry, dict):
+        raise SignatureError(f"catalog entry must be an object, got {entry!r}")
     missing = [f for f in _REQUIRED_FIELDS if f not in entry]
     if missing:
-        raise ValueError(f"catalog entry missing fields {missing}")
+        raise SignatureError(f"catalog entry missing fields {missing}")
     computed = sorted(
         expression_symbols(entry["lhs"]) | expression_symbols(entry["rhs"])
     )
     if computed != sorted(entry["symbols"]):
-        raise ValueError(
+        raise SignatureError(
             f"entry {entry['id']}: symbols field {entry['symbols']} does not "
             f"match the expressions ({computed})"
         )
 
 
-def load_catalog(path: str | Path | None = None) -> list[dict]:
-    with open(path or catalog_path()) as f:
-        entries = json.load(f)
+def _read_entries(path: str | Path) -> list:
+    with open(path) as f:
+        try:
+            entries = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise SignatureError(f"catalog {path} is not JSON: {exc}") from exc
     if not isinstance(entries, list):
-        raise ValueError("catalog must be a JSON list")
-    seen = set()
+        raise SignatureError(f"catalog {path} must be a JSON list")
     for entry in entries:
         validate_entry(entry)
+    return entries
+
+
+def load_catalog(path: str | Path | None = None) -> list[dict]:
+    entries = _read_entries(path or catalog_path())
+    seen = set()
+    for entry in entries:
         if entry["id"] in seen:
-            raise ValueError(f"duplicate catalog id {entry['id']}")
+            raise SignatureError(f"duplicate catalog id {entry['id']}")
         seen.add(entry["id"])
     return entries
 
@@ -70,15 +81,10 @@ def save_catalog(entries: list[dict], path: str | Path) -> None:
 
 
 def load_errata(path: str | Path | None = None) -> dict[str, dict]:
-    """Errata overlay: corrected entries keyed by id; empty file means none."""
-    target = Path(path) if path else DATA_DIR / "errata.json"
-    with open(target) as f:
-        entries = json.load(f)
-    overlay = {}
-    for entry in entries:
-        validate_entry(entry)
-        overlay[entry["id"]] = entry
-    return overlay
+    """Errata overlay: corrected entries keyed by id; an empty list means
+    none.  Entries are validated as catalog entries."""
+    entries = _read_entries(path or DATA_DIR / "errata.json")
+    return {entry["id"]: entry for entry in entries}
 
 
 def get_formula(formula_id: str, catalog: list[dict] | None = None) -> dict:

@@ -27,13 +27,22 @@ def load_config(path: str | Path | None = None) -> dict:
             config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SignatureError(f"profiles config is not JSON: {exc}") from exc
-    if not isinstance(config, dict) or not isinstance(
-        config.get("profiles"), dict
-    ):
-        raise SignatureError("profiles config must map profile names")
-    config.setdefault("overrides", {})
+    if not isinstance(config, dict) or not _maps_to_maps(config.get("profiles")):
+        raise SignatureError(
+            "profiles config must map profile names to parameter maps"
+        )
+    if not _maps_to_maps(config.setdefault("overrides", {})):
+        raise SignatureError(
+            "profiles config overrides must map target ids to parameter maps"
+        )
     config.setdefault("errata", None)
     return config
+
+
+def _maps_to_maps(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(inner, dict) for inner in value.values()
+    )
 
 
 def profile_params(name: str, config: dict | None = None) -> dict:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConstraintViolation, DomainError, NoConvergence
 from .expressions import eval_affine
-from .series import KINDS, FunctionRef, eval_double_series
+from .series import KINDS, FunctionRef, eval_double_series, next_diagonal
 
 T_MAX = 6.0
 
@@ -105,13 +105,24 @@ def integrate_beta_kernel(
         raise ConstraintViolation(
             f"endpoint exponents must be positive, got ({a}, {b})"
         )
-    prev = None
-    history = []
-    for level in range(spec.start_level, spec.max_level + 1):
+
+    def level_value(level: int) -> float:
         nodes = _nodes(level)
         w = _axis_weights(nodes, a, b)
         vals = w if factor is None else w * factor(nodes.xi, nodes.omx)
-        current = nodes.h * float(np.sum(vals))
+        return nodes.h * float(np.sum(vals))
+
+    return _refine(level_value, spec)
+
+
+def _refine(level_value, spec: QuadratureSpec, prefix: str = ""
+            ) -> tuple[float, dict]:
+    """Evaluate level_value(level) from spec.start_level up, one level at a
+    time, until two successive values agree within spec.rtol."""
+    prev = None
+    history = []
+    for level in range(spec.start_level, spec.max_level + 1):
+        current = level_value(level)
         if prev is not None:
             err = abs(current - prev) / max(abs(current), 1e-300)
             history.append(err)
@@ -123,19 +134,23 @@ def integrate_beta_kernel(
                 }
         prev = current
     raise NoConvergence(
-        f"tanh-sinh did not reach rtol {spec.rtol} by level {spec.max_level}"
+        f"{prefix}tanh-sinh did not reach rtol {spec.rtol} "
+        f"by level {spec.max_level}"
     )
 
 
 # --- vectorized single-variable series over node arrays ---------------------
 
-def _series_loop(update, start: np.ndarray, tol: float, max_terms: int,
-                 what: str) -> np.ndarray:
-    total = start.copy()
-    term = start.copy()
+def _series_loop(kind: str, params: dict, z: np.ndarray, tol: float,
+                 max_terms: int, what: str) -> np.ndarray:
+    """Sum a single-variable kind over the node array z, stepping each term
+    with the kind's float term ratio."""
+    ratio = KINDS[kind].ratio_x
+    total = np.ones_like(z)
+    term = np.ones_like(z)
     streak = 0
     for k in range(max_terms):
-        term = update(term, k)
+        term = term * ratio(params, k, 0) * z
         total += term
         if np.max(np.abs(term)) < tol * max(1.0, np.max(np.abs(total))):
             streak += 1
@@ -147,27 +162,21 @@ def _series_loop(update, start: np.ndarray, tol: float, max_terms: int,
 
 
 def kummer_arr(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
-    return _series_loop(
-        lambda t, k: t * ((a + k) / ((b + k) * (k + 1.0))) * z,
-        np.ones_like(z), tol, 500, "confluent series",
-    )
+    return _series_loop("Kummer1F1", {"alpha": a, "gamma": b}, z, tol, 500,
+                        "confluent series")
 
 
 def bessel_arr(b: float, z: np.ndarray, tol: float) -> np.ndarray:
-    return _series_loop(
-        lambda t, k: t * (1.0 / ((b + k) * (k + 1.0))) * z,
-        np.ones_like(z), tol, 500, "limit-confluent series",
-    )
+    return _series_loop("Bessel0F1", {"gamma": b}, z, tol, 500,
+                        "limit-confluent series")
 
 
 def gauss_arr(a: float, b: float, c: float, z: np.ndarray, tol: float
               ) -> np.ndarray:
     if np.max(np.abs(z)) >= 1.0:
         raise DomainError("Gauss series argument reached |z| >= 1 at a node")
-    return _series_loop(
-        lambda t, k: t * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * z,
-        np.ones_like(z), tol, 800, "Gauss series",
-    )
+    return _series_loop("Gauss2F1", {"alpha": a, "beta": b, "gamma": c}, z,
+                        tol, 800, "Gauss series")
 
 
 def phi1_arr(a: float, b: float, c: float, u: np.ndarray, v: np.ndarray,
@@ -176,6 +185,8 @@ def phi1_arr(a: float, b: float, c: float, u: np.ndarray, v: np.ndarray,
     sum_m (a)_m (b)_m / ((c)_m m!) u^m * 1F1(a+m; c+m; v)."""
     if np.max(np.abs(u)) >= 1.0:
         raise DomainError("row-reduced series argument reached |u| >= 1")
+    ratio = KINDS["Gauss2F1"].ratio_x
+    params = {"alpha": a, "beta": b, "gamma": c}
     coef = 1.0
     pu = np.ones_like(u)
     total = np.zeros_like(u)
@@ -189,7 +200,7 @@ def phi1_arr(a: float, b: float, c: float, u: np.ndarray, v: np.ndarray,
                 return total
         else:
             streak = 0
-        coef *= (a + m) * (b + m) / ((c + m) * (m + 1.0))
+        coef *= ratio(params, m, 0)
         pu = pu * u
     raise NoConvergence("row-reduced double series did not settle")
 
@@ -254,12 +265,8 @@ def ray_coeffs(kind: str, params: dict, cx: float, cy: float, zmax: float
     out = [1.0]
     pz = 1.0
     streak = 0
-    for k in range(1, _COEFF_CAP + 1):
-        new = [0.0] * (k + 1)
-        new[0] = terms[0] * info.ratio_y(params, 0, k - 1) * cy
-        for m in range(1, k + 1):
-            new[m] = terms[m - 1] * info.ratio_x(params, m - 1, k - m) * cx
-        terms = new
+    for _ in range(_COEFF_CAP):
+        terms = next_diagonal(info, params, terms, cx, cy)
         rk = math.fsum(terms)
         out.append(rk)
         pz *= zmax
@@ -324,11 +331,9 @@ def _b42(p, x, y, tol):
         "exps1": (p["beta1"], p["gamma"] - p["beta1"]),
         "exps2": (p["beta2"], p["gamma"] - p["beta1"] - p["beta2"]),
         "factor1": lambda xi, omx: np.exp(x * xi),
-        "factor2": None,
         "couplings": [
             (exp_coeffs(y, 1.0), lambda xi, omx: omx, lambda eta, ome: eta)
         ],
-        "const": 1.0,
     }
 
 
@@ -338,7 +343,6 @@ def _b43(p, x, y, tol):
         "exps1": (p["beta"], p["gamma1"] - p["beta"]),
         "exps2": (p["alpha"], p["gamma2"] - p["alpha"]),
         "factor1": lambda xi, omx: np.power(1.0 - x * xi, -p["alpha"]),
-        "factor2": None,
         "couplings": [
             (
                 exp_coeffs(y, umax),
@@ -346,7 +350,6 @@ def _b43(p, x, y, tol):
                 lambda eta, ome: eta,
             )
         ],
-        "const": 1.0,
     }
 
 
@@ -355,11 +358,9 @@ def _b44(p, x, y, tol):
         "exps1": (p["alpha1"], p["gamma"] - p["alpha1"]),
         "exps2": (p["alpha2"], p["gamma"] - p["alpha1"] - p["alpha2"]),
         "factor1": lambda xi, omx: np.power(1.0 - x * xi, -p["beta"]),
-        "factor2": None,
         "couplings": [
             (exp_coeffs(y, 1.0), lambda xi, omx: omx, lambda eta, ome: eta)
         ],
-        "const": 1.0,
     }
 
 
@@ -402,10 +403,7 @@ def _b48(p, x, y, tol):
     return {
         "exps1": (p["eps"], p["gamma"] - p["eps"]),
         "exps2": (p["alpha"], p["eps"] - p["alpha"]),
-        "factor1": None,
-        "factor2": None,
         "couplings": [(g, lambda xi, omx: xi, lambda eta, ome: eta)],
-        "const": 1.0,
     }
 
 
@@ -415,8 +413,6 @@ def _b49(p, x, y, tol):
     return {
         "exps1": (p["eps"], p["gamma"] - p["eps"]),
         "exps2": (p["alpha"] - p["eps"], p["gamma"] - p["alpha"]),
-        "factor1": None,
-        "factor2": None,
         "couplings": [(g, lambda xi, omx: omx, lambda eta, ome: ome)],
         "const": math.exp(y) * (1.0 - x) ** (-p["beta"]),
     }
@@ -433,9 +429,7 @@ def _b410(p, x, y, tol):
         "exps1": (p["beta1"], p["eps"] - p["beta1"]),
         "exps2": (p["beta2"], p["eps"] - p["beta1"] - p["beta2"]),
         "factor1": lambda xi, omx: np.exp(x * xi),
-        "factor2": None,
         "row": row,
-        "const": 1.0,
     }
 
 
@@ -445,11 +439,9 @@ def _b411(p, x, y, tol):
         "exps2": (p["beta2"], p["gamma"] - p["eps1"] - p["beta2"]),
         "factor1": lambda xi, omx: np.exp(x * xi)
         * kummer_arr(p["eps1"] - p["beta1"], p["eps1"], -x * xi, tol),
-        "factor2": None,
         "couplings": [
             (exp_coeffs(y, 1.0), lambda xi, omx: omx, lambda eta, ome: eta)
         ],
-        "const": 1.0,
     }
 
 
@@ -461,12 +453,10 @@ def _b412(p, x, y, tol):
         "exps1": (p["eps1"], p["gamma"] - p["eps1"]),
         "exps2": (p["beta2"], p["gamma"] - p["eps1"] - p["beta2"]),
         "factor1": lambda xi, omx: np.exp(x * xi),
-        "factor2": None,
         "couplings": [
             (exp_coeffs(y, 1.0), lambda xi, omx: omx, lambda eta, ome: eta),
             (g2, lambda xi, omx: omx, lambda eta, ome: ome),
         ],
-        "const": 1.0,
     }
 
 
@@ -478,9 +468,7 @@ def _b413(p, x, y, tol):
         "exps2": (p["eps2"], p["gamma"] - p["eps1"] - p["eps2"]),
         "factor1": lambda xi, omx: np.exp(x * xi)
         * kummer_arr(p["eps1"] - p["beta1"], p["eps1"], -x * xi, tol),
-        "factor2": None,
         "couplings": [(g, lambda xi, omx: omx, lambda eta, ome: eta)],
-        "const": 1.0,
     }
 
 
@@ -500,12 +488,10 @@ def _b414(p, x, y, tol):
         "exps1": (p["eps1"], p["gamma"] - p["eps1"]),
         "exps2": (p["eps2"], p["gamma"] - p["eps1"] - p["eps2"]),
         "factor1": lambda xi, omx: np.exp(x * xi),
-        "factor2": None,
         "couplings": [
             (exp_coeffs(y, 1.0), lambda xi, omx: omx, lambda eta, ome: eta),
             (q, lambda xi, omx: omx, lambda eta, ome: ome),
         ],
-        "const": 1.0,
     }
 
 
@@ -521,7 +507,6 @@ def _b415(p, x, y, tol):
         "exps1": (p["beta"], p["gamma1"] - p["beta"]),
         "exps2": (p["alpha"], p["eps"] - p["alpha"]),
         "factor1": factor1,
-        "factor2": None,
         "couplings": [
             (
                 exp_coeffs(y, umax),
@@ -529,7 +514,6 @@ def _b415(p, x, y, tol):
                 lambda eta, ome: eta,
             )
         ],
-        "const": 1.0,
     }
 
 
@@ -552,9 +536,7 @@ def _b416(p, x, y, tol):
         "exps1": (p["eps1"], p["gamma"] - p["eps1"]),
         "exps2": (p["eps2"], p["gamma"] - p["eps1"] - p["eps2"]),
         "factor1": lambda xi, omx: np.power(1.0 - x * xi, -p["beta"]),
-        "factor2": None,
         "row": row,
-        "const": 1.0,
     }
 
 
@@ -567,9 +549,7 @@ def _b417(p, x, y, tol):
         "factor1": lambda xi, omx: gauss_arr(
             p["alpha1"], p["beta"], p["eps1"], x * xi, tol
         ),
-        "factor2": None,
         "couplings": [(g, lambda xi, omx: omx, lambda eta, ome: eta)],
-        "const": 1.0,
     }
 
 
@@ -590,12 +570,10 @@ def _b419(p, x, y, tol):
         "factor1": lambda xi, omx: bessel_arr(
             p["gamma"] - p["eps1"], y * omx, tol
         ),
-        "factor2": None,
         "couplings": [
             (binom_coeffs(p["beta"], x, 1.0),
              lambda xi, omx: xi, lambda eta, ome: eta)
         ],
-        "const": 1.0,
     }
 
 
@@ -606,12 +584,10 @@ def _b420(p, x, y, tol):
         "factor1": lambda xi, omx: bessel_arr(
             p["gamma"] - p["eps1"], y * omx, tol
         ),
-        "factor2": None,
         "couplings": [
             (binom_coeffs(p["alpha"], x, 1.0),
              lambda xi, omx: xi, lambda eta, ome: eta)
         ],
-        "const": 1.0,
     }
 
 
@@ -711,41 +687,37 @@ CORRECTED_BUILDERS = {
 
 # --- evaluation --------------------------------------------------------------
 
+def _moments(w: np.ndarray, bases: list, sizes: tuple) -> np.ndarray:
+    """M[k_1, ..., k_K] = sum_i w_i prod_j bases[j][i]^k_j, k_j < sizes[j].
+
+    The first K-1 power tables fold into the weights row by row; the last
+    contracts with the result in one matrix product.
+    """
+    rows = w[None, :]
+    for base, size in zip(bases[:-1], sizes[:-1]):
+        powers = np.vander(base, size, increasing=True).T
+        rows = (rows[:, None, :] * powers).reshape(-1, w.size)
+    return (rows @ np.vander(bases[-1], sizes[-1], increasing=True)
+            ).reshape(sizes)
+
+
 def _tensor_level(rep, data, level: int) -> float:
-    n1 = _nodes(level)
-    n2 = _nodes(level)
-    w1 = _axis_weights(n1, *data["exps1"])
-    w2 = _axis_weights(n2, *data["exps2"])
+    nodes = _nodes(level)
+    w1 = _axis_weights(nodes, *data["exps1"])
+    w2 = _axis_weights(nodes, *data["exps2"])
     if data.get("factor1") is not None:
-        w1 = w1 * data["factor1"](n1.xi, n1.omx)
-    if data.get("factor2") is not None:
-        w2 = w2 * data["factor2"](n2.xi, n2.omx)
+        w1 = w1 * data["factor1"](nodes.xi, nodes.omx)
     if rep.style == "ps":
-        couplings = data["couplings"]
-        if not couplings:
-            total = float(np.sum(w1)) * float(np.sum(w2))
-        elif len(couplings) == 1:
-            g, ufn, vfn = couplings[0]
-            u = ufn(n1.xi, n1.omx)
-            v = vfn(n2.xi, n2.omx)
-            total = 0.0
-            pu, pv = w1.copy(), w2.copy()
-            for k, gk in enumerate(g):
-                if k:
-                    pu = pu * u
-                    pv = pv * v
-                total += gk * float(np.sum(pu)) * float(np.sum(pv))
-        else:
-            (g, u1fn, v1fn), (h, u2fn, v2fn) = couplings
-            u1, u2 = u1fn(n1.xi, n1.omx), u2fn(n1.xi, n1.omx)
-            v1, v2 = v1fn(n2.xi, n2.omx), v2fn(n2.xi, n2.omx)
-            p1 = np.vstack([w1 * u1**k for k in range(len(g))])
-            p2 = np.vstack([w2 * v1**k for k in range(len(g))])
-            q1 = np.vstack([u2**l for l in range(len(h))])
-            q2 = np.vstack([v2**l for l in range(len(h))])
-            amat = p1 @ q1.T  # A[k, l] = sum_i w1 u1^k u2^l
-            bmat = p2 @ q2.T
-            total = float(g @ (amat * bmat) @ h)
+        # sum_k prod_j g_j[k_j] A[k] B[k], with A and B the moment tensors
+        # of the couplings' xi- and eta-sides
+        gs, ufns, vfns = zip(*data["couplings"])
+        sizes = tuple(len(g) for g in gs)
+        amat = _moments(w1, [u(nodes.xi, nodes.omx) for u in ufns], sizes)
+        bmat = _moments(w2, [v(nodes.xi, nodes.omx) for v in vfns], sizes)
+        total = amat * bmat
+        for g in reversed(gs):
+            total = total @ g
+        total = float(total)
     else:  # rowwise
         row_fn = data["row"]
         inner = np.empty_like(w1)
@@ -754,10 +726,11 @@ def _tensor_level(rep, data, level: int) -> float:
                 inner[i] = 0.0
                 continue
             inner[i] = float(
-                np.sum(w2 * row_fn(n1.xi[i], n1.omx[i], n2.xi, n2.omx))
+                np.sum(w2 * row_fn(nodes.xi[i], nodes.omx[i], nodes.xi,
+                                   nodes.omx))
             )
         total = float(np.sum(w1 * inner))
-    return total * n1.h * n2.h * data.get("const", 1.0)
+    return total * nodes.h * nodes.h * data.get("const", 1.0)
 
 
 def _check_constraints(rep: IntegralRep, env: dict) -> None:
@@ -813,24 +786,9 @@ def eval_integral(
             data["factor"], *data["exps"], spec
         )
         return pref * value, diag
-    prev = None
-    history = []
-    for level in range(spec.start_level, spec.max_level + 1):
-        current = _tensor_level(rep, data, level)
-        if prev is not None:
-            err = abs(current - prev) / max(abs(current), 1e-300)
-            history.append(err)
-            if err <= spec.rtol:
-                return pref * current, {
-                    "final_level": level,
-                    "est_error": err,
-                    "history": history,
-                }
-        prev = current
-    raise NoConvergence(
-        f"{rep.id}: tanh-sinh did not reach rtol {spec.rtol} "
-        f"by level {spec.max_level}"
-    )
+    value, diag = _refine(lambda level: _tensor_level(rep, data, level), spec,
+                          f"{rep.id}: ")
+    return pref * value, diag
 
 
 DEFAULT_POINTS = ((0.3, 0.2), (0.1, 0.35), (0.25, 0.15))

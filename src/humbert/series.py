@@ -280,9 +280,9 @@ class KindInfo:
     coefficient c_{m,n} as (slot, index) pairs, index one of "m+n", "m",
     "n"; every kind also divides by m! n!, which the signature leaves out.
     Single-variable kinds index by "m" alone.  The signature is the only
-    statement of the exact coefficients.  `ratio_x` and `ratio_y` are the
-    term ratios c_{m+1,n}/c_{m,n} and c_{m,n+1}/c_{m,n} the float summation
-    steps with; a test holds them to the signature.
+    statement of the coefficients, exact and float: the term ratios
+    `ratio_x` = c_{m+1,n}/c_{m,n} and `ratio_y` = c_{m,n+1}/c_{m,n}, which
+    the float summation steps with, are generated from it once per kind.
     """
 
     name: str
@@ -290,8 +290,6 @@ class KindInfo:
     den: tuple[tuple[str, str], ...]
     bivariate: bool
     x_restricted: bool  # needs |x| < 1
-    ratio_x: Callable
-    ratio_y: Callable | None = None
 
     @cached_property
     def slots(self) -> tuple[str, ...]:
@@ -300,6 +298,33 @@ class KindInfo:
     @cached_property
     def den_slots(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(slot for slot, _ in self.den))
+
+    @cached_property
+    def ratio_x(self) -> Callable:
+        return _term_ratio(self, "m")
+
+    @cached_property
+    def ratio_y(self) -> Callable | None:
+        return _term_ratio(self, "n") if self.bivariate else None
+
+
+def _term_ratio(info: KindInfo, step: str) -> Callable:
+    """Compile the term ratio for a unit step in `step` ("m" or "n") as a
+    function of (p, m, n), with p the slot values, float or exact.
+
+    Each signature factor whose index contains the step contributes
+    (p[slot] + index), in signature order, and the step's factorial
+    contributes (step + 1) to the denominator.  The expression is compiled
+    once, as collections.namedtuple compiles its methods, so a step costs
+    what a hand-written lambda would.
+    """
+    def factors(pairs):
+        return [f"(p[{slot!r}] + {index.replace('+', ' + ')})"
+                for slot, index in pairs if step in index]
+
+    num = " * ".join(factors(info.num)) or "1"
+    den = " * ".join(factors(info.den) + [f"({step} + 1)"])
+    return eval(f"lambda p, m, n: {num} / ({den})", {})
 
 
 def _fact(n: int) -> int:
@@ -319,9 +344,6 @@ _register(KindInfo(
     den=(("gamma", "m+n"),),
     bivariate=True,
     x_restricted=True,
-    ratio_x=lambda p, m, n: (p["alpha"] + m + n) * (p["beta"] + m)
-    / ((p["gamma"] + m + n) * (m + 1)),
-    ratio_y=lambda p, m, n: (p["alpha"] + m + n) / ((p["gamma"] + m + n) * (n + 1)),
 ))
 
 _register(KindInfo(
@@ -330,8 +352,6 @@ _register(KindInfo(
     den=(("gamma", "m+n"),),
     bivariate=True,
     x_restricted=False,
-    ratio_x=lambda p, m, n: (p["beta1"] + m) / ((p["gamma"] + m + n) * (m + 1)),
-    ratio_y=lambda p, m, n: (p["beta2"] + n) / ((p["gamma"] + m + n) * (n + 1)),
 ))
 
 _register(KindInfo(
@@ -340,8 +360,6 @@ _register(KindInfo(
     den=(("gamma", "m+n"),),
     bivariate=True,
     x_restricted=False,
-    ratio_x=lambda p, m, n: (p["beta"] + m) / ((p["gamma"] + m + n) * (m + 1)),
-    ratio_y=lambda p, m, n: 1 / ((p["gamma"] + m + n) * (n + 1)),
 ))
 
 _register(KindInfo(
@@ -350,9 +368,6 @@ _register(KindInfo(
     den=(("gamma1", "m"), ("gamma2", "n")),
     bivariate=True,
     x_restricted=True,
-    ratio_x=lambda p, m, n: (p["alpha"] + m + n) * (p["beta"] + m)
-    / ((p["gamma1"] + m) * (m + 1)),
-    ratio_y=lambda p, m, n: (p["alpha"] + m + n) / ((p["gamma2"] + n) * (n + 1)),
 ))
 
 _register(KindInfo(
@@ -361,8 +376,6 @@ _register(KindInfo(
     den=(("gamma1", "m"), ("gamma2", "n")),
     bivariate=True,
     x_restricted=False,
-    ratio_x=lambda p, m, n: (p["alpha"] + m + n) / ((p["gamma1"] + m) * (m + 1)),
-    ratio_y=lambda p, m, n: (p["alpha"] + m + n) / ((p["gamma2"] + n) * (n + 1)),
 ))
 
 _register(KindInfo(
@@ -371,9 +384,6 @@ _register(KindInfo(
     den=(("gamma", "m+n"),),
     bivariate=True,
     x_restricted=True,
-    ratio_x=lambda p, m, n: (p["alpha1"] + m) * (p["beta"] + m)
-    / ((p["gamma"] + m + n) * (m + 1)),
-    ratio_y=lambda p, m, n: (p["alpha2"] + n) / ((p["gamma"] + m + n) * (n + 1)),
 ))
 
 _register(KindInfo(
@@ -382,9 +392,6 @@ _register(KindInfo(
     den=(("gamma", "m+n"),),
     bivariate=True,
     x_restricted=True,
-    ratio_x=lambda p, m, n: (p["alpha"] + m) * (p["beta"] + m)
-    / ((p["gamma"] + m + n) * (m + 1)),
-    ratio_y=lambda p, m, n: 1 / ((p["gamma"] + m + n) * (n + 1)),
 ))
 
 _register(KindInfo(
@@ -393,8 +400,6 @@ _register(KindInfo(
     den=(("gamma", "m"),),
     bivariate=False,
     x_restricted=True,
-    ratio_x=lambda p, m, n: (p["alpha"] + m) * (p["beta"] + m)
-    / ((p["gamma"] + m) * (m + 1)),
 ))
 
 _register(KindInfo(
@@ -403,7 +408,6 @@ _register(KindInfo(
     den=(("gamma", "m"),),
     bivariate=False,
     x_restricted=False,
-    ratio_x=lambda p, m, n: (p["alpha"] + m) / ((p["gamma"] + m) * (m + 1)),
 ))
 
 _register(KindInfo(
@@ -412,7 +416,6 @@ _register(KindInfo(
     den=(("gamma", "m"),),
     bivariate=False,
     x_restricted=False,
-    ratio_x=lambda p, m, n: 1 / ((p["gamma"] + m) * (m + 1)),
 ))
 
 BIVARIATE_KINDS = tuple(k for k, v in KINDS.items() if v.bivariate)
@@ -617,6 +620,19 @@ def _float_params(ref: FunctionRef) -> dict[str, float]:
     return {k: float(v) for k, v in ref.params.items()}
 
 
+def next_diagonal(
+    info: KindInfo, p: dict, terms: list[float], x: float, y: float
+) -> list[float]:
+    """Terms t_{m,k-m}, m = 0..k, of diagonal k = len(terms), stepped from
+    the terms of diagonal k - 1: t_{0,k} in y from t_{0,k-1}, every other
+    t_{m,k-m} in x from t_{m-1,k-m}."""
+    k = len(terms)
+    ratio_x = info.ratio_x
+    return [terms[0] * info.ratio_y(p, 0, k - 1) * y] + [
+        t * ratio_x(p, m, k - 1 - m) * x for m, t in enumerate(terms)
+    ]
+
+
 def eval_double_series(
     ref: FunctionRef,
     x: float,
@@ -644,11 +660,7 @@ def eval_double_series(
     small_streak = 0
     last_mag = 1.0
     for k in range(1, max_diagonal + 1):
-        new_terms = [0.0] * (k + 1)
-        new_terms[0] = terms[0] * info.ratio_y(p, 0, k - 1) * y
-        for m in range(1, k + 1):
-            new_terms[m] = terms[m - 1] * info.ratio_x(p, m - 1, k - m) * x
-        terms = new_terms
+        terms = next_diagonal(info, p, terms, x, y)
         contribution = math.fsum(terms)
         total += contribution
         last_mag = math.fsum(abs(t) for t in terms)

@@ -198,38 +198,73 @@ class TestIntegralCheck:
 PHI1 = ("eval", "phi1", "--alpha", "1", "--beta", "1", "--gamma", "2")
 
 
+# argv and environment templates; "{name}" stands for the path of the file
+# written from BAD_FILES[name]
+BAD_INPUTS = [
+    (("verify", "formula", "2.36", "--n", "-1"), {}, "HumbertError"),
+    (PHI1 + ("--x", "0.3", "--tol", "0"), {}, "HumbertError"),
+    (PHI1 + ("--x", "0.3", "--tol", "nan"), {}, "HumbertError"),
+    (PHI1 + ("--x", "0.3", "--tol", "inf"), {}, "HumbertError"),
+    (PHI1 + ("--x", "abc"), {}, "SignatureError"),
+    (PHI1 + ("--x", "0.3", "--y", "abc"), {}, "SignatureError"),
+    (("eval", "phi1", "--alpha", "1/0", "--beta", "1",
+      "--gamma", "2", "--x", "0.1"), {}, "SignatureError"),
+    (("verify", "all", "--config", "{missing}"), {}, "FileNotFoundError"),
+    (("verify", "formula", "2.36", "--config", "{notjson}"), {},
+     "SignatureError"),
+    (("verify", "formula", "2.36", "--config", "{scalar}"), {},
+     "SignatureError"),
+    (("integral-check", "4.1", "--config", "{missing}"), {},
+     "FileNotFoundError"),
+    (("integral-check", "4.1", "--tol", "nan"), {}, "HumbertError"),
+    (("integral-check", "4.1", "--tol", "-1"), {}, "HumbertError"),
+    (("verify", "formula", "2.36", "--config", "{profile_scalar}"), {},
+     "SignatureError"),
+    (("integral-check", "4.1", "--config", "{overrides_scalar}"), {},
+     "SignatureError"),
+    (("integral-check", "4.1", "--config", "{override_scalar}"), {},
+     "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{notjson}"}, "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{scalar}"}, "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{non_object}"}, "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{missing_fields}"},
+     "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{bad_symbols}"}, "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{duplicate}"}, "SignatureError"),
+]
+
+_ENTRY = load_catalog()[0]
+_PROFILE = {"alpha": "1/2"}
+BAD_FILES = {
+    "notjson": "{not json",
+    "scalar": "5",
+    "profile_scalar": json.dumps({"profiles": {"generic-A": 5}}),
+    "overrides_scalar": json.dumps(
+        {"profiles": {"generic-A": _PROFILE}, "overrides": 3}),
+    "override_scalar": json.dumps(
+        {"profiles": {"generic-A": _PROFILE}, "overrides": {"4.1": 7}}),
+    "non_object": "[5]",
+    "missing_fields": json.dumps([{"id": "2.36"}]),
+    "bad_symbols": json.dumps([{**_ENTRY, "symbols": ["alpha"]}]),
+    "duplicate": json.dumps([_ENTRY, _ENTRY]),
+}
+
+
 class TestBadInputs:
+    # the ids keep the "argv<i>-<error>" form of the rows without an env
     @pytest.mark.parametrize(
-        "argv, error",
-        [
-            (("verify", "formula", "2.36", "--n", "-1"), "HumbertError"),
-            (PHI1 + ("--x", "0.3", "--tol", "0"), "HumbertError"),
-            (PHI1 + ("--x", "0.3", "--tol", "nan"), "HumbertError"),
-            (PHI1 + ("--x", "0.3", "--tol", "inf"), "HumbertError"),
-            (PHI1 + ("--x", "abc"), "SignatureError"),
-            (PHI1 + ("--x", "0.3", "--y", "abc"), "SignatureError"),
-            (("eval", "phi1", "--alpha", "1/0", "--beta", "1",
-              "--gamma", "2", "--x", "0.1"), "SignatureError"),
-            (("verify", "all", "--config", "{missing}"), "FileNotFoundError"),
-            (("verify", "formula", "2.36", "--config", "{notjson}"),
-             "SignatureError"),
-            (("verify", "formula", "2.36", "--config", "{scalar}"),
-             "SignatureError"),
-            (("integral-check", "4.1", "--config", "{missing}"),
-             "FileNotFoundError"),
-            (("integral-check", "4.1", "--tol", "nan"), "HumbertError"),
-            (("integral-check", "4.1", "--tol", "-1"), "HumbertError"),
-        ],
+        "argv, env, error", BAD_INPUTS,
+        ids=[f"argv{i}-{error}" for i, (_, _, error) in enumerate(BAD_INPUTS)],
     )
-    def test_exit_2_with_package_error(self, capsys, tmp_path, argv, error):
-        notjson = tmp_path / "notjson.json"
-        notjson.write_text("{not json")
-        scalar = tmp_path / "scalar.json"
-        scalar.write_text("5")
-        argv = [a.format(missing=tmp_path / "absent.json", notjson=notjson,
-                         scalar=scalar)
-                for a in argv]
-        code, out, err = run(capsys, *argv)
+    def test_exit_2_with_package_error(self, capsys, monkeypatch, tmp_path,
+                                       argv, env, error):
+        paths = {"missing": tmp_path / "absent.json"}
+        for name, content in BAD_FILES.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(content)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value.format(**paths))
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
         assert out == ""
         assert err.startswith(f"{error}: ")

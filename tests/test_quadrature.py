@@ -11,6 +11,9 @@ from humbert.quadrature import (
     REP_IDS,
     REPS,
     QuadratureSpec,
+    _axis_weights,
+    _nodes,
+    _tensor_level,
     cross_check,
     default_grid,
     default_tolerance,
@@ -189,6 +192,35 @@ class TestRefinementBehavior:
         assert diag["final_level"] <= 5
         report = cross_check(rep_id, params, grid=(pt,))
         assert report.numeric["quad_level"] == diag["final_level"]
+
+
+# every power-series representation, and the corrected 4.14
+PS_BUILDS = [(r, REPS[r].build) for r in REP_IDS if REPS[r].style == "ps"]
+PS_BUILDS.append(("4.14", CORRECTED_BUILDERS["4.14"]))
+
+
+class TestTensorContraction:
+    @pytest.mark.parametrize(
+        "rep_id, build", PS_BUILDS,
+        ids=[r for r, _ in PS_BUILDS[:-1]] + ["4.14-corrected"],
+    )
+    def test_matches_full_node_grid(self, rep_id, build, config):
+        # the moment contraction must equal the integrand summed over the
+        # full tensor grid of one level, each coupling series in Horner form
+        params = {k: float(v) for k, v in
+                  resolved_params("generic-A", rep_id, config).items()}
+        data = build(params, 0.3, 0.2, 1e-12)
+        nodes = _nodes(3)
+        w1 = _axis_weights(nodes, *data["exps1"])
+        if data.get("factor1") is not None:
+            w1 = w1 * data["factor1"](nodes.xi, nodes.omx)
+        grid = np.outer(w1, _axis_weights(nodes, *data["exps2"]))
+        for g, ufn, vfn in data["couplings"]:
+            z = np.outer(ufn(nodes.xi, nodes.omx), vfn(nodes.xi, nodes.omx))
+            grid = grid * np.polyval(g[::-1], z)
+        want = float(grid.sum()) * nodes.h**2 * data.get("const", 1.0)
+        got = _tensor_level(REPS[rep_id], data, 3)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestGuards:

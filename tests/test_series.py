@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,13 @@ from humbert.errors import (
     PoleError,
     SignatureError,
     UnsupportedTransform,
+)
+from humbert.quadrature import (
+    bessel_arr,
+    gauss_arr,
+    kummer_arr,
+    phi1_arr,
+    ray_coeffs,
 )
 from humbert.scalars import pochhammer
 from humbert.series import (
@@ -434,3 +442,86 @@ class TestEvalSingleSeries:
     def test_domain(self):
         with pytest.raises(DomainError):
             eval_single_series("Gauss2F1", {"alpha": 1, "beta": 1, "gamma": 2}, 1.5)
+
+
+# float.hex() of the float recurrences' results, pinned so that a change to
+# how the term steps are stated cannot move a single bit
+GOLDEN_DOUBLE = {  # eval_double_series at (0.4, -0.7): value, est_error
+    "Phi1": ("0x1.a20d9518e3b1bp-1", "0x1.475d1c287e7a6p-44"),
+    "Phi2": ("0x1.d7950b9de9b9ep-1", "0x1.7da36f23b0adap-53"),
+    "Phi3": ("0x1.37eb9ab6e92a7p-1", "0x1.f4ce751281217p-53"),
+    "Psi1": ("0x1.9116a8ad8530dp-1", "0x1.c9a8915818e96p-44"),
+    "Psi2": ("0x1.a7db5f023387cp-1", "0x1.3c3d1da423787p-50"),
+    "Xi1": ("0x1.a35bd0c7bfb38p-1", "0x1.e9873c340ba50p-44"),
+    "Xi2": ("0x1.23c32b9b8be5bp-1", "0x1.3277470e6cc20p-45"),
+}
+GOLDEN_SINGLE = {  # eval_single_series at -0.6
+    "Gauss2F1": "0x1.df2a1c1edde84p-1",
+    "Kummer1F1": "0x1.9a568831efca6p-1",
+    "Bessel0F1": "0x1.290fa2bdb8473p-1",
+}
+GOLDEN_RAY = {  # ray_coeffs(kind, params, 0.4, -0.3, 0.5)
+    "Phi2": [
+        "0x1.0000000000000p+0", "0x1.767dce434a9c0p-10", "0x1.ceee7ccd77ff0p-7",
+        "0x1.4031afee7baa8p-12", "0x1.6d2b0eed99925p-14", "0x1.543d2146da36ep-19",
+        "0x1.2dfd6d66ba44fp-22", "0x1.2d2017c1f52cep-27", "0x1.35816a8db1f66p-31",
+        "0x1.2dbfea2a475edp-36", "0x1.b05bddcf981c4p-41", "0x1.8a675ed7af093p-46",
+        "0x1.b514b86d7010dp-51", "0x1.6d68ec180de12p-56", "0x1.4d8af31a66c21p-61",
+    ],
+    "Xi1": [
+        "0x1.0000000000000p+0", "-0x1.5dbef96a287a3p-4", "0x1.9c1356033ea6ap-7",
+        "-0x1.e723b5cc23716p-14", "0x1.bbf1deddc7ecfp-13", "0x1.7a4631c240eeep-15",
+        "0x1.e36775df4bb4bp-17", "0x1.2d17c3ffbc43ep-18", "0x1.85f6dc9e4321dp-20",
+        "0x1.0241c2391e1a2p-21", "0x1.5c9a440882f8ap-23", "0x1.ddddab7160e28p-25",
+        "0x1.4bc63708dc8d7p-26", "0x1.d1bd8f8c2cc05p-28", "0x1.49f88fa20e7dbp-29",
+        "0x1.d75d8b92da573p-31", "0x1.53122f2b05340p-32", "0x1.eae0770d8a00cp-34",
+        "0x1.654e8b0e2761ep-35", "0x1.056152cf33cb3p-36", "0x1.8021be386e126p-38",
+        "0x1.1b69907fc5dd9p-39", "0x1.a3bf55d5d3f47p-41", "0x1.37e17e5435b83p-42",
+    ],
+}
+GOLDEN_KERNELS = {  # on the nodes linspace(-0.8, 0.8, 5), tol 1e-11
+    "kummer_arr": ["0x1.802f06219999dp-1", "0x1.b7f7fb42c6a3ep-1",
+                   "0x1.0000000000000p+0", "0x1.2f07ecd722263p+0",
+                   "0x1.6d19530fac5aep+0"],
+    "bessel_arr": ["0x1.dc0674ec5d393p-2", "0x1.6a23d1f9e7672p-1",
+                   "0x1.0000000000000p+0", "0x1.5981f5aa61050p+0",
+                   "0x1.c379164b6557fp+0"],
+    "gauss_arr": ["0x1.d6bca7b326749p-1", "0x1.e8a1f64811400p-1",
+                  "0x1.0000000000000p+0", "0x1.10e3f0aeeeed0p+0",
+                  "0x1.30aae8422087cp+0"],
+    "phi1_arr": ["0x1.49e7c0f34e2b7p+0", "0x1.1fc94a3571e48p+0",
+                 "0x1.0000000000000p+0", "0x1.d1be5a14d6413p-1",
+                 "0x1.b761c4afdacc7p-1"],
+}
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_DOUBLE))
+    def test_double_series(self, kind):
+        value, diag = eval_double_series(
+            FunctionRef(kind, REFERENCE_PARAMS[kind]), 0.4, -0.7
+        )
+        assert (value.hex(), diag["est_error"].hex()) == GOLDEN_DOUBLE[kind]
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SINGLE))
+    def test_single_series(self, kind):
+        value, _ = eval_single_series(kind, SINGLE_PARAMS[kind], -0.6)
+        assert value.hex() == GOLDEN_SINGLE[kind]
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_RAY))
+    def test_ray_coeffs(self, kind):
+        params = {k: float(v) for k, v in REFERENCE_PARAMS[kind].items()}
+        coeffs = ray_coeffs(kind, params, 0.4, -0.3, 0.5)
+        assert [c.hex() for c in coeffs] == GOLDEN_RAY[kind]
+
+    def test_node_array_kernels(self):
+        z = np.linspace(-0.8, 0.8, 5)
+        a, b, c, tol = 0.5, 1 / 3, 1.25, 1e-11
+        got = {
+            "kummer_arr": kummer_arr(a, c, z, tol),
+            "bessel_arr": bessel_arr(c, z, tol),
+            "gauss_arr": gauss_arr(a, b, c, z, tol),
+            "phi1_arr": phi1_arr(a, b, c, z, z[::-1], tol),
+        }
+        for name, values in got.items():
+            assert [v.hex() for v in values] == GOLDEN_KERNELS[name], name
