@@ -41,6 +41,11 @@ def validate_entry(entry: dict) -> None:
     missing = [f for f in _REQUIRED_FIELDS if f not in entry]
     if missing:
         raise SignatureError(f"catalog entry missing fields {missing}")
+    for side in ("lhs", "rhs"):
+        if not isinstance(entry[side], dict):
+            raise SignatureError(
+                f"entry {entry['id']}: {side} must be an object"
+            )
     computed = sorted(
         expression_symbols(entry["lhs"]) | expression_symbols(entry["rhs"])
     )

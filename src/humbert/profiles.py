@@ -35,7 +35,11 @@ def load_config(path: str | Path | None = None) -> dict:
         raise SignatureError(
             "profiles config overrides must map target ids to parameter maps"
         )
-    config.setdefault("errata", None)
+    errata = config.setdefault("errata", None)
+    if errata is not None and not (isinstance(errata, str) and errata):
+        raise SignatureError(
+            f"profiles config errata must be null or a path, got {errata!r}"
+        )
     return config
 
 

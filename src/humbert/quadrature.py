@@ -1,8 +1,12 @@
 """Euler-type integral representations and their tanh-sinh cross-checks.
 
-Each representation is data: a gamma-function prefactor, endpoint exponents
-for the Beta-type kernel, the remaining smooth integrand factors, and the
-function the integral must reproduce.  Integration uses a tanh-sinh rule on
+Each representation is one declaration: the series kind the integral must
+reproduce, a Beta kernel xi^(a-1) (1-xi)^(b-1) per integration axis with
+its endpoint exponents (a, b) as affine expressions, and a builder for the
+remaining smooth factors.  The kernel states both the validity constraints
+(the integral converges exactly when every exponent is positive) and the
+prefactor (the product of Gamma(a+b) / (Gamma(a) Gamma(b)) over the axes,
+which normalises each kernel to 1).  Integration uses a tanh-sinh rule on
 (0, 1): the variable change concentrates nodes double-exponentially at both
 endpoints, so one rule handles every algebraic endpoint singularity with
 positive exponent.  Two-dimensional integrals are tensor products.
@@ -18,12 +22,18 @@ that shape fall back to a row-by-row evaluation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConstraintViolation, DomainError, NoConvergence
+from .errors import (
+    ConstraintViolation,
+    DomainError,
+    NoConvergence,
+    SignatureError,
+)
 from .expressions import eval_affine
 from .series import KINDS, FunctionRef, eval_double_series, next_diagonal
 
@@ -250,10 +260,6 @@ def kummer_coeffs(a: float, b: float, c: float, zmax: float) -> np.ndarray:
     )
 
 
-def conv_coeffs(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return np.convolve(g, h)
-
-
 def ray_coeffs(kind: str, params: dict, cx: float, cy: float, zmax: float
                ) -> np.ndarray:
     """Series in t of F(cx*t, cy*t) for a bivariate kind: the k-th
@@ -291,85 +297,94 @@ def poly_arr(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 # --- the representation table ------------------------------------------------
 
 @dataclass(frozen=True)
+class Integrand:
+    """The smooth factors of one representation at one (x, y), beside the
+    Beta kernel its IntegralRep declares.
+
+    `factor(xi, omx)` multiplies the first axis's kernel (None: 1).  A
+    two-dimensional integrand adds either `couplings`, terms (g, u, v)
+    standing for sum_k g[k] (u(xi, 1-xi) v(eta, 1-eta))^k, or
+    `row(xi_i, omx_i, eta, ome)`, its whole coupling on one node row.
+    `const` multiplies the integral.
+    """
+
+    factor: Callable | None = None
+    couplings: tuple = ()
+    row: Callable | None = None
+    const: float = 1.0
+
+
+@dataclass(frozen=True)
 class IntegralRep:
-    """One Euler-type representation: prefactor, kernel, validity, target."""
+    """One Euler-type representation of a series kind.
+
+    `kernel` holds each axis's endpoint exponents (a, b) of the Beta kernel
+    xi^(a-1) (1-xi)^(b-1) as affine expressions.  It is the only statement
+    of the representation's validity (every exponent > 0) and of its
+    prefactor (the product of Gamma(a+b) / (Gamma(a) Gamma(b)) over the
+    axes).  `build(params, x, y, tol)` returns the rest as an Integrand.
+    """
 
     id: str
-    dim: int
     lhs_kind: str
-    lhs_slots: dict
-    constraints: tuple
-    pref_num: tuple
-    pref_den: tuple
-    style: str  # "1d" | "ps" | "rw"
-    build: object = field(compare=False)
+    kernel: tuple
+    style: str  # "1d" | "ps" (power-series couplings) | "rw" (row by row)
+    build: Callable = field(compare=False)
     notes: str = ""
 
+    @property
+    def dim(self) -> int:
+        return len(self.kernel)
 
-REPS: dict[str, IntegralRep] = {}
+
+# coupling sides: the node t or 1 - t, on either axis
+def _node(t, omt):
+    return t
 
 
-def _rep(rep_id, dim, lhs_kind, lhs_slots, constraints, pref_num, pref_den,
-         style, build, notes=""):
-    REPS[rep_id] = IntegralRep(
-        id=rep_id, dim=dim, lhs_kind=lhs_kind, lhs_slots=lhs_slots,
-        constraints=tuple(constraints), pref_num=tuple(pref_num),
-        pref_den=tuple(pref_den), style=style, build=build, notes=notes,
-    )
+def _one_minus(t, omt):
+    return omt
 
 
 def _b41(p, x, y, tol):
-    return {
-        "exps": (p["alpha"], p["gamma"] - p["alpha"]),
-        "factor": lambda xi, omx: np.exp(y * xi)
+    return Integrand(
+        factor=lambda xi, omx: np.exp(y * xi)
         * np.power(1.0 - x * xi, -p["beta"]),
-    }
+    )
 
 
 def _b42(p, x, y, tol):
-    return {
-        "exps1": (p["beta1"], p["gamma"] - p["beta1"]),
-        "exps2": (p["beta2"], p["gamma"] - p["beta1"] - p["beta2"]),
-        "factor1": lambda xi, omx: np.exp(x * xi),
-        "couplings": [
-            (exp_coeffs(y, 1.0), lambda xi, omx: omx, lambda eta, ome: eta)
-        ],
-    }
+    return Integrand(
+        factor=lambda xi, omx: np.exp(x * xi),
+        couplings=((exp_coeffs(y, 1.0), _one_minus, _node),),
+    )
+
+
+def _psi1_coupling(x, y):
+    """exp(y eta / (1 - x xi)), whose xi-side reaches 1/(1 - x) for x > 0."""
+    umax = 1.0 / (1.0 - abs(x)) if x > 0 else 1.0
+    return exp_coeffs(y, umax), lambda xi, omx: 1.0 / (1.0 - x * xi), _node
 
 
 def _b43(p, x, y, tol):
-    umax = 1.0 / (1.0 - abs(x)) if x > 0 else 1.0
-    return {
-        "exps1": (p["beta"], p["gamma1"] - p["beta"]),
-        "exps2": (p["alpha"], p["gamma2"] - p["alpha"]),
-        "factor1": lambda xi, omx: np.power(1.0 - x * xi, -p["alpha"]),
-        "couplings": [
-            (
-                exp_coeffs(y, umax),
-                lambda xi, omx: 1.0 / (1.0 - x * xi),
-                lambda eta, ome: eta,
-            )
-        ],
-    }
+    return Integrand(
+        factor=lambda xi, omx: np.power(1.0 - x * xi, -p["alpha"]),
+        couplings=(_psi1_coupling(x, y),),
+    )
 
 
 def _b44(p, x, y, tol):
-    return {
-        "exps1": (p["alpha1"], p["gamma"] - p["alpha1"]),
-        "exps2": (p["alpha2"], p["gamma"] - p["alpha1"] - p["alpha2"]),
-        "factor1": lambda xi, omx: np.power(1.0 - x * xi, -p["beta"]),
-        "couplings": [
-            (exp_coeffs(y, 1.0), lambda xi, omx: omx, lambda eta, ome: eta)
-        ],
-    }
+    return Integrand(
+        factor=lambda xi, omx: np.power(1.0 - x * xi, -p["beta"]),
+        couplings=((exp_coeffs(y, 1.0), _one_minus, _node),),
+    )
 
 
 def _b45(p, x, y, tol):
-    return {
-        "exps": (p["alpha"], p["gamma"] - p["alpha"]),
-        "factor": lambda xi, omx: np.power(1.0 - x * xi, -p["beta"])
+    return Integrand(
+        factor=lambda xi, omx: np.power(1.0 - x * xi, -p["beta"])
         * bessel_arr(p["gamma"] - p["alpha"], omx * y, tol),
-    }
+    )
 
 
 def _b46(p, x, y, tol):
@@ -382,7 +397,7 @@ def _b46(p, x, y, tol):
                        u, -y * xi, tol)
         )
 
-    return {"exps": (p["eps"], p["gamma"] - p["eps"]), "factor": factor}
+    return Integrand(factor=factor)
 
 
 def _b47(p, x, y, tol):
@@ -395,27 +410,21 @@ def _b47(p, x, y, tol):
                        p["gamma"] - p["eps"], u, y * omx, tol)
         )
 
-    return {"exps": (p["eps"], p["gamma"] - p["eps"]), "factor": factor}
+    return Integrand(factor=factor)
 
 
 def _b48(p, x, y, tol):
-    g = conv_coeffs(exp_coeffs(y, 1.0), binom_coeffs(p["beta"], x, 1.0))
-    return {
-        "exps1": (p["eps"], p["gamma"] - p["eps"]),
-        "exps2": (p["alpha"], p["eps"] - p["alpha"]),
-        "couplings": [(g, lambda xi, omx: xi, lambda eta, ome: eta)],
-    }
+    g = np.convolve(exp_coeffs(y, 1.0), binom_coeffs(p["beta"], x, 1.0))
+    return Integrand(couplings=((g, _node, _node),))
 
 
 def _b49(p, x, y, tol):
     c2 = -x / (1.0 - x)
-    g = conv_coeffs(exp_coeffs(-y, 1.0), binom_coeffs(p["beta"], c2, 1.0))
-    return {
-        "exps1": (p["eps"], p["gamma"] - p["eps"]),
-        "exps2": (p["alpha"] - p["eps"], p["gamma"] - p["alpha"]),
-        "couplings": [(g, lambda xi, omx: omx, lambda eta, ome: ome)],
-        "const": math.exp(y) * (1.0 - x) ** (-p["beta"]),
-    }
+    g = np.convolve(exp_coeffs(-y, 1.0), binom_coeffs(p["beta"], c2, 1.0))
+    return Integrand(
+        couplings=((g, _one_minus, _one_minus),),
+        const=math.exp(y) * (1.0 - x) ** (-p["beta"]),
+    )
 
 
 def _b410(p, x, y, tol):
@@ -425,96 +434,64 @@ def _b410(p, x, y, tol):
         z = -x * xi_i - y * omx_i * eta
         return np.exp(y * omx_i * eta) * kummer_arr(a, b, z, tol)
 
-    return {
-        "exps1": (p["beta1"], p["eps"] - p["beta1"]),
-        "exps2": (p["beta2"], p["eps"] - p["beta1"] - p["beta2"]),
-        "factor1": lambda xi, omx: np.exp(x * xi),
-        "row": row,
-    }
+    return Integrand(factor=lambda xi, omx: np.exp(x * xi), row=row)
 
 
 def _b411(p, x, y, tol):
-    return {
-        "exps1": (p["eps1"], p["gamma"] - p["eps1"]),
-        "exps2": (p["beta2"], p["gamma"] - p["eps1"] - p["beta2"]),
-        "factor1": lambda xi, omx: np.exp(x * xi)
+    return Integrand(
+        factor=lambda xi, omx: np.exp(x * xi)
         * kummer_arr(p["eps1"] - p["beta1"], p["eps1"], -x * xi, tol),
-        "couplings": [
-            (exp_coeffs(y, 1.0), lambda xi, omx: omx, lambda eta, ome: eta)
-        ],
-    }
+        couplings=((exp_coeffs(y, 1.0), _one_minus, _node),),
+    )
 
 
 def _b412(p, x, y, tol):
     g2 = kummer_coeffs(
         p["beta1"] - p["eps1"], p["gamma"] - p["eps1"] - p["beta2"], x, 1.0
     )
-    return {
-        "exps1": (p["eps1"], p["gamma"] - p["eps1"]),
-        "exps2": (p["beta2"], p["gamma"] - p["eps1"] - p["beta2"]),
-        "factor1": lambda xi, omx: np.exp(x * xi),
-        "couplings": [
-            (exp_coeffs(y, 1.0), lambda xi, omx: omx, lambda eta, ome: eta),
-            (g2, lambda xi, omx: omx, lambda eta, ome: ome),
-        ],
-    }
+    return Integrand(
+        factor=lambda xi, omx: np.exp(x * xi),
+        couplings=(
+            (exp_coeffs(y, 1.0), _one_minus, _node),
+            (g2, _one_minus, _one_minus),
+        ),
+    )
 
 
 def _b413(p, x, y, tol):
     inner = kummer_coeffs(p["eps2"] - p["beta2"], p["eps2"], -y, 1.0)
-    g = conv_coeffs(exp_coeffs(y, 1.0), inner)
-    return {
-        "exps1": (p["eps1"], p["gamma"] - p["eps1"]),
-        "exps2": (p["eps2"], p["gamma"] - p["eps1"] - p["eps2"]),
-        "factor1": lambda xi, omx: np.exp(x * xi)
+    g = np.convolve(exp_coeffs(y, 1.0), inner)
+    return Integrand(
+        factor=lambda xi, omx: np.exp(x * xi)
         * kummer_arr(p["eps1"] - p["beta1"], p["eps1"], -x * xi, tol),
-        "couplings": [(g, lambda xi, omx: omx, lambda eta, ome: eta)],
-    }
+        couplings=((g, _one_minus, _node),),
+    )
 
 
-def _phi2_ray(p, gamma_slot: float, x, y):
+def _b414(p, x, y, tol, inner_gamma):
+    """4.14 with `inner_gamma` as the inner Phi2's denominator parameter."""
     params = {
         "beta1": p["beta1"] - p["eps1"],
         "beta2": p["beta2"] - p["eps2"],
-        "gamma": gamma_slot,
+        "gamma": inner_gamma,
     }
     FunctionRef("Phi2", params)  # pole guard
-    return ray_coeffs("Phi2", params, x, y, 1.0)
-
-
-def _b414(p, x, y, tol):
-    q = _phi2_ray(p, p["gamma"], x, y)
-    return {
-        "exps1": (p["eps1"], p["gamma"] - p["eps1"]),
-        "exps2": (p["eps2"], p["gamma"] - p["eps1"] - p["eps2"]),
-        "factor1": lambda xi, omx: np.exp(x * xi),
-        "couplings": [
-            (exp_coeffs(y, 1.0), lambda xi, omx: omx, lambda eta, ome: eta),
-            (q, lambda xi, omx: omx, lambda eta, ome: ome),
-        ],
-    }
+    return Integrand(
+        factor=lambda xi, omx: np.exp(x * xi),
+        couplings=(
+            (exp_coeffs(y, 1.0), _one_minus, _node),
+            (ray_coeffs("Phi2", params, x, y, 1.0), _one_minus, _one_minus),
+        ),
+    )
 
 
 def _b415(p, x, y, tol):
-    umax = 1.0 / (1.0 - abs(x)) if x > 0 else 1.0
-
-    def factor1(xi, omx):
+    def factor(xi, omx):
         return np.power(1.0 - x * xi, -p["alpha"]) * kummer_arr(
             p["gamma2"] - p["eps"], p["gamma2"], y / (x * xi - 1.0), tol
         )
 
-    return {
-        "exps1": (p["beta"], p["gamma1"] - p["beta"]),
-        "exps2": (p["alpha"], p["eps"] - p["alpha"]),
-        "factor1": factor1,
-        "couplings": [
-            (
-                exp_coeffs(y, umax),
-                lambda xi, omx: 1.0 / (1.0 - x * xi),
-                lambda eta, ome: eta,
-            )
-        ],
-    }
+    return Integrand(factor=factor, couplings=(_psi1_coupling(x, y),))
 
 
 def _b416(p, x, y, tol):
@@ -532,138 +509,95 @@ def _b416(p, x, y, tol):
         q = ray_coeffs("Xi1", params, cx, cy, 1.0)
         return np.exp(y * omx_i * eta) * poly_arr(q, ome)
 
-    return {
-        "exps1": (p["eps1"], p["gamma"] - p["eps1"]),
-        "exps2": (p["eps2"], p["gamma"] - p["eps1"] - p["eps2"]),
-        "factor1": lambda xi, omx: np.power(1.0 - x * xi, -p["beta"]),
-        "row": row,
-    }
+    return Integrand(
+        factor=lambda xi, omx: np.power(1.0 - x * xi, -p["beta"]), row=row
+    )
 
 
 def _b417(p, x, y, tol):
     inner = kummer_coeffs(p["eps2"] - p["alpha2"], p["eps2"], -y, 1.0)
-    g = conv_coeffs(exp_coeffs(y, 1.0), inner)
-    return {
-        "exps1": (p["eps1"], p["gamma"] - p["eps1"]),
-        "exps2": (p["eps2"], p["gamma"] - p["eps1"] - p["eps2"]),
-        "factor1": lambda xi, omx: gauss_arr(
+    g = np.convolve(exp_coeffs(y, 1.0), inner)
+    return Integrand(
+        factor=lambda xi, omx: gauss_arr(
             p["alpha1"], p["beta"], p["eps1"], x * xi, tol
         ),
-        "couplings": [(g, lambda xi, omx: omx, lambda eta, ome: eta)],
-    }
+        couplings=((g, _one_minus, _node),),
+    )
 
 
 def _b418(p, x, y, tol):
-    return {
-        "exps": (p["eps1"], p["gamma"] - p["eps1"]),
-        "factor": lambda xi, omx: gauss_arr(
+    return Integrand(
+        factor=lambda xi, omx: gauss_arr(
             p["alpha"], p["beta"], p["eps1"], x * xi, tol
         )
         * bessel_arr(p["gamma"] - p["eps1"], y * omx, tol),
-    }
+    )
 
 
-def _b419(p, x, y, tol):
-    return {
-        "exps1": (p["eps1"], p["gamma"] - p["eps1"]),
-        "exps2": (p["alpha"], p["eps1"] - p["alpha"]),
-        "factor1": lambda xi, omx: bessel_arr(
+def _b419(p, x, y, tol, binom_exp):
+    """4.19 with `binom_exp` as the binomial exponent; Xi2 is symmetric in
+    alpha and beta, and 4.20 is 4.19 with the two swapped."""
+    return Integrand(
+        factor=lambda xi, omx: bessel_arr(
             p["gamma"] - p["eps1"], y * omx, tol
         ),
-        "couplings": [
-            (binom_coeffs(p["beta"], x, 1.0),
-             lambda xi, omx: xi, lambda eta, ome: eta)
-        ],
-    }
+        couplings=((binom_coeffs(binom_exp, x, 1.0), _node, _node),),
+    )
 
 
-def _b420(p, x, y, tol):
-    return {
-        "exps1": (p["eps1"], p["gamma"] - p["eps1"]),
-        "exps2": (p["beta"], p["eps1"] - p["beta"]),
-        "factor1": lambda xi, omx: bessel_arr(
-            p["gamma"] - p["eps1"], y * omx, tol
-        ),
-        "couplings": [
-            (binom_coeffs(p["alpha"], x, 1.0),
-             lambda xi, omx: xi, lambda eta, ome: eta)
-        ],
-    }
-
-
-_PHI1_SLOTS = {"alpha": "alpha", "beta": "beta", "gamma": "gamma"}
-_PHI2_SLOTS = {"beta1": "beta1", "beta2": "beta2", "gamma": "gamma"}
-_PSI1_SLOTS = {"alpha": "alpha", "beta": "beta",
-               "gamma1": "gamma1", "gamma2": "gamma2"}
-_XI1_SLOTS = {"alpha1": "alpha1", "alpha2": "alpha2",
-              "beta": "beta", "gamma": "gamma"}
-_XI2_SLOTS = {"alpha": "alpha", "beta": "beta", "gamma": "gamma"}
-
-_rep("4.1", 1, "Phi1", _PHI1_SLOTS,
-     ["alpha", "gamma - alpha"],
-     ["gamma"], ["alpha", "gamma - alpha"], "1d", _b41)
-_rep("4.2", 2, "Phi2", _PHI2_SLOTS,
-     ["beta1", "beta2", "gamma - beta1 - beta2"],
-     ["gamma"], ["beta1", "beta2", "gamma - beta1 - beta2"], "ps", _b42)
-_rep("4.3", 2, "Psi1", _PSI1_SLOTS,
-     ["alpha", "beta", "gamma1 - beta", "gamma2 - alpha"],
-     ["gamma1", "gamma2"],
-     ["alpha", "beta", "gamma1 - beta", "gamma2 - alpha"], "ps", _b43)
-_rep("4.4", 2, "Xi1", _XI1_SLOTS,
-     ["alpha1", "alpha2", "gamma - alpha1 - alpha2"],
-     ["gamma"], ["alpha1", "alpha2", "gamma - alpha1 - alpha2"], "ps", _b44)
-_rep("4.5", 1, "Xi2", _XI2_SLOTS,
-     ["alpha", "gamma - alpha"],
-     ["gamma"], ["alpha", "gamma - alpha"], "1d", _b45)
-_rep("4.6", 1, "Phi1", _PHI1_SLOTS,
-     ["eps", "gamma - eps"],
-     ["gamma"], ["eps", "gamma - eps"], "1d", _b46)
-_rep("4.7", 1, "Phi1", _PHI1_SLOTS,
-     ["eps", "gamma - eps"],
-     ["gamma"], ["eps", "gamma - eps"], "1d", _b47)
-_rep("4.8", 2, "Phi1", _PHI1_SLOTS,
-     ["alpha", "eps - alpha", "gamma - eps"],
-     ["gamma"], ["alpha", "gamma - eps", "eps - alpha"], "ps", _b48)
-_rep("4.9", 2, "Phi1", _PHI1_SLOTS,
-     ["eps", "alpha - eps", "gamma - alpha"],
-     ["gamma"], ["eps", "alpha - eps", "gamma - alpha"], "ps", _b49)
-_rep("4.10", 2, "Phi2", _PHI2_SLOTS,
-     ["beta1", "beta2", "eps - beta1 - beta2"],
-     ["eps"], ["beta1", "beta2", "eps - beta1 - beta2"], "rw", _b410,
-     notes="confluent factor carries the gamma/eps parameter split")
-_rep("4.11", 2, "Phi2", _PHI2_SLOTS,
-     ["eps1", "beta2", "gamma - eps1 - beta2"],
-     ["gamma"], ["eps1", "beta2", "gamma - eps1 - beta2"], "ps", _b411)
-_rep("4.12", 2, "Phi2", _PHI2_SLOTS,
-     ["eps1", "beta2", "gamma - eps1 - beta2"],
-     ["gamma"], ["eps1", "beta2", "gamma - eps1 - beta2"], "ps", _b412)
-_rep("4.13", 2, "Phi2", _PHI2_SLOTS,
-     ["eps1", "eps2", "gamma - eps1 - eps2"],
-     ["gamma"], ["eps1", "eps2", "gamma - eps1 - eps2"], "ps", _b413)
-_rep("4.14", 2, "Phi2", _PHI2_SLOTS,
-     ["eps1", "eps2", "gamma - eps1 - eps2"],
-     ["gamma"], ["eps1", "eps2", "gamma - eps1 - eps2"], "ps", _b414,
-     notes="inner factor as printed; see the corrected variant")
-_rep("4.15", 2, "Psi1", _PSI1_SLOTS,
-     ["beta", "gamma1 - beta", "alpha", "eps - alpha"],
-     ["gamma1", "eps"],
-     ["alpha", "beta", "gamma1 - beta", "eps - alpha"], "ps", _b415,
-     notes="as printed; the confluent factor closes only at eps = gamma2")
-_rep("4.16", 2, "Xi1", _XI1_SLOTS,
-     ["eps1", "eps2", "gamma - eps1 - eps2"],
-     ["gamma"], ["eps1", "eps2", "gamma - eps1 - eps2"], "rw", _b416)
-_rep("4.17", 2, "Xi1", _XI1_SLOTS,
-     ["eps1", "eps2", "gamma - eps1 - eps2"],
-     ["gamma"], ["eps1", "eps2", "gamma - eps1 - eps2"], "ps", _b417)
-_rep("4.18", 1, "Xi2", _XI2_SLOTS,
-     ["eps1", "gamma - eps1"],
-     ["gamma"], ["eps1", "gamma - eps1"], "1d", _b418)
-_rep("4.19", 2, "Xi2", _XI2_SLOTS,
-     ["alpha", "eps1 - alpha", "gamma - eps1"],
-     ["gamma"], ["alpha", "eps1 - alpha", "gamma - eps1"], "ps", _b419)
-_rep("4.20", 2, "Xi2", _XI2_SLOTS,
-     ["beta", "eps1 - beta", "gamma - eps1"],
-     ["gamma"], ["beta", "gamma - eps1", "eps1 - beta"], "ps", _b420)
+REPS: dict[str, IntegralRep] = {rep.id: rep for rep in (
+    IntegralRep("4.1", "Phi1", (("alpha", "gamma - alpha"),), "1d", _b41),
+    IntegralRep("4.2", "Phi2", (("beta1", "gamma - beta1"),
+                                ("beta2", "gamma - beta1 - beta2")),
+                "ps", _b42),
+    IntegralRep("4.3", "Psi1", (("beta", "gamma1 - beta"),
+                                ("alpha", "gamma2 - alpha")), "ps", _b43),
+    IntegralRep("4.4", "Xi1", (("alpha1", "gamma - alpha1"),
+                               ("alpha2", "gamma - alpha1 - alpha2")),
+                "ps", _b44),
+    IntegralRep("4.5", "Xi2", (("alpha", "gamma - alpha"),), "1d", _b45),
+    IntegralRep("4.6", "Phi1", (("eps", "gamma - eps"),), "1d", _b46),
+    IntegralRep("4.7", "Phi1", (("eps", "gamma - eps"),), "1d", _b47),
+    IntegralRep("4.8", "Phi1", (("eps", "gamma - eps"),
+                                ("alpha", "eps - alpha")), "ps", _b48),
+    IntegralRep("4.9", "Phi1", (("eps", "gamma - eps"),
+                                ("alpha - eps", "gamma - alpha")),
+                "ps", _b49),
+    IntegralRep("4.10", "Phi2", (("beta1", "eps - beta1"),
+                                 ("beta2", "eps - beta1 - beta2")),
+                "rw", _b410,
+                notes="confluent factor carries the gamma/eps parameter split"),
+    IntegralRep("4.11", "Phi2", (("eps1", "gamma - eps1"),
+                                 ("beta2", "gamma - eps1 - beta2")),
+                "ps", _b411),
+    IntegralRep("4.12", "Phi2", (("eps1", "gamma - eps1"),
+                                 ("beta2", "gamma - eps1 - beta2")),
+                "ps", _b412),
+    IntegralRep("4.13", "Phi2", (("eps1", "gamma - eps1"),
+                                 ("eps2", "gamma - eps1 - eps2")),
+                "ps", _b413),
+    IntegralRep("4.14", "Phi2", (("eps1", "gamma - eps1"),
+                                 ("eps2", "gamma - eps1 - eps2")),
+                "ps", lambda p, x, y, tol: _b414(p, x, y, tol, p["gamma"]),
+                notes="inner factor as printed; see the corrected variant"),
+    IntegralRep("4.15", "Psi1", (("beta", "gamma1 - beta"),
+                                 ("alpha", "eps - alpha")), "ps", _b415,
+                notes="as printed; the confluent factor closes only at "
+                "eps = gamma2"),
+    IntegralRep("4.16", "Xi1", (("eps1", "gamma - eps1"),
+                                ("eps2", "gamma - eps1 - eps2")),
+                "rw", _b416),
+    IntegralRep("4.17", "Xi1", (("eps1", "gamma - eps1"),
+                                ("eps2", "gamma - eps1 - eps2")),
+                "ps", _b417),
+    IntegralRep("4.18", "Xi2", (("eps1", "gamma - eps1"),), "1d", _b418),
+    IntegralRep("4.19", "Xi2", (("eps1", "gamma - eps1"),
+                                ("alpha", "eps1 - alpha")),
+                "ps", lambda p, x, y, tol: _b419(p, x, y, tol, p["beta"])),
+    IntegralRep("4.20", "Xi2", (("eps1", "gamma - eps1"),
+                                ("beta", "eps1 - beta")),
+                "ps", lambda p, x, y, tol: _b419(p, x, y, tol, p["alpha"])),
+)}
 
 REP_IDS = tuple(sorted(REPS, key=lambda s: (len(s), s)))
 
@@ -671,17 +605,9 @@ REP_IDS = tuple(sorted(REPS, key=lambda s: (len(s), s)))
 # the as-printed table and carry the diagnosis in code form.
 CORRECTED_BUILDERS = {
     # inner bivariate factor needs the reduced denominator parameter
-    "4.14": lambda p, x, y, tol: {
-        **_b414(p, x, y, tol),
-        "couplings": [
-            (exp_coeffs(y, 1.0), lambda xi, omx: omx, lambda eta, ome: eta),
-            (
-                _phi2_ray(p, p["gamma"] - p["eps1"] - p["eps2"], x, y),
-                lambda xi, omx: omx,
-                lambda eta, ome: ome,
-            ),
-        ],
-    },
+    "4.14": lambda p, x, y, tol: _b414(
+        p, x, y, tol, p["gamma"] - p["eps1"] - p["eps2"]
+    ),
 }
 
 
@@ -701,16 +627,16 @@ def _moments(w: np.ndarray, bases: list, sizes: tuple) -> np.ndarray:
             ).reshape(sizes)
 
 
-def _tensor_level(rep, data, level: int) -> float:
+def _tensor_level(rep, exps, integrand: Integrand, level: int) -> float:
     nodes = _nodes(level)
-    w1 = _axis_weights(nodes, *data["exps1"])
-    w2 = _axis_weights(nodes, *data["exps2"])
-    if data.get("factor1") is not None:
-        w1 = w1 * data["factor1"](nodes.xi, nodes.omx)
+    w1 = _axis_weights(nodes, *exps[0])
+    w2 = _axis_weights(nodes, *exps[1])
+    if integrand.factor is not None:
+        w1 = w1 * integrand.factor(nodes.xi, nodes.omx)
     if rep.style == "ps":
         # sum_k prod_j g_j[k_j] A[k] B[k], with A and B the moment tensors
         # of the couplings' xi- and eta-sides
-        gs, ufns, vfns = zip(*data["couplings"])
+        gs, ufns, vfns = zip(*integrand.couplings)
         sizes = tuple(len(g) for g in gs)
         amat = _moments(w1, [u(nodes.xi, nodes.omx) for u in ufns], sizes)
         bmat = _moments(w2, [v(nodes.xi, nodes.omx) for v in vfns], sizes)
@@ -718,43 +644,42 @@ def _tensor_level(rep, data, level: int) -> float:
         for g in reversed(gs):
             total = total @ g
         total = float(total)
-    else:  # rowwise
-        row_fn = data["row"]
-        inner = np.empty_like(w1)
-        for i in range(w1.shape[0]):
-            if w1[i] == 0.0:
-                inner[i] = 0.0
-                continue
-            inner[i] = float(
-                np.sum(w2 * row_fn(nodes.xi[i], nodes.omx[i], nodes.xi,
-                                   nodes.omx))
-            )
+    else:  # rowwise, skipping the rows whose weight underflowed to 0
+        inner = np.zeros_like(w1)
+        for i in np.flatnonzero(w1):
+            row = integrand.row(nodes.xi[i], nodes.omx[i], nodes.xi, nodes.omx)
+            inner[i] = float(np.sum(w2 * row))
         total = float(np.sum(w1 * inner))
-    return total * nodes.h * nodes.h * data.get("const", 1.0)
+    return total * nodes.h * nodes.h * integrand.const
 
 
-def _check_constraints(rep: IntegralRep, env: dict) -> None:
-    for expr in rep.constraints:
-        val = float(eval_affine(expr, env))
-        if val <= 0:
-            raise ConstraintViolation(
-                f"{rep.id}: requires {expr} > 0, got {val:.6g}"
-            )
+def _kernel(rep: IntegralRep, env: dict) -> tuple[list, float]:
+    """Evaluate rep's Beta kernel: each axis's float endpoint exponents
+    (a, b) and the normalisation prod Gamma(a+b) / (Gamma(a) Gamma(b)).
+
+    The integral converges exactly when every exponent is positive; the
+    first one that is not raises ConstraintViolation naming it.
+    """
+    exps = []
+    log_norm = 0.0
+    for axis in rep.kernel:
+        a, b = (float(eval_affine(expr, env)) for expr in axis)
+        for expr, val in zip(axis, (a, b)):
+            if val <= 0:
+                raise ConstraintViolation(
+                    f"{rep.id}: requires {expr} > 0, got {val:.6g}"
+                )
+        exps.append((a, b))
+        log_norm += math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    return exps, math.exp(log_norm)
 
 
-def _prefactor(rep: IntegralRep, env: dict) -> float:
-    log = 0.0
-    for expr in rep.pref_num:
-        val = float(eval_affine(expr, env))
-        if val <= 0:
-            raise ConstraintViolation(f"{rep.id}: gamma argument {expr} <= 0")
-        log += math.lgamma(val)
-    for expr in rep.pref_den:
-        val = float(eval_affine(expr, env))
-        if val <= 0:
-            raise ConstraintViolation(f"{rep.id}: gamma argument {expr} <= 0")
-        log -= math.lgamma(val)
-    return math.exp(log)
+class _Symbols(dict):
+    """Float parameters whose missing symbol is a SignatureError, wherever
+    an integrand reads it."""
+
+    def __missing__(self, sym):
+        raise SignatureError(f"integrand symbol {sym!r} is unbound")
 
 
 def eval_integral(
@@ -765,30 +690,29 @@ def eval_integral(
     spec: QuadratureSpec | None = None,
     builder=None,
 ) -> tuple[float, dict]:
-    """Prefactor times the tanh-sinh value of one representation at (x, y).
+    """Kernel normalisation times the tanh-sinh value of one representation
+    at (x, y).
 
     Refines level by level until the successive relative change is within
     spec.rtol.  `builder` swaps in an alternative integrand (the corrected
-    variants) while keeping the rep's constraints and prefactor.
+    variants) while keeping the rep's kernel.
     """
     if isinstance(rep, str):
         rep = REPS[rep]
     spec = spec or QuadratureSpec()
-    env = {k: float(v) for k, v in params.items()}
-    _check_constraints(rep, env)
+    env = _Symbols({k: float(v) for k, v in params.items()})
+    exps, norm = _kernel(rep, env)
     if x >= 1.0:
         raise DomainError(f"{rep.id}: integrand needs x < 1, got {x}")
-    pref = _prefactor(rep, env)
-    inner_tol = spec.rtol * 0.1
-    data = (builder or rep.build)(env, x, y, inner_tol)
+    integrand = (builder or rep.build)(env, x, y, spec.rtol * 0.1)
     if rep.dim == 1:
-        value, diag = integrate_beta_kernel(
-            data["factor"], *data["exps"], spec
+        value, diag = integrate_beta_kernel(integrand.factor, *exps[0], spec)
+    else:
+        value, diag = _refine(
+            lambda level: _tensor_level(rep, exps, integrand, level), spec,
+            f"{rep.id}: ",
         )
-        return pref * value, diag
-    value, diag = _refine(lambda level: _tensor_level(rep, data, level), spec,
-                          f"{rep.id}: ")
-    return pref * value, diag
+    return norm * value, diag
 
 
 DEFAULT_POINTS = ((0.3, 0.2), (0.1, 0.35), (0.25, 0.15))
@@ -809,7 +733,9 @@ def default_tolerance(rep_id: str) -> float:
 
 
 def series_value(rep: IntegralRep, params: dict, x: float, y: float) -> float:
-    slots = {slot: float(params[sym]) for slot, sym in rep.lhs_slots.items()}
+    # FunctionRef refuses a target slot that params leave unbound
+    slots = {slot: float(params[slot]) for slot in KINDS[rep.lhs_kind].slots
+             if slot in params}
     ref = FunctionRef(rep.lhs_kind, slots)
     value, _ = eval_double_series(ref, x, y, tol=1e-13, max_diagonal=600)
     return value

@@ -179,7 +179,7 @@ class TestIntegralCheck:
             capsys, "integral-check", "4.8", "--config", str(bad)
         )
         assert code == 2
-        assert "ConstraintViolation" in err
+        assert "ConstraintViolation: 4.8: requires eps - alpha > 0" in err
 
     def test_all_reports_failures_exit_1(self, capsys):
         code, out, err = run(capsys, "integral-check", "all")
@@ -231,6 +231,11 @@ BAD_INPUTS = [
      "SignatureError"),
     (("verify", "all"), {"HUMBERT_CATALOG": "{bad_symbols}"}, "SignatureError"),
     (("verify", "all"), {"HUMBERT_CATALOG": "{duplicate}"}, "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{lhs_scalar}"}, "SignatureError"),
+    (("verify", "all", "--config", "{errata_int}"), {}, "SignatureError"),
+    (("verify", "all", "--config", "{errata_zero}"), {}, "SignatureError"),
+    (("integral-check", "4.1", "--config", "{alpha_only}"), {},
+     "SignatureError"),
 ]
 
 _ENTRY = load_catalog()[0]
@@ -247,6 +252,12 @@ BAD_FILES = {
     "missing_fields": json.dumps([{"id": "2.36"}]),
     "bad_symbols": json.dumps([{**_ENTRY, "symbols": ["alpha"]}]),
     "duplicate": json.dumps([_ENTRY, _ENTRY]),
+    "lhs_scalar": json.dumps([{**_ENTRY, "lhs": 5}]),
+    "errata_int": json.dumps({"profiles": {"generic-A": _PROFILE},
+                              "errata": 5}),
+    "errata_zero": json.dumps({"profiles": {"generic-A": _PROFILE},
+                               "errata": 0}),
+    "alpha_only": json.dumps({"profiles": {"generic-A": _PROFILE}}),
 }
 
 

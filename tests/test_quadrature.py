@@ -4,7 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from humbert.errors import ConstraintViolation, DomainError, NoConvergence
+from humbert.errors import (
+    ConstraintViolation,
+    DomainError,
+    NoConvergence,
+    SignatureError,
+)
 from humbert.profiles import resolved_params
 from humbert.quadrature import (
     CORRECTED_BUILDERS,
@@ -12,6 +17,7 @@ from humbert.quadrature import (
     REPS,
     QuadratureSpec,
     _axis_weights,
+    _kernel,
     _nodes,
     _tensor_level,
     cross_check,
@@ -41,11 +47,21 @@ class TestBetaSuite:
             integrate_beta_kernel(None, 0.0, 1.0)
 
 
+# every representation as printed, and the corrected 4.14
+ALL_BUILDS = [(r, None) for r in REP_IDS]
+ALL_BUILDS.append(("4.14", CORRECTED_BUILDERS["4.14"]))
+ALL_BUILD_IDS = REP_IDS + ("4.14-corrected",)
+
+
 class TestSpotOracles:
-    def test_normalization_at_origin(self):
-        params = {"alpha": 0.5, "beta": 1 / 3, "gamma": 1.25}
-        value, _ = eval_integral("4.1", params, 0.0, 0.0)
-        assert abs(value - 1.0) < 1e-12
+    @pytest.mark.parametrize("profile", ["generic-A", "generic-B"])
+    @pytest.mark.parametrize("rep_id, builder", ALL_BUILDS, ids=ALL_BUILD_IDS)
+    def test_normalization_at_origin(self, rep_id, builder, profile, config):
+        # at (0, 0) every integrand reduces to its Beta kernel, so the
+        # prefactor derived from the kernel must normalise it to 1
+        params = resolved_params(profile, rep_id, config)
+        value, _ = eval_integral(rep_id, params, 0.0, 0.0, builder=builder)
+        assert abs(value - 1.0) < 1e-13
 
     def test_reduces_to_gauss_on_axis(self):
         params = {"alpha": 0.5, "beta": 1 / 3, "gamma": 1.25}
@@ -196,7 +212,7 @@ class TestRefinementBehavior:
 
 # every power-series representation, and the corrected 4.14
 PS_BUILDS = [(r, REPS[r].build) for r in REP_IDS if REPS[r].style == "ps"]
-PS_BUILDS.append(("4.14", CORRECTED_BUILDERS["4.14"]))
+PS_BUILDS.append(ALL_BUILDS[-1])
 
 
 class TestTensorContraction:
@@ -209,17 +225,18 @@ class TestTensorContraction:
         # full tensor grid of one level, each coupling series in Horner form
         params = {k: float(v) for k, v in
                   resolved_params("generic-A", rep_id, config).items()}
-        data = build(params, 0.3, 0.2, 1e-12)
+        exps, _ = _kernel(REPS[rep_id], params)
+        integrand = build(params, 0.3, 0.2, 1e-12)
         nodes = _nodes(3)
-        w1 = _axis_weights(nodes, *data["exps1"])
-        if data.get("factor1") is not None:
-            w1 = w1 * data["factor1"](nodes.xi, nodes.omx)
-        grid = np.outer(w1, _axis_weights(nodes, *data["exps2"]))
-        for g, ufn, vfn in data["couplings"]:
+        w1 = _axis_weights(nodes, *exps[0])
+        if integrand.factor is not None:
+            w1 = w1 * integrand.factor(nodes.xi, nodes.omx)
+        grid = np.outer(w1, _axis_weights(nodes, *exps[1]))
+        for g, ufn, vfn in integrand.couplings:
             z = np.outer(ufn(nodes.xi, nodes.omx), vfn(nodes.xi, nodes.omx))
             grid = grid * np.polyval(g[::-1], z)
-        want = float(grid.sum()) * nodes.h**2 * data.get("const", 1.0)
-        got = _tensor_level(REPS[rep_id], data, 3)
+        want = float(grid.sum()) * nodes.h**2 * integrand.const
+        got = _tensor_level(REPS[rep_id], exps, integrand, 3)
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -227,8 +244,13 @@ class TestGuards:
     def test_constraint_violation_raises(self, config):
         params = resolved_params("generic-A", "4.8", config)
         params["eps"] = Fraction(1, 4)  # below alpha: ordering violated
-        with pytest.raises(ConstraintViolation):
+        with pytest.raises(ConstraintViolation, match="eps - alpha > 0"):
             eval_integral("4.8", params, 0.1, 0.1)
+
+    def test_missing_symbol_is_signature_error(self):
+        # 4.1's kernel binds alpha and gamma; its integrand also reads beta
+        with pytest.raises(SignatureError, match="'beta'"):
+            eval_integral("4.1", {"alpha": 0.5, "gamma": 1.25}, 0.1, 0.1)
 
     def test_domain_guard_on_x(self):
         params = {"alpha": 0.5, "beta": 1 / 3, "gamma": 1.25}
@@ -277,5 +299,6 @@ class TestTableShape:
         from humbert.scalars import SYMBOLS
 
         for rep in REPS.values():
-            for expr in rep.constraints + rep.pref_num + rep.pref_den:
-                assert affine_symbols(expr) <= set(SYMBOLS)
+            for axis in rep.kernel:
+                for expr in axis:
+                    assert affine_symbols(expr) <= set(SYMBOLS)
