@@ -4,7 +4,10 @@ Both sides of every cataloged formula are data: a FunctionTerm (an optional
 elementary prefactor times a referenced series with argument transforms) or
 an ExpansionSum (a signed Pochhammer-weighted sum of shifted inner series).
 One interpreter assembles any of them into an exact truncated triangle, so
-there is a single code path to trust and entries stay diffable.
+there is a single code path to trust and entries stay diffable.  A sum is
+assembled as one exact convolution of Pochhammer-table weights where its
+inner signature factors that way (see _convolution_plan), and term by term
+otherwise.
 
 Parameter expressions use a tiny affine language: sums of signed symbols
 and integer constants, e.g. "eps - alpha", "gamma + i + j", "1 - beta".
@@ -19,7 +22,14 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import PoleError, SignatureError
-from .scalars import SYMBOLS, Scalar, as_scalar, pochhammer_table
+from .scalars import (
+    SYMBOLS,
+    Scalar,
+    as_scalar,
+    is_exact,
+    is_nonpositive_integer,
+    pochhammer_table,
+)
 from .series import (
     FunctionRef,
     KINDS,
@@ -173,8 +183,83 @@ def _outer_coefficient(e: dict, env: dict, i: int, j: int,
     return num / den
 
 
+def _sum_shift(weight: str, i: int, j: int) -> tuple[int, int]:
+    """Powers (si, sj) of the monomial x^si y^sj that weights term (i, j)."""
+    if weight == "xy":
+        return i, j
+    return (i, 0) if weight == "x" else (0, i)
+
+
+_AT = {"m+n": lambda m, n: m + n, "m": lambda m, n: m, "n": lambda m, n: n}
+
+
+def _convolution_plan(e: dict, env: dict, indices: str, weight: str):
+    """Split the inner signature for the convolution route, or None where
+    the route does not apply and the per-term loop must run.
+
+    An inner slot b + a*i + c*j (b its value at i = j = 0, a, c integers)
+    enters term (i, j) at index idx(m, n) of the inner kind's signature,
+    with (m, n) = (M - si, N - sj) for output cell (M, N).  Its shift
+    s = a*i + c*j gives (b + s)_idx = (b)_{s+idx} / (b)_s.  The factor is
+    *aligned* when s = idx(si, sj) on every term: then s + idx = idx(M, N)
+    and (b)_{idx(M,N)} goes to the cell factor C, 1/(b)_s to the term
+    weight (inverted for a denominator factor).  It is *unshifted* when
+    s = 0: (b)_idx(m, n) stays in the kernel.  Both are linear in (i, j),
+    so checking them on unit steps checks every term.  Returns
+    (aligned, unshifted), lists of (b, index, in_num).
+
+    Only exact parameters and a plain bivariate inner kind qualify, and no
+    inner base value may be a non-positive integer (1/(b)_s would divide
+    by zero); an inner term the per-term loop would reject (bad kind,
+    slots or symbols) also goes there, so its error is raised as before.
+    """
+    inner = e.get("inner")
+    if not isinstance(inner, dict) or not set(inner) <= {"kind", "params"}:
+        return None
+    kind, params = inner.get("kind"), inner.get("params")
+    if not (isinstance(kind, str) and kind in KINDS and KINDS[kind].bivariate
+            and isinstance(params, dict)):
+        return None
+    info = KINDS[kind]
+    if set(params) != set(info.slots) or not all(map(is_exact, env.values())):
+        return None
+    units = [(1, 0), (0, 1)] if indices == "ij" else [(1, 0)]
+    env0 = {**env, "i": Fraction(0), "j": Fraction(0)}
+    slots = {}
+    for slot, expr in params.items():
+        try:
+            base = eval_affine(expr, env0)
+        except SignatureError:
+            return None
+        if is_nonpositive_integer(base):
+            return None
+        step = dict(parse_affine(expr)[1]) if isinstance(expr, str) else {}
+        slots[slot] = base, [step.get("i", 0) * i + step.get("j", 0) * j
+                             for i, j in units]
+    aligned, unshifted = [], []
+    for factors, in_num in ((info.num, True), (info.den, False)):
+        for slot, index in factors:
+            base, shifts = slots[slot]
+            if shifts == [_AT[index](*_sum_shift(weight, i, j))
+                          for i, j in units]:
+                aligned.append((base, index, in_num))
+            elif not any(shifts):
+                unshifted.append((base, index, in_num))
+            else:
+                return None
+    return aligned, unshifted
+
+
 def _assemble_sum(e: dict, env: dict, degree: int, outer_bound: int
                   ) -> TruncatedBiseries:
+    """The sum's triangle, by one convolution where _convolution_plan
+    splits the inner signature, else by one inner triangle per term.
+
+    Convolution: rhs(M, N) = C(M, N) * sum over terms of
+    A(i, j) * B(M - si, N - sj), with A the outer coefficient times the
+    aligned 1/(b)_s, B the unshifted factors over m! n!, and C the aligned
+    (b)_idx(M, N), all read from one Pochhammer table per base value.
+    """
     indices = e.get("indices", "ij")
     weight = e.get("weight", "xy")
     if weight not in WEIGHTS:
@@ -191,14 +276,20 @@ def _assemble_sum(e: dict, env: dict, degree: int, outer_bound: int
         raise SignatureError(f"indices must be 'ij' or 'i', not {indices!r}")
     tables: dict = {}
 
-    def poch(a: Scalar, k: int) -> Scalar:
-        """(a)_k for k <= outer_bound, from one prefix table per argument."""
+    def tables_for(a: Scalar) -> list[Scalar]:
+        """Prefix table of (a)_k for k <= max(outer_bound, degree), one per
+        argument."""
         key = (a, type(a))
         if key not in tables:
-            tables[key] = pochhammer_table(a, outer_bound)
-        return tables[key][k]
+            tables[key] = pochhammer_table(a, max(outer_bound, degree))
+        return tables[key]
 
-    def terms():
+    def poch(a: Scalar, k: int) -> Scalar:
+        return tables_for(a)[k]
+
+    def outer_terms():
+        """(i, j, env, coefficient, si, sj) of every term that reaches the
+        triangle, in the outer loop's order."""
         for i, j in pairs:
             env2 = dict(env)
             env2["i"] = Fraction(i)
@@ -206,25 +297,73 @@ def _assemble_sum(e: dict, env: dict, degree: int, outer_bound: int
             coeff = _outer_coefficient(e, env2, i, j, poch)
             if coeff == 0:
                 continue
-            if weight == "xy":
-                si, sj = i, j
-            elif weight == "x":
-                si, sj = i, 0
-            else:
-                si, sj = 0, i
+            si, sj = _sum_shift(weight, i, j)
             if si + sj > degree:
                 continue
-            # x^si y^sj pushes inner degrees above degree - si - sj out of
-            # the triangle, and no inner step reads a higher degree to build
-            # a lower one, so the inner term is assembled only that far.
-            try:
-                inner = _assemble_function_term(
-                    e["inner"], env2, degree - si - sj)
-            except PoleError as exc:
-                raise PoleError(f"at (i, j) = ({i}, {j}): {exc}") from exc
-            yield coeff, si, sj, inner
+            yield i, j, env2, coeff, si, sj
 
-    return TruncatedBiseries.shifted_sum(degree, terms())
+    plan = _convolution_plan(e, env, indices, weight)
+    if plan is None:
+        def inner_terms():
+            for i, j, env2, coeff, si, sj in outer_terms():
+                # x^si y^sj pushes inner degrees above degree - si - sj out
+                # of the triangle, and no inner step reads a higher degree
+                # to build a lower one, so the inner term is assembled only
+                # that far.
+                try:
+                    inner = _assemble_function_term(
+                        e["inner"], env2, degree - si - sj)
+                except PoleError as exc:
+                    raise PoleError(f"at (i, j) = ({i}, {j}): {exc}") from exc
+                yield coeff, si, sj, inner
+
+        return TruncatedBiseries.shifted_sum(degree, inner_terms())
+
+    # each factor bound to its base value's table and its index rule
+    aligned, unshifted = (
+        [(tables_for(base), _AT[index], in_num)
+         for base, index, in_num in factors] for factors in plan)
+
+    def ratio(factors, m: int, n: int) -> Fraction:
+        """Product of (b)_idx(m, n) over numerator factors divided by the
+        product over denominator factors."""
+        num = den = Fraction(1)
+        for table, at, in_num in factors:
+            if in_num:
+                num *= table[at(m, n)]
+            else:
+                den *= table[at(m, n)]
+        return num / den
+
+    kernel = [[ratio(unshifted, m, n) / (math.factorial(m) * math.factorial(n))
+               for n in range(degree + 1 - m)] for m in range(degree + 1)]
+    weights = [(coeff / ratio(aligned, si, sj), si, sj)
+               for _, _, _, coeff, si, sj in outer_terms()]
+    return _convolve(degree, weights, kernel,
+                     lambda m, n: ratio(aligned, m, n))
+
+
+def _convolve(degree: int, weights: list, kernel: list,
+              cell: Callable[[int, int], Fraction]) -> TruncatedBiseries:
+    """Triangle of cell(M, N) times the sum of a * kernel[M - si][N - sj]
+    over weights (a, si, sj), exactly.  Weights and kernel are first put
+    over one integer denominator each, so every mul-add is an integer one
+    and each cell is reduced once."""
+    da = math.lcm(*(a.denominator for a, _, _ in weights))
+    db = math.lcm(*(c.denominator for row in kernel for c in row))
+    ints = [[c.numerator * (db // c.denominator) for c in row]
+            for row in kernel]
+    acc = [[0] * (degree + 1 - m) for m in range(degree + 1)]
+    for a, si, sj in weights:
+        a = a.numerator * (da // a.denominator)
+        top = degree - si - sj
+        for m in range(top + 1):
+            dst, stop = acc[m + si], sj + top + 1 - m
+            dst[sj:stop] = [u + a * v for u, v in zip(dst[sj:stop], ints[m])]
+    den = da * db
+    return TruncatedBiseries(degree, [
+        [cell(m, n) * Fraction(v, den) if v else Fraction(0)
+         for n, v in enumerate(row)] for m, row in enumerate(acc)])
 
 
 def assemble_expression(
@@ -247,18 +386,37 @@ def assemble_expression(
 
 
 def expression_symbols(e: dict) -> set[str]:
-    """All parameter symbols an expression needs bound (index names excluded)."""
+    """All parameter symbols an expression needs bound (index names
+    excluded).  Walks every node, so a malformed one raises SignatureError:
+    a function's `params` (required with a kind) and `prefactor` must be
+    objects, a sum's `inner` an object with `kind` and an object `params`,
+    and its `num` / `den` lists of {param, index} objects."""
     out: set[str] = set()
     etype = e.get("type")
     if etype == "function":
-        for expr in (e.get("params") or {}).values():
-            out |= affine_symbols(str(expr))
-        for expr in (e.get("prefactor") or {}).values():
-            out |= affine_symbols(str(expr))
+        if e.get("kind") is not None and not isinstance(e.get("params"), dict):
+            raise SignatureError("a function with a kind needs object params")
+        for key in ("params", "prefactor"):
+            if not isinstance(e.get(key) or {}, dict):
+                raise SignatureError(f"function {key} must be an object")
+            for expr in (e.get(key) or {}).values():
+                out |= affine_symbols(str(expr))
     elif etype == "sum":
-        for factor in list(e.get("num", ())) + list(e.get("den", ())):
-            out |= affine_symbols(str(factor["param"]))
-        out |= expression_symbols({"type": "function", **e["inner"]})
+        for key in ("num", "den"):
+            factors = e.get(key, [])
+            if not isinstance(factors, list) or not all(
+                    isinstance(f, dict) and "param" in f and "index" in f
+                    for f in factors):
+                raise SignatureError(
+                    f"sum {key} must be a list of {{param, index}} objects")
+            for factor in factors:
+                out |= affine_symbols(str(factor["param"]))
+        inner = e.get("inner")
+        if not (isinstance(inner, dict) and "kind" in inner
+                and isinstance(inner.get("params"), dict)):
+            raise SignatureError(
+                "sum inner must be an object with kind and object params")
+        out |= expression_symbols({"type": "function", **inner})
     else:
         raise SignatureError(f"unknown expression type {etype!r}")
     return out - set(INDEX_SYMBOLS)

@@ -15,7 +15,13 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import PoleError
-from .scalars import FLOAT_POLE_TOL, Scalar, pochhammer, pochhammer_ratio_step
+from .scalars import (
+    FLOAT_POLE_TOL,
+    Scalar,
+    pochhammer,
+    pochhammer_ratio_step,
+    pochhammer_table,
+)
 from .series import TruncatedBiseries
 
 AXES = ("xy", "x", "y")
@@ -142,19 +148,17 @@ def _h_sum_multiplier(a, b, m, n, axis, inverse):
     """
     k1_max = m if axis in ("xy", "x") else 0
     k2_max = n if axis in ("xy", "y") else 0
-    den_base = 1 - a - _index(axis, m, n) if inverse else None
+    top = k1_max + k2_max
+    diff = pochhammer_table(b - a, top)
+    den_chain = pochhammer_table(
+        1 - a - _index(axis, m, n) if inverse else b, top)
+    falling_m = pochhammer_table(Fraction(-m), k1_max)
+    falling_n = pochhammer_table(Fraction(-n), k2_max)
     total = _one_like(a) * 0
     for k1 in range(k1_max + 1):
         for k2 in range(k2_max + 1):
-            num = (
-                pochhammer(b - a, k1 + k2)
-                * pochhammer(Fraction(-m), k1)
-                * pochhammer(Fraction(-n), k2)
-            )
-            den_poch = (
-                pochhammer(den_base, k1 + k2) if inverse else pochhammer(b, k1 + k2)
-            )
-            den = den_poch * math.factorial(k1) * math.factorial(k2)
+            num = diff[k1 + k2] * falling_m[k1] * falling_n[k2]
+            den = den_chain[k1 + k2] * math.factorial(k1) * math.factorial(k2)
             total += _safe_div(num, den, "H finite sum")
     return total
 

@@ -236,6 +236,10 @@ BAD_INPUTS = [
     (("verify", "all", "--config", "{errata_zero}"), {}, "SignatureError"),
     (("integral-check", "4.1", "--config", "{alpha_only}"), {},
      "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{sum_no_inner}"},
+     "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{params_scalar}"},
+     "SignatureError"),
 ]
 
 _ENTRY = load_catalog()[0]
@@ -258,6 +262,9 @@ BAD_FILES = {
     "errata_zero": json.dumps({"profiles": {"generic-A": _PROFILE},
                                "errata": 0}),
     "alpha_only": json.dumps({"profiles": {"generic-A": _PROFILE}}),
+    "sum_no_inner": json.dumps([{**_ENTRY, "lhs": {"type": "sum"}}]),
+    "params_scalar": json.dumps(
+        [{**_ENTRY, "lhs": {"type": "function", "params": 5}}]),
 }
 
 

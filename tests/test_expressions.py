@@ -6,12 +6,13 @@ import pytest
 from humbert.catalog import load_catalog
 from humbert.errors import PoleError, SignatureError
 from humbert.expressions import (
+    _convolution_plan,
     assemble_expression,
     eval_affine,
     expression_symbols,
     parse_affine,
 )
-from humbert.scalars import pochhammer
+from humbert.scalars import as_scalar, pochhammer
 from humbert.series import FunctionRef, TruncatedBiseries, truncated_series
 
 
@@ -250,13 +251,23 @@ class TestSumAssembly:
         assert got is not None
 
 
-def _first_sum_per_inner_kind():
-    firsts = {}
+def _sums_by_inner_kind():
+    groups = {}
     for entry in load_catalog():
         rhs = entry["rhs"]
         if rhs["type"] == "sum":
-            firsts.setdefault(rhs["inner"]["kind"], entry)
-    return [firsts[kind] for kind in sorted(firsts)]
+            groups.setdefault(rhs["inner"]["kind"], []).append(entry)
+    return dict(sorted(groups.items()))
+
+
+SUMS_BY_INNER_KIND = _sums_by_inner_kind()
+SUM_ENTRIES = [e for group in SUMS_BY_INNER_KIND.values() for e in group]
+
+
+def _plan(rhs, params):
+    env = {k: as_scalar(v) for k, v in params.items()}
+    return _convolution_plan(rhs, env, rhs.get("indices", "ij"),
+                             rhs.get("weight", "xy"))
 
 
 def _sum_at_full_degree(e, params, degree):
@@ -288,18 +299,63 @@ def _sum_at_full_degree(e, params, degree):
 
 
 class TestCatalogSums:
-    @pytest.mark.parametrize(
-        "entry", _first_sum_per_inner_kind(),
-        ids=lambda entry: entry["rhs"]["inner"]["kind"])
-    def test_reduced_degree_assembly(self, entry, profile_a):
-        # inner terms are assembled only to degree - si - sj and accumulated
-        # in place; both the full-degree route and a padded outer bound
-        # must give the same triangle
+    @pytest.mark.parametrize("kind", SUMS_BY_INNER_KIND)
+    def test_reduced_degree_assembly(self, kind, profile_a, profile_b):
+        # every sum whose inner kind is `kind`, on both generic profiles:
+        # the convolution must give the triangle of the full-degree route,
+        # and a padded outer bound must not change it
         degree = 6
-        got = assemble_expression(entry["rhs"], profile_a, degree)
-        assert got == _sum_at_full_degree(entry["rhs"], profile_a, degree)
-        assert got == assemble_expression(
-            entry["rhs"], profile_a, degree, outer_bound=degree + 3)
+        for entry in SUMS_BY_INNER_KIND[kind]:
+            for params in (profile_a, profile_b):
+                got = assemble_expression(entry["rhs"], params, degree)
+                assert got == _sum_at_full_degree(
+                    entry["rhs"], params, degree), entry["id"]
+                assert got == assemble_expression(
+                    entry["rhs"], params, degree, outer_bound=degree + 3)
+
+    def test_shipped_sums_take_the_convolution(self, profile_a, profile_b):
+        # a silent fall back to the per-term loop would hide the speedup
+        assert len(SUM_ENTRIES) == 33
+        for entry in SUM_ENTRIES:
+            for params in (profile_a, profile_b):
+                assert _plan(entry["rhs"], params) is not None, entry["id"]
+
+    @pytest.mark.parametrize("formula_id, symbol, value, detail", [
+        ("2.38", "eps", 0, "at (i, j) = (0, 0): Phi1 parameter gamma = 0 "
+                           "is a non-positive integer"),
+        ("2.43", "eps", -2, "at (i, j) = (0, 0): Phi2 parameter gamma = -2 "
+                            "is a non-positive integer"),
+        ("2.56", "eps", -1, "at (i, j) = (0, 0): Psi1 parameter gamma2 = -1 "
+                            "is a non-positive integer"),
+        ("2.36", "eps", -1, None),
+        ("2.37", "eps", -2, None),
+        ("2.63", "eps1", 0, None),
+    ])
+    def test_non_positive_integer_base_falls_back(
+            self, profile_a, formula_id, symbol, value, detail):
+        # an inner base value at a non-positive integer would put a zero
+        # (b)_s in a denominator, so the per-term loop runs: a denominator
+        # slot raises the same PoleError as before, a numerator slot
+        # terminates the inner series
+        rhs = next(e["rhs"] for e in SUM_ENTRIES if e["id"] == formula_id)
+        params = {**profile_a, symbol: Fraction(value)}
+        assert _plan(rhs, params) is None
+        if detail is not None:
+            with pytest.raises(PoleError) as exc:
+                assemble_expression(rhs, params, 6)
+            assert str(exc.value) == detail
+        else:
+            assert assemble_expression(rhs, params, 6) == \
+                _sum_at_full_degree(rhs, params, 6)
+
+    def test_unaligned_shift_falls_back(self, profile_a):
+        # gamma + 2i + j at index m+n is neither aligned nor unshifted
+        rhs = next(e["rhs"] for e in SUM_ENTRIES if e["id"] == "2.40")
+        rhs = {**rhs, "inner": {**rhs["inner"], "params": {
+            **rhs["inner"]["params"], "gamma": "gamma + i + i + j"}}}
+        assert _plan(rhs, profile_a) is None
+        assert assemble_expression(rhs, profile_a, 5) == \
+            _sum_at_full_degree(rhs, profile_a, 5)
 
 
 class TestExpressionSymbols:
