@@ -7,9 +7,10 @@ Three layers:
   degenerations (`eval_double_series`, `eval_single_series`);
 * exact symbolic machinery — truncated bivariate power series over the
   rationals, the diagonal parameter-shift operators and their inverses, a
-  declarative expression assembler, and a shipped catalog of decomposition
-  formulas and operator identities verified coefficient-by-coefficient
-  (`verify_formula`, `verify_operator_identity`, `verify_all`);
+  declarative expression assembler, and one exact catalog schema holding
+  the decomposition formulas and the operator identities, each entry
+  validated on load and verified coefficient-by-coefficient by one
+  verifier (`verify_formula`, `verify_operator_identity`, `verify_all`);
 * Euler-type integral representations cross-checked against the series by
   tanh-sinh quadrature (`eval_integral`, `cross_check`).
 """
@@ -65,8 +66,6 @@ from .series import (
     TruncatedBiseries,
     eval_double_series,
     eval_single_series,
-    triangle_from_json,
-    triangle_to_json,
     truncated_series,
 )
 
@@ -114,8 +113,6 @@ __all__ = [
     "resolved_params",
     "save_catalog",
     "sort_reports",
-    "triangle_from_json",
-    "triangle_to_json",
     "truncated_series",
     "verify_all",
     "verify_all_identities",

@@ -1,9 +1,12 @@
-"""The decomposition-formula catalog and its exact verifier.
+"""The exact catalog: loader, validator and verifier.
 
-The catalog ships as JSON data: 35 entries with ids 2.36 through 2.70, each
-holding a left side, a right side, the symbols both bind, and notes.  One
-entry (id 2.47) carries the out-of-sequence printed label "2.4"; ids are
-opaque catalog keys, printed labels record the labels as published.
+Catalogs ship as JSON data, each entry holding a left side, a right side,
+the symbols both bind, and notes.  The decomposition formulas are 35
+entries with ids 2.36 through 2.70; one (id 2.47) carries the
+out-of-sequence printed label "2.4", since ids are opaque catalog keys and
+printed labels record the labels as published.  The operator identities
+2.1 through 2.35 (identities.py) are entries of the same schema, loaded,
+validated and verified by the same functions.
 
 An optional errata overlay (same schema) may supply corrected entries keyed
 by id; verification then reports the as-printed and corrected forms side by
@@ -20,7 +23,7 @@ from pathlib import Path
 from .errors import HumbertError, SignatureError, UnknownFormula
 from .expressions import assemble_expression, expression_symbols
 from .reports import VerificationReport, sort_reports
-from .scalars import format_scalar
+from .scalars import as_scalar, format_scalar, is_exact
 
 DATA_DIR = Path(__file__).parent / "data"
 CATALOG_ENV_VAR = "HUMBERT_CATALOG"
@@ -104,9 +107,16 @@ def _verify_entry(
     entry: dict, params: dict, degree: int, variant: str,
     outer_bound: int | None = None,
 ) -> VerificationReport:
+    """Exact report of lhs == rhs on degree-`degree` triangles; a
+    parameter that is not an exact rational is an error, since float
+    coefficients cannot be compared exactly."""
     settings = {"N": degree, "variant": variant}
     start = time.perf_counter()
     try:
+        for sym, value in params.items():
+            if not is_exact(as_scalar(value)):
+                raise SignatureError(
+                    f"parameter {sym!r} = {value!r} is not an exact rational")
         lhs = assemble_expression(entry["lhs"], params, degree, outer_bound)
         rhs = assemble_expression(entry["rhs"], params, degree, outer_bound)
     except HumbertError as exc:

@@ -21,7 +21,7 @@ from .errors import HumbertError, UnknownFormula
 from .profiles import load_config, profile_params, resolved_params
 from .quadrature import REP_IDS, REPS, QuadratureSpec, cross_check
 from .reports import sort_reports
-from .scalars import SYMBOLS, as_scalar
+from .scalars import SYMBOLS, as_scalar, to_float
 from .series import BIVARIATE_KINDS, KINDS, FunctionRef, SINGLE_KINDS, \
     eval_double_series, eval_single_series
 
@@ -70,9 +70,9 @@ def cmd_eval(args) -> int:
     try:
         _check_tol(args.tol)
         params = _collect_params(args)
-        x = float(as_scalar(args.x))
+        x = to_float(as_scalar(args.x), "x")
         if kind in BIVARIATE_KINDS:
-            y = float(as_scalar(args.y)) if args.y is not None else 0.0
+            y = to_float(as_scalar(args.y), "y") if args.y is not None else 0.0
             ref = FunctionRef(kind, params)
             value, diag = eval_double_series(ref, x, y, tol=args.tol)
             payload = {
@@ -81,7 +81,7 @@ def cmd_eval(args) -> int:
                 "est_error": diag["est_error"],
             }
         else:
-            if args.y is not None and float(as_scalar(args.y)) != 0.0:
+            if args.y is not None and to_float(as_scalar(args.y), "y") != 0.0:
                 print(f"{kind} takes a single argument; drop --y",
                       file=sys.stderr)
                 return 2

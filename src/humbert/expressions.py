@@ -1,10 +1,12 @@
 """Declarative expression model and its exact assembler.
 
-Both sides of every cataloged formula are data: a FunctionTerm (an optional
-elementary prefactor times a referenced series with argument transforms) or
-an ExpansionSum (a signed Pochhammer-weighted sum of shifted inner series).
-One interpreter assembles any of them into an exact truncated triangle, so
-there is a single code path to trust and entries stay diffable.  A sum is
+Both sides of every cataloged formula and operator identity are data: a
+function node (an optional elementary prefactor times a referenced series
+with argument transforms), a sum node (a signed Pochhammer-weighted sum of
+shifted inner series), or an ops node (a chain of H / H_bar operators
+applied left to right to an operand expression).  One interpreter
+assembles any of them into an exact truncated triangle, so there is a
+single code path to trust and entries stay diffable.  A sum is
 assembled as one exact convolution of Pochhammer-table weights where its
 inner signature factors that way (see _convolution_plan), and term by term
 otherwise.
@@ -22,6 +24,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import PoleError, SignatureError
+from .operators import AXES, apply_H, apply_H_bar
 from .scalars import (
     SYMBOLS,
     Scalar,
@@ -376,13 +379,39 @@ def assemble_expression(
     monomial weight, so any outer_bound >= degree yields the same triangle.
     """
     env = {k: as_scalar(v) for k, v in params.items()}
+    return _assemble(e, env, degree,
+                     degree if outer_bound is None else outer_bound)
+
+
+def _assemble(e: dict, env: dict, degree: int, outer_bound: int
+              ) -> TruncatedBiseries:
     etype = e.get("type")
     if etype == "function":
         return _assemble_function_term(e, env, degree)
     if etype == "sum":
-        return _assemble_sum(e, env, degree,
-                             degree if outer_bound is None else outer_bound)
+        return _assemble_sum(e, env, degree, outer_bound)
+    if etype == "ops":
+        series = _assemble(e["operand"], env, degree, outer_bound)
+        for step in e["ops"]:
+            apply, axis, a, b = _operator(step)
+            series = apply(series, eval_affine(a, env), eval_affine(b, env),
+                           axis=axis)
+        return series
     raise SignatureError(f"unknown expression type {etype!r}")
+
+
+_OPERATORS = {"H": apply_H, "Hbar": apply_H_bar}
+
+
+def _operator(step) -> tuple:
+    """(operator function, axis, a, b) of one step of an ops node."""
+    if not isinstance(step, dict) or step.get("op") not in _OPERATORS:
+        raise SignatureError(f"ops step needs op H or Hbar, got {step!r}")
+    if step.get("axis") not in AXES:
+        raise SignatureError(f"ops step axis must be one of {AXES}: {step!r}")
+    if not (isinstance(step.get("a"), str) and isinstance(step.get("b"), str)):
+        raise SignatureError(f"ops step a and b must be strings: {step!r}")
+    return _OPERATORS[step["op"]], step["axis"], step["a"], step["b"]
 
 
 def expression_symbols(e: dict) -> set[str]:
@@ -390,7 +419,9 @@ def expression_symbols(e: dict) -> set[str]:
     excluded).  Walks every node, so a malformed one raises SignatureError:
     a function's `params` (required with a kind) and `prefactor` must be
     objects, a sum's `inner` an object with `kind` and an object `params`,
-    and its `num` / `den` lists of {param, index} objects."""
+    and its `num` / `den` lists of {param, index} objects; an ops node
+    needs a list of {op, axis, a, b} steps (op H or Hbar, axis in AXES,
+    string a and b) and an operand object."""
     out: set[str] = set()
     etype = e.get("type")
     if etype == "function":
@@ -417,6 +448,14 @@ def expression_symbols(e: dict) -> set[str]:
             raise SignatureError(
                 "sum inner must be an object with kind and object params")
         out |= expression_symbols({"type": "function", **inner})
+    elif etype == "ops":
+        steps, operand = e.get("ops"), e.get("operand")
+        if not (isinstance(steps, list) and isinstance(operand, dict)):
+            raise SignatureError("ops node needs a list ops and an operand object")
+        for step in steps:
+            _, _, a, b = _operator(step)
+            out |= affine_symbols(a) | affine_symbols(b)
+        out |= expression_symbols(operand)
     else:
         raise SignatureError(f"unknown expression type {etype!r}")
     return out - set(INDEX_SYMBOLS)

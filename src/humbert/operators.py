@@ -204,7 +204,7 @@ def apply_H_bar(
 
 def nabla_action(h: Scalar, degree: int) -> DiagonalAction:
     """Multiplier (h)_{m+n} / ((h)_m (h)_n); identity on pure-axis slots."""
-    poch = _poch_prefix(h, degree, f"nabla({h})")
+    poch = pochhammer_table(h, degree)
     return DiagonalAction(
         f"nabla({h})",
         lambda m, n: _safe_div(poch[m + n], poch[m] * poch[n], f"nabla({h})"),
@@ -213,18 +213,11 @@ def nabla_action(h: Scalar, degree: int) -> DiagonalAction:
 
 def delta_op_action(h: Scalar, degree: int) -> DiagonalAction:
     """Multiplier (h)_m (h)_n / (h)_{m+n}; the reciprocal of nabla_action."""
-    poch = _poch_prefix(h, degree, f"delta_op({h})")
+    poch = pochhammer_table(h, degree)
     return DiagonalAction(
         f"delta_op({h})",
         lambda m, n: _safe_div(poch[m] * poch[n], poch[m + n], f"delta_op({h})"),
     )
-
-
-def _poch_prefix(h: Scalar, degree: int, context: str) -> list[Scalar]:
-    vals = [_one_like(h)]
-    for k in range(degree):
-        vals.append(vals[-1] * (h + k))
-    return vals
 
 
 def apply_nabla(s: TruncatedBiseries, h: Scalar) -> TruncatedBiseries:

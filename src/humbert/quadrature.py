@@ -35,6 +35,7 @@ from .errors import (
     SignatureError,
 )
 from .expressions import eval_affine
+from .scalars import to_float
 from .series import KINDS, FunctionRef, eval_double_series, next_diagonal
 
 T_MAX = 6.0
@@ -700,7 +701,7 @@ def eval_integral(
     if isinstance(rep, str):
         rep = REPS[rep]
     spec = spec or QuadratureSpec()
-    env = _Symbols({k: float(v) for k, v in params.items()})
+    env = _Symbols({k: to_float(v, f"parameter {k}") for k, v in params.items()})
     exps, norm = _kernel(rep, env)
     if x >= 1.0:
         raise DomainError(f"{rep.id}: integrand needs x < 1, got {x}")
@@ -734,7 +735,8 @@ def default_tolerance(rep_id: str) -> float:
 
 def series_value(rep: IntegralRep, params: dict, x: float, y: float) -> float:
     # FunctionRef refuses a target slot that params leave unbound
-    slots = {slot: float(params[slot]) for slot in KINDS[rep.lhs_kind].slots
+    slots = {slot: to_float(params[slot], f"parameter {slot}")
+             for slot in KINDS[rep.lhs_kind].slots
              if slot in params}
     ref = FunctionRef(rep.lhs_kind, slots)
     value, _ = eval_double_series(ref, x, y, tol=1e-13, max_diagonal=600)

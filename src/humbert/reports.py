@@ -57,23 +57,6 @@ class VerificationReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            target=data["target"],
-            mode=data["mode"],
-            status=data["status"],
-            settings=data.get("settings", {}),
-            duration=data.get("duration", 0.0),
-            mismatch=data.get("mismatch"),
-            numeric=data.get("numeric"),
-            detail=data.get("detail"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
-
 
 def _id_key(target: str) -> tuple:
     """Numeric order of dotted ids, so "2.2" comes before "2.10"; a part

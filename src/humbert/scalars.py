@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import PoleError, SignatureError
+from .errors import DomainError, PoleError, SignatureError
 
 Scalar = Union[Fraction, float]
 
@@ -25,8 +25,6 @@ SYMBOLS = (
     "beta1", "beta2", "alpha1", "alpha2",
     "eps", "eps1", "eps2", "h", "g",
 )
-
-ParameterMap = dict
 
 
 def as_scalar(value) -> Scalar:
@@ -45,6 +43,14 @@ def as_scalar(value) -> Scalar:
         except (ValueError, ZeroDivisionError) as exc:
             raise SignatureError(f"not a rational literal: {value!r}") from exc
     raise SignatureError(f"not a numeric parameter value: {value!r}")
+
+
+def to_float(a: Scalar, name: str) -> float:
+    """The double nearest a; a value beyond double range is a DomainError."""
+    try:
+        return float(a)
+    except OverflowError:
+        raise DomainError(f"{name} is beyond double range") from None
 
 
 def is_exact(a: Scalar) -> bool:
@@ -108,16 +114,6 @@ def pochhammer_ratio_step(a: Scalar, b: Scalar, k: int) -> Scalar:
     elif abs(den) <= FLOAT_POLE_TOL:
         raise PoleError(f"ratio step denominator b + k = {den} within pole guard")
     return (a + k) / den
-
-
-def require_symbols(params: ParameterMap, needed: tuple[str, ...], context: str) -> None:
-    """Reject parameter maps that do not bind every needed symbol."""
-    missing = [s for s in needed if s not in params]
-    if missing:
-        raise SignatureError(f"{context}: unbound symbols {missing}")
-    unknown = [s for s in params if s not in SYMBOLS]
-    if unknown:
-        raise SignatureError(f"{context}: unknown symbols {unknown}")
 
 
 def format_scalar(a: Scalar) -> str:

@@ -8,7 +8,6 @@ series in diagonal order with a term recurrence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,7 +21,9 @@ from .errors import (
     SignatureError,
     UnsupportedTransform,
 )
-from .scalars import Scalar, as_scalar, check_not_pole, pochhammer, pochhammer_table
+from .scalars import (
+    Scalar, as_scalar, check_not_pole, pochhammer, pochhammer_table, to_float,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -239,35 +240,6 @@ class TruncatedBiseries:
             if (c := self._rows[m][n])
         }
         return f"TruncatedBiseries(degree={self.degree}, leading={lead})"
-
-
-def triangle_to_json(s: TruncatedBiseries) -> str:
-    """Serialize an exact triangle as JSON with canonical "p/q" strings."""
-    if not s.is_exact:
-        raise ValueError("only exact triangles serialize")
-    return json.dumps(
-        {
-            "degree": s.degree,
-            "coeffs": [[m, n, str(s.coeff(m, n))] for m, n in graded_indices(s.degree)],
-        }
-    )
-
-
-def triangle_from_json(text: str) -> TruncatedBiseries:
-    data = json.loads(text)
-    degree = data["degree"]
-    rows: list[list[Scalar]] = [
-        [ZERO] * (degree + 1 - m) for m in range(degree + 1)
-    ]
-    seen = set()
-    for m, n, val in data["coeffs"]:
-        if m + n > degree or (m, n) in seen:
-            raise ValueError(f"bad triangle entry ({m}, {n})")
-        seen.add((m, n))
-        rows[m][n] = Fraction(val)
-    if len(seen) != (degree + 1) * (degree + 2) // 2:
-        raise ValueError("triangle serialization is incomplete")
-    return TruncatedBiseries(degree, rows)
 
 
 # --- the supported series kinds -------------------------------------------
@@ -617,7 +589,7 @@ def substitute_args(
 # --- floating-point summation ----------------------------------------------
 
 def _float_params(ref: FunctionRef) -> dict[str, float]:
-    return {k: float(v) for k, v in ref.params.items()}
+    return {k: to_float(v, f"parameter {k}") for k, v in ref.params.items()}
 
 
 def next_diagonal(

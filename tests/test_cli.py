@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from humbert.catalog import load_catalog, save_catalog
+from humbert.catalog import DATA_DIR, load_catalog, save_catalog
 from humbert.cli import main
+from humbert.profiles import load_config
 
 
 def run(capsys, *argv):
@@ -142,6 +143,15 @@ class TestVerify:
         # 2 formula reports + 35 identity reports
         assert len(reports) == 37
 
+    def test_identities_load_as_a_formula_catalog(self, capsys, monkeypatch):
+        # one schema: the identity file is a valid HUMBERT_CATALOG
+        monkeypatch.setenv("HUMBERT_CATALOG", str(DATA_DIR / "identities.json"))
+        code, out, _ = run(capsys, "verify", "all", "--n", "4")
+        assert code == 0
+        reports = json_lines(out)
+        assert len(reports) == 70
+        assert {r["status"] for r in reports} == {"pass"}
+
 
 class TestIntegralCheck:
     def test_single_rep_with_grid_and_tol(self, capsys):
@@ -240,10 +250,35 @@ BAD_INPUTS = [
      "SignatureError"),
     (("verify", "all"), {"HUMBERT_CATALOG": "{params_scalar}"},
      "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{ops_tag}"}, "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{ops_axis}"}, "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{ops_number}"}, "SignatureError"),
+    (("verify", "all"), {"HUMBERT_CATALOG": "{ops_no_operand}"},
+     "SignatureError"),
+    (PHI1 + ("--x", "1e400"), {}, "DomainError"),
+    (("eval", "phi1", "--x", "0.5", "--y", "0.1", "--alpha", "1e400",
+      "--beta", "1/3", "--gamma", "5/4"), {}, "DomainError"),
+]
+
+# inputs every report of a run refuses: exit 2, error reports on stdout
+BAD_REPORTS = [
+    (("verify", "all", "--n", "4", "--config", "{alpha_float}"),
+     "SignatureError: parameter 'alpha' = 0.5 is not an exact rational"),
+    (("integral-check", "4.1", "--config", "{alpha_huge}"),
+     "DomainError: parameter alpha is beyond double range"),
 ]
 
 _ENTRY = load_catalog()[0]
 _PROFILE = {"alpha": "1/2"}
+_OP = {"op": "H", "axis": "xy", "a": "alpha", "b": "eps"}
+_GENERIC_A = load_config()["profiles"]["generic-A"]
+
+
+def _ops_entry(step):
+    return json.dumps([{**_ENTRY, "lhs": {
+        "type": "ops", "ops": [step], "operand": _ENTRY["lhs"]}}])
+
+
 BAD_FILES = {
     "notjson": "{not json",
     "scalar": "5",
@@ -265,7 +300,24 @@ BAD_FILES = {
     "sum_no_inner": json.dumps([{**_ENTRY, "lhs": {"type": "sum"}}]),
     "params_scalar": json.dumps(
         [{**_ENTRY, "lhs": {"type": "function", "params": 5}}]),
+    "ops_tag": _ops_entry({**_OP, "op": "G"}),
+    "ops_axis": _ops_entry({**_OP, "axis": "z"}),
+    "ops_number": _ops_entry({**_OP, "a": 1}),
+    "ops_no_operand": json.dumps(
+        [{**_ENTRY, "lhs": {"type": "ops", "ops": [_OP]}}]),
+    "alpha_float": json.dumps(
+        {"profiles": {"generic-A": {**_GENERIC_A, "alpha": 0.5}}}),
+    "alpha_huge": json.dumps(
+        {"profiles": {"generic-A": {**_GENERIC_A, "alpha": "1e400"}}}),
 }
+
+
+def _write_bad_files(tmp_path) -> dict:
+    paths = {"missing": tmp_path / "absent.json"}
+    for name, content in BAD_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(content)
+    return paths
 
 
 class TestBadInputs:
@@ -276,14 +328,22 @@ class TestBadInputs:
     )
     def test_exit_2_with_package_error(self, capsys, monkeypatch, tmp_path,
                                        argv, env, error):
-        paths = {"missing": tmp_path / "absent.json"}
-        for name, content in BAD_FILES.items():
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(content)
+        paths = _write_bad_files(tmp_path)
         for var, value in env.items():
             monkeypatch.setenv(var, value.format(**paths))
         code, out, err = run(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
         assert out == ""
         assert err.startswith(f"{error}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, detail", BAD_REPORTS,
+                             ids=["float-parameter", "beyond-double-range"])
+    def test_exit_2_with_error_reports(self, capsys, tmp_path, argv, detail):
+        paths = _write_bad_files(tmp_path)
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        reports = json_lines(out)
+        assert reports and all(r["status"] == "error" and r["detail"] == detail
+                               for r in reports)
         assert "Traceback" not in err

@@ -1,11 +1,11 @@
 import pytest
 
 from humbert.errors import UnknownIdentity
+from humbert.expressions import expression_symbols
 from humbert.identities import (
     IDENTITIES,
     check_phi1_reconstruction,
     check_phi1_shift,
-    identity_symbols,
     verify_all_identities,
     verify_operator_identity,
 )
@@ -16,23 +16,36 @@ EXPECTED_IDS = tuple(f"2.{k}" for k in range(1, 36))
 
 
 class TestRegistryShape:
+    """IDENTITIES maps each id to a catalog entry whose rhs is an ops node:
+    lhs == ops(operand)."""
+
     def test_exactly_the_expected_ids(self):
-        assert tuple(sorted(IDENTITIES, key=lambda s: (len(s), s))) \
-            == EXPECTED_IDS
+        assert tuple(IDENTITIES) == EXPECTED_IDS
 
     def test_every_entry_well_formed(self):
-        for ident in IDENTITIES.values():
-            assert set(ident) >= {"lhs", "ops", "operand"}
-            assert ident["ops"], "every identity applies at least one operator"
-            for op in ident["ops"]:
+        for identity_id, entry in IDENTITIES.items():
+            assert set(entry) == {"id", "printed_label", "lhs", "rhs",
+                                  "symbols", "notes"}
+            assert entry["id"] == entry["printed_label"] == identity_id
+            assert entry["notes"]
+            assert entry["lhs"]["type"] == "function"
+            rhs = entry["rhs"]
+            assert set(rhs) == {"type", "ops", "operand"}
+            assert rhs["type"] == "ops"
+            assert rhs["operand"]["type"] == "function"
+            assert rhs["ops"], "every identity applies at least one operator"
+            for op in rhs["ops"]:
+                assert set(op) == {"op", "axis", "a", "b"}
                 assert op["op"] in ("H", "Hbar")
                 assert op["axis"] in ("xy", "x", "y")
                 assert op["a"] in SYMBOLS and op["b"] in SYMBOLS
 
     def test_identity_symbols_known(self):
-        for identity_id in EXPECTED_IDS:
-            symbols = identity_symbols(identity_id)
-            assert symbols and set(symbols) <= set(SYMBOLS)
+        for entry in IDENTITIES.values():
+            symbols = (expression_symbols(entry["lhs"])
+                       | expression_symbols(entry["rhs"]))
+            assert symbols and symbols <= set(SYMBOLS)
+            assert entry["symbols"] == sorted(symbols)
 
 
 class TestVerification:

@@ -13,7 +13,6 @@ from humbert.scalars import (
     is_nonpositive_integer,
     pochhammer,
     pochhammer_ratio_step,
-    require_symbols,
 )
 
 F = Fraction
@@ -109,19 +108,6 @@ class TestPoleGuard:
     def test_check_raises_with_context(self):
         with pytest.raises(PoleError, match="gamma"):
             check_not_pole(F(-1), "Phi1 parameter gamma")
-
-
-class TestSymbolTable:
-    def test_missing_symbol(self):
-        with pytest.raises(SignatureError):
-            require_symbols({"alpha": F(1)}, ("alpha", "gamma"), "test")
-
-    def test_unknown_symbol(self):
-        with pytest.raises(SignatureError):
-            require_symbols({"alpha": F(1), "zeta": F(2)}, ("alpha",), "test")
-
-    def test_ok(self):
-        require_symbols({"alpha": F(1), "gamma": F(2)}, ("alpha",), "test")
 
 
 def test_format_scalar():

@@ -33,8 +33,6 @@ from humbert.series import (
     graded_indices,
     single_series_on_axis,
     substitute_args,
-    triangle_from_json,
-    triangle_to_json,
     truncated_series,
 )
 
@@ -103,21 +101,6 @@ class TestTriangleStorage:
     def test_evaluate_horner(self):
         s = poly(2, [(0, 0, 1), (1, 0, 2), (0, 1, 3), (1, 1, 4)])
         assert s.evaluate(F(1, 2), F(1, 3)) == 1 + 1 + 1 + F(2, 3)
-
-    def test_json_round_trip(self):
-        s = truncated_series(
-            FunctionRef("Phi1", {"alpha": F(1, 3), "beta": F(2, 5), "gamma": F(7, 4)}),
-            5,
-        )
-        assert triangle_from_json(triangle_to_json(s)) == s
-
-    def test_json_order_and_strings(self):
-        import json
-
-        s = poly(1, [(0, 0, 1), (0, 1, "1/2"), (1, 0, -3)])
-        data = json.loads(triangle_to_json(s))
-        assert data["degree"] == 1
-        assert data["coeffs"] == [[0, 0, "1"], [0, 1, "1/2"], [1, 0, "-3"]]
 
     @given(pair=triangle_pairs)
     @settings(deadline=None, max_examples=40)
