@@ -107,12 +107,14 @@ def _verify_entry(
     entry: dict, params: dict, degree: int, variant: str,
     outer_bound: int | None = None,
 ) -> VerificationReport:
-    """Exact report of lhs == rhs on degree-`degree` triangles; a
-    parameter that is not an exact rational is an error, since float
-    coefficients cannot be compared exactly."""
+    """Exact report of lhs == rhs on degree-`degree` triangles.  A
+    malformed entry is an error (a caller-supplied catalog has not been
+    through `load_catalog`), and so is a parameter that is not an exact
+    rational, since float coefficients cannot be compared exactly."""
     settings = {"N": degree, "variant": variant}
     start = time.perf_counter()
     try:
+        validate_entry(entry)
         for sym, value in params.items():
             if not is_exact(as_scalar(value)):
                 raise SignatureError(

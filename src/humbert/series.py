@@ -3,7 +3,8 @@
 The exact side of the package works on dense triangular truncations: a
 series of total degree bound N stores the (N+1)(N+2)/2 coefficients c_{m,n}
 with m+n <= N and nothing else.  The numeric side sums the defining double
-series in diagonal order with a term recurrence.
+series with a term recurrence: in diagonal order, or, near the edge of the
+x disk, row by row as one NumPy array recurrence.
 """
 
 from __future__ import annotations
@@ -280,23 +281,29 @@ class KindInfo:
         return _term_ratio(self, "n") if self.bivariate else None
 
 
-def _term_ratio(info: KindInfo, step: str) -> Callable:
-    """Compile the term ratio for a unit step in `step` ("m" or "n") as a
-    function of (p, m, n), with p the slot values, float or exact.
-
-    Each signature factor whose index contains the step contributes
-    (p[slot] + index), in signature order, and the step's factorial
-    contributes (step + 1) to the denominator.  The expression is compiled
-    once, as collections.namedtuple compiles its methods, so a step costs
-    what a hand-written lambda would.
-    """
+def _step_factors(info: KindInfo, step: str) -> tuple[list[str], list[str]]:
+    """Source text, in (p, m, n), of the factors of the term ratio for a
+    unit step in `step` ("m" or "n"): each signature factor whose index
+    contains the step, (p[slot] + index), numerator and denominator in
+    signature order, and the step's factorial (step + 1) last among the
+    denominator's."""
     def factors(pairs):
         return [f"(p[{slot!r}] + {index.replace('+', ' + ')})"
                 for slot, index in pairs if step in index]
 
-    num = " * ".join(factors(info.num)) or "1"
-    den = " * ".join(factors(info.den) + [f"({step} + 1)"])
-    return eval(f"lambda p, m, n: {num} / ({den})", {})
+    return factors(info.num), factors(info.den) + [f"({step} + 1)"]
+
+
+def _term_ratio(info: KindInfo, step: str) -> Callable:
+    """Compile the term ratio for a unit step in `step` ("m" or "n") as a
+    function of (p, m, n), with p the slot values, float or exact.
+
+    The expression is compiled once, as collections.namedtuple compiles its
+    methods, so a step costs what a hand-written lambda would.
+    """
+    num, den = _step_factors(info, step)
+    return eval(f"lambda p, m, n: {' * '.join(num) or '1'} / "
+                f"({' * '.join(den)})", {})
 
 
 def _fact(n: int) -> int:
@@ -605,19 +612,66 @@ def next_diagonal(
     ]
 
 
+ROW_ROUTE_X = 0.75  # |x| from which the x-restricted kinds are summed by rows
+
+
+class SeriesDiag:
+    """How a double series was summed: the highest diagonal m+n summed, the
+    magnitude of what was left out (the last diagonal's on the diagonal
+    route, the tail bounds on the row route) and the error estimate.
+
+    Read-only, and read by field name as the dict it replaces was:
+    diag["est_error"].  Written out rather than as a slotted dataclass,
+    whose class creation alone adds about 3 ms to `import humbert`.
+    """
+
+    __slots__ = ("diagonals", "last_diagonal", "est_error")
+
+    def __init__(self, diagonals: int, last_diagonal: float, est_error: float):
+        object.__setattr__(self, "diagonals", diagonals)
+        object.__setattr__(self, "last_diagonal", last_diagonal)
+        object.__setattr__(self, "est_error", est_error)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SeriesDiag is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError("SeriesDiag is read-only")
+
+    def __getitem__(self, key: str):
+        return getattr(self, key)
+
+    def __repr__(self):
+        return (f"SeriesDiag(diagonals={self.diagonals}, last_diagonal="
+                f"{self.last_diagonal!r}, est_error={self.est_error!r})")
+
+
 def eval_double_series(
     ref: FunctionRef,
     x: float,
     y: float,
     tol: float = 1e-12,
     max_diagonal: int = 400,
-) -> tuple[float, dict]:
-    """Sum the defining double series at (x, y) in diagonal order.
+) -> tuple[float, SeriesDiag]:
+    """Sum the defining double series at (x, y), by one of two routes.
 
-    Terms along each diagonal m+n = k come from Pochhammer-ratio recurrence
-    steps on the previous diagonal.  Summation stops once three consecutive
-    diagonals each contribute (in summed absolute value) less than tol times
-    the running |sum|.
+    - The diagonal route (every kind, and the x-restricted kinds Phi1,
+      Psi1, Xi1, Xi2 at |x| < ROW_ROUTE_X): terms along each diagonal
+      m+n = k come from Pochhammer-ratio recurrence steps on the previous
+      diagonal.  Summation stops once three consecutive diagonals each
+      contribute (in summed absolute value) less than tol times the
+      running |sum|; `est_error` is the last diagonal's magnitude.
+    - The row route (x-restricted kinds at |x| >= ROW_ROUTE_X, where the
+      x series converges slowly): every row, the series in y at a fixed
+      power x^m, is stepped at once as one NumPy array; see
+      `rows.sum_by_rows`.
+      `est_error` bounds the tails left out plus the rounding, and a sum
+      whose estimate exceeds tol |value| is refused.
+
+    `max_diagonal` is a budget of max_diagonal (max_diagonal + 1) / 2 terms
+    on both routes: the diagonal route sums at most max_diagonal diagonals,
+    and the row route refuses, before it allocates, a block of more terms.
+    Both raise NoConvergence when the budget runs out.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -627,6 +681,23 @@ def eval_double_series(
     if not in_domain(ref, x, y):
         raise DomainError(f"({x}, {y}) outside the {ref.kind} convergence region")
     p = _float_params(ref)
+    if info.x_restricted and abs(x) >= ROW_ROUTE_X:
+        from .rows import sum_by_rows  # loaded on first use: see rows.py
+
+        out = sum_by_rows(info, p, x, y, tol,
+                          max_diagonal * (max_diagonal + 1) // 2)
+    else:
+        out = _sum_by_diagonals(info, p, x, y, tol, max_diagonal)
+    # The routes return why they gave up rather than raise it, so that the
+    # traceback a refusal carries holds none of their terms.
+    if isinstance(out, str):
+        raise NoConvergence(f"{ref.kind} at ({x}, {y}): {out}")
+    return out
+
+
+def _sum_by_diagonals(
+    info: KindInfo, p: dict, x: float, y: float, tol: float, max_diagonal: int
+) -> tuple[float, SeriesDiag] | str:
     terms = [1.0]
     total = 1.0
     small_streak = 0
@@ -639,17 +710,11 @@ def eval_double_series(
         if last_mag < tol * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak == 3:
-                return total, {
-                    "diagonals": k,
-                    "last_diagonal": last_mag,
-                    "est_error": last_mag,
-                }
+                return total, SeriesDiag(k, last_mag, last_mag)
         else:
             small_streak = 0
-    raise NoConvergence(
-        f"{ref.kind} at ({x}, {y}): no convergence within {max_diagonal} diagonals "
-        f"(last diagonal magnitude {last_mag:.3e})"
-    )
+    return (f"no convergence within {max_diagonal} diagonals "
+            f"(last diagonal magnitude {last_mag:.3e})")
 
 
 def eval_single_series(

@@ -105,6 +105,23 @@ class TestVerification:
         report = verify_formula("2.36", profile_a, degree=4)
         assert json.loads(report.to_json()) == report.to_dict()
 
+    @pytest.mark.parametrize("rhs, detail", [
+        ({"type": "sum"}, "sum inner must be an object"),
+        ({"type": "ops", "ops": []}, "ops node needs a list ops"),
+        ({"type": "function", "kind": "Phi1", "params": 5},
+         "a function with a kind needs object params"),
+    ])
+    def test_malformed_caller_catalog_is_an_error_report(
+            self, catalog, profile_a, rhs, detail):
+        # a caller-supplied catalog skips load_catalog; the verifier still
+        # validates each entry and reports, never raises
+        entry = {**get_formula("2.36", catalog), "rhs": rhs}
+        report = verify_formula("2.36", profile_a, 4, catalog=[entry])
+        assert report.status == "error"
+        assert report.detail.startswith(f"SignatureError: {detail}")
+        [report] = verify_all(profile_a, 4, catalog=[entry])
+        assert report.status == "error"
+
 
 class TestCollapseSuite:
     def test_at_least_twenty_full_collapses(self, catalog, profile_a):

@@ -28,6 +28,17 @@ class TestEval:
         assert abs(payload["value"] - 1.3862943611198906) < 1e-11
         assert set(payload) == {"value", "diagonals", "est_error"}
 
+    def test_near_the_edge_of_the_x_disk(self, capsys):
+        # |x| = 0.93 is summed by rows, within the default budget
+        code, out, _ = run(
+            capsys, "eval", "psi1", "--alpha", "1/2", "--beta", "1/3",
+            "--gamma1", "5/4", "--gamma2", "7/6", "--x", "0.93", "--y", "0.5",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"value", "diagonals", "est_error"}
+        assert payload["est_error"] <= 1e-12 * abs(payload["value"])
+
     def test_trivial_origin(self, capsys):
         code, out, _ = run(
             capsys, "eval", "phi3", "--beta", "1", "--gamma", "2",

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +22,11 @@ from humbert.quadrature import (
     phi1_arr,
     ray_coeffs,
 )
+from humbert import series
 from humbert.scalars import pochhammer
 from humbert.series import (
     BIVARIATE_KINDS,
+    ROW_ROUTE_X,
     FunctionRef,
     TruncatedBiseries,
     coefficient_rule,
@@ -388,6 +392,32 @@ class TestEvalDoubleSeries:
         with pytest.raises(NoConvergence):
             eval_double_series(ref, 0.999999, 0.0, max_diagonal=40)
 
+    def test_budget_refuses_before_allocating(self):
+        # |x|^M <= tol needs M = 2.8e7 rows at x = 0.999999; the budget of
+        # 40 * 41 / 2 terms refuses that before any row array exists
+        ref = FunctionRef("Phi1", REFERENCE_PARAMS["Phi1"])
+        eval_double_series(ref, 0.8, 0.3)  # loads the row route's module
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoConvergence, match="term budget of 820"):
+                eval_double_series(ref, 0.999999, 0.3, max_diagonal=40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_diag_record(self):
+        _, diag = eval_double_series(
+            FunctionRef("Phi1", REFERENCE_PARAMS["Phi1"]), 0.4, -0.7)
+        assert diag["diagonals"] == diag.diagonals
+        assert diag["est_error"] == diag.est_error
+        assert diag["last_diagonal"] == diag.last_diagonal
+        assert not hasattr(diag, "__dict__")
+        with pytest.raises(AttributeError):
+            diag.est_error = 0.0
+        with pytest.raises(AttributeError):
+            del diag.est_error
+
     @given(
         x=st.floats(min_value=-0.6, max_value=0.6),
         y=st.floats(min_value=-2.0, max_value=2.0),
@@ -399,6 +429,110 @@ class TestEvalDoubleSeries:
         loose, _ = eval_double_series(ref, x, y, tol=1e-9)
         tight, _ = eval_double_series(ref, x, y, tol=1e-13)
         assert abs(loose - tight) < 1e-7 * max(1.0, abs(tight))
+
+
+# The x-restricted kinds in mpmath.hyper2d form, with the roles of x and y
+# swapped: hyper2d sums its second variable innermost, with the most care,
+# and near |x| = 1 the x series is the slow one.
+HYPER2D_SWAPPED = {
+    "Phi1": lambda p: ({"m+n": [p["alpha"]], "n": [p["beta"]]},
+                       {"m+n": [p["gamma"]]}),
+    "Psi1": lambda p: ({"m+n": [p["alpha"]], "n": [p["beta"]]},
+                       {"n": [p["gamma1"]], "m": [p["gamma2"]]}),
+    "Xi1": lambda p: ({"n": [p["alpha1"], p["beta"]], "m": [p["alpha2"]]},
+                      {"m+n": [p["gamma"]]}),
+    "Xi2": lambda p: ({"n": [p["alpha"], p["beta"]]}, {"m+n": [p["gamma"]]}),
+}
+
+
+@st.composite
+def _edge_points(draw):
+    kind = draw(st.sampled_from(sorted(HYPER2D_SWAPPED)))
+    params = {}
+    for slot in FunctionRef(kind, REFERENCE_PARAMS[kind]).info.slots:
+        q = draw(st.integers(1, 12))
+        params[slot] = F(draw(st.integers(1, 2 * q)), q)
+    x = draw(st.sampled_from((-1, 1))) * draw(st.floats(ROW_ROUTE_X, 0.97))
+    y = draw(st.floats(-2.0, 2.0))
+    return kind, params, x, y
+
+
+class TestRowRoute:
+    """x-restricted kinds at ROW_ROUTE_X <= |x| < 1, summed by rows."""
+
+    @given(point=_edge_points())
+    @settings(deadline=None, max_examples=40)
+    def test_within_estimate_of_mpmath_or_refused(self, point):
+        mpmath = pytest.importorskip("mpmath")
+        kind, params, x, y = point
+        try:
+            value, diag = eval_double_series(FunctionRef(kind, params), x, y)
+        except NoConvergence:
+            return
+        with mpmath.workdps(30):
+            p = {k: mpmath.mpf(v.numerator) / v.denominator
+                 for k, v in params.items()}
+            a, b = HYPER2D_SWAPPED[kind](p)
+            ref = float(mpmath.hyper2d(a, b, mpmath.mpf(y), mpmath.mpf(x)))
+        assert abs(value - ref) <= max(diag["est_error"], 1e-12 * abs(ref)), (
+            value, ref, diag)
+
+    def test_agrees_with_diagonal_route(self):
+        # just past the threshold both routes converge; the diagonal one,
+        # run directly, checks the rows against the path below it
+        for kind in sorted(HYPER2D_SWAPPED):
+            ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
+            p = {k: float(v) for k, v in ref.params.items()}
+            value, diag = eval_double_series(ref, -0.8, 0.9)
+            assert diag["est_error"] <= 1e-12 * abs(value)
+            other, _ = series._sum_by_diagonals(
+                ref.info, p, -0.8, 0.9, 1e-15, 600)
+            assert abs(value - other) <= 1e-12 * abs(other), kind
+
+    def test_threshold_picks_the_route(self):
+        ref = FunctionRef("Phi1", REFERENCE_PARAMS["Phi1"])
+        below = math.nextafter(ROW_ROUTE_X, 0.0)
+        _, diag = eval_double_series(ref, below, 0.5)
+        assert diag["est_error"] == diag["last_diagonal"]  # diagonal route
+        _, diag = eval_double_series(ref, ROW_ROUTE_X, 0.5)
+        # the row route sums a block of rows: far more diagonals
+        assert diag["diagonals"] > 100
+
+    @pytest.mark.parametrize("kind, x, y, params, budget", [
+        # cancels past what the rounding bound allows
+        ("Xi2", -0.866, -1.985,
+         {"alpha": F(2), "beta": F(4, 5), "gamma": F(8, 5)}, 400),
+        # runs out of terms while stepping the rows
+        ("Phi1", 0.9, 1.5, REFERENCE_PARAMS["Phi1"], 30),
+    ])
+    def test_refusal_pins_no_terms(self, kind, x, y, params, budget):
+        self._assert_no_terms_in_traceback(
+            FunctionRef(kind, params), x, y, budget)
+
+    def test_overflowing_terms_are_refused_quietly(self):
+        ref = FunctionRef("Phi1", REFERENCE_PARAMS["Phi1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match="overflowed"):
+                eval_double_series(ref, 0.8, 800.0)
+
+    def test_diagonal_refusal_pins_no_terms(self):
+        self._assert_no_terms_in_traceback(
+            FunctionRef("Phi2", REFERENCE_PARAMS["Phi2"]), 0.5, 0.5, 3)
+
+    @staticmethod
+    def _assert_no_terms_in_traceback(ref, x, y, budget):
+        with pytest.raises(NoConvergence) as info:
+            eval_double_series(ref, x, y, max_diagonal=budget)
+        tb = info.value.__traceback__
+        frames = 0
+        while tb is not None:
+            for name, local in tb.tb_frame.f_locals.items():
+                assert not isinstance(local, np.ndarray), name
+                assert not (isinstance(local, list) and len(local) > 3), name
+            frames += 1
+            tb = tb.tb_next
+        assert frames >= 2  # the test's frame and eval_double_series'
 
 
 class TestEvalSingleSeries:
