@@ -663,8 +663,7 @@ def eval_double_series(
       running |sum|; `est_error` is the last diagonal's magnitude.
     - The row route (x-restricted kinds at |x| >= ROW_ROUTE_X, where the
       x series converges slowly): every row, the series in y at a fixed
-      power x^m, is stepped at once as one NumPy array; see
-      `rows.sum_by_rows`.
+      power x^m, is stepped at once as one NumPy array (`rows.sum_by_rows`).
       `est_error` bounds the tails left out plus the rounding, and a sum
       whose estimate exceeds tol |value| is refused.
 
