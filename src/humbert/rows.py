@@ -102,7 +102,11 @@ def sum_by_rows(
       the rest of row m, at most c_y u times |its tail|, which is at most
       both its absolute tail and |row sum| + |partial sum|.  Adding up a
       row costs u times the sum of its |partial sums|, and fsum half an
-      ulp of the value.
+      ulp of the value.  The count takes each factor (p[slot] + index) to
+      be off by at most its two roundings, relative; a negative parameter
+      whose factor nearly cancels (p[slot] + index near 0) is off by more,
+      and the float parameters themselves are off by u, so the bound
+      covers the arithmetic, not the conditioning in the parameters.
 
     M starts where |x|^M <= tol and doubles while the truncation exceeds
     tol/2 of the value; a sum whose rounding alone is too large is
@@ -155,7 +159,7 @@ def sum_by_rows(
             return value, SeriesDiag(rows - 1 + n, truncation,
                                      truncation + rounding)
         if truncation <= tol * abs(value) / 2:
-            return (f"rounding bound {rounding:.3e} exceeds tol times "
-                    f"|{value:.6e}|: the series cancels")
+            return (f"rounding bound {rounding:.3e} exceeds tol |value| = "
+                    f"{tol * abs(value):.3e}")
         rows *= 2
     return f"the term budget of {budget} cannot hold {rows} rows"
