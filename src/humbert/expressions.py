@@ -36,8 +36,11 @@ from .scalars import (
 from .series import (
     FunctionRef,
     KINDS,
+    PREFACTORS,
+    SINGLE_KINDS,
+    X_TRANSFORMS,
+    Y_TRANSFORMS,
     TruncatedBiseries,
-    elementary_series,
     single_series_on_axis,
     substitute_args,
     truncated_series,
@@ -147,20 +150,11 @@ def _assemble_function_term(
             series = single_series_on_axis(ref, degree, term.get("axis", "x"))
     else:
         series = TruncatedBiseries.one(degree)
-    tx = term.get("transform_x", "identity")
-    ty = term.get("transform_y", "identity")
-    if tx != "identity" or ty != "identity":
-        series = substitute_args(series, tx, ty)
     pre = term.get("prefactor") or {}
-    if "pow_one_minus_x" in pre:
-        series = series * elementary_series(
-            "binomial_x", eval_affine(pre["pow_one_minus_x"], env), degree
-        )
-    if "exp_y" in pre:
-        series = series * elementary_series(
-            "exp_y_scaled", eval_affine(pre["exp_y"], env), degree
-        )
-    return series
+    return substitute_args(
+        series, term.get("transform_x", "identity"),
+        term.get("transform_y", "identity"),
+        **{key: eval_affine(pre[key], env) for key in PREFACTORS if key in pre})
 
 
 def _outer_coefficient(e: dict, env: dict, i: int, j: int,
@@ -414,29 +408,68 @@ def _operator(step) -> tuple:
     return _OPERATORS[step["op"]], step["axis"], step["a"], step["b"]
 
 
+_FUNCTION_KEYS = ("kind", "params", "axis", "transform_x", "transform_y",
+                  "prefactor")
+_NODE_KEYS = {
+    "function": ("type",) + _FUNCTION_KEYS,
+    "sum": ("type", "indices", "weight", "sign", "num", "den", "inner"),
+    "ops": ("type", "ops", "operand"),
+}
+
+
+def _check_keys(node: dict, allowed, what: str) -> None:
+    unknown = [key for key in node if key not in allowed]
+    if unknown:
+        raise SignatureError(f"{what} has unknown keys {unknown}")
+
+
+def _function_symbols(e: dict, what: str) -> set[str]:
+    """Symbols of a function node or a sum's inner term, after checking
+    its params, axis, transforms and prefactor."""
+    kind = e.get("kind")
+    if kind is not None and not isinstance(e.get("params"), dict):
+        raise SignatureError("a function with a kind needs object params")
+    if "axis" in e and not (kind in SINGLE_KINDS and e["axis"] in ("x", "y")):
+        raise SignatureError(f"{what} axis must be 'x' or 'y', on a "
+                             f"single-variable kind, not {e['axis']!r} on {kind}")
+    for key, table in (("transform_x", X_TRANSFORMS),
+                       ("transform_y", Y_TRANSFORMS)):
+        name = e.get(key, "identity")
+        if not (isinstance(name, str) and name in table):
+            raise SignatureError(
+                f"{what} {key} must be one of {list(table)}, not {name!r}")
+    out: set[str] = set()
+    for key in ("params", "prefactor"):
+        if not isinstance(e.get(key) or {}, dict):
+            raise SignatureError(f"function {key} must be an object")
+        for expr in (e.get(key) or {}).values():
+            out |= affine_symbols(str(expr))
+    _check_keys(e.get("prefactor") or {}, PREFACTORS, f"{what} prefactor")
+    return out
+
+
 def expression_symbols(e: dict) -> set[str]:
     """All parameter symbols an expression needs bound (index names
     excluded).  Walks every node, so a malformed one raises SignatureError:
-    a function's `params` (required with a kind) and `prefactor` must be
-    objects, a sum's `inner` an object with `kind` and an object `params`,
-    and its `num` / `den` lists of {param, index} objects; an ops node
-    needs a list of {op, axis, a, b} steps (op H or Hbar, axis in AXES,
-    string a and b) and an operand object."""
+    a node, sum factor, ops step or prefactor may hold only its schema's
+    keys; a function's `params` (required with a kind) and `prefactor` must
+    be objects, its transforms named in series.X_TRANSFORMS / Y_TRANSFORMS,
+    and an `axis` x or y on a single-variable kind; a sum's `inner` is such
+    a function without a type, and its `num` / `den` lists of {param, index}
+    objects; an ops node needs a list of {op, axis, a, b} steps (op H or
+    Hbar, axis in AXES, string a and b) and an operand object."""
     out: set[str] = set()
     etype = e.get("type")
+    if not (isinstance(etype, str) and etype in _NODE_KEYS):
+        raise SignatureError(f"unknown expression type {etype!r}")
+    _check_keys(e, _NODE_KEYS[etype], f"{etype} node")
     if etype == "function":
-        if e.get("kind") is not None and not isinstance(e.get("params"), dict):
-            raise SignatureError("a function with a kind needs object params")
-        for key in ("params", "prefactor"):
-            if not isinstance(e.get(key) or {}, dict):
-                raise SignatureError(f"function {key} must be an object")
-            for expr in (e.get(key) or {}).values():
-                out |= affine_symbols(str(expr))
+        out |= _function_symbols(e, "function")
     elif etype == "sum":
         for key in ("num", "den"):
             factors = e.get(key, [])
             if not isinstance(factors, list) or not all(
-                    isinstance(f, dict) and "param" in f and "index" in f
+                    isinstance(f, dict) and set(f) == {"param", "index"}
                     for f in factors):
                 raise SignatureError(
                     f"sum {key} must be a list of {{param, index}} objects")
@@ -447,15 +480,15 @@ def expression_symbols(e: dict) -> set[str]:
                 and isinstance(inner.get("params"), dict)):
             raise SignatureError(
                 "sum inner must be an object with kind and object params")
-        out |= expression_symbols({"type": "function", **inner})
-    elif etype == "ops":
+        _check_keys(inner, _FUNCTION_KEYS, "sum inner")
+        out |= _function_symbols(inner, "sum inner")
+    else:
         steps, operand = e.get("ops"), e.get("operand")
         if not (isinstance(steps, list) and isinstance(operand, dict)):
             raise SignatureError("ops node needs a list ops and an operand object")
         for step in steps:
             _, _, a, b = _operator(step)
+            _check_keys(step, ("op", "axis", "a", "b"), "ops step")
             out |= affine_symbols(a) | affine_symbols(b)
         out |= expression_symbols(operand)
-    else:
-        raise SignatureError(f"unknown expression type {etype!r}")
     return out - set(INDEX_SYMBOLS)

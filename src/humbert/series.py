@@ -116,10 +116,6 @@ class TruncatedBiseries:
             raise IndexError(f"(m, n) = ({m}, {n}) outside degree-{self.degree} triangle")
         return self._rows[m][n]
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(c, Fraction) for row in self._rows for c in row)
-
     def map_indexed(
         self, fn: Callable[[int, int, Scalar], Scalar]
     ) -> "TruncatedBiseries":
@@ -191,13 +187,6 @@ class TruncatedBiseries:
                 if m + n + i + j <= N:
                     rows[m + i][n + j] = self._rows[m][n]
         return TruncatedBiseries(N, rows)
-
-    def truncate(self, degree: int) -> "TruncatedBiseries":
-        if degree > self.degree:
-            raise ValueError("cannot extend a truncation")
-        return TruncatedBiseries(
-            degree, [list(self._rows[m][: degree + 1 - m]) for m in range(degree + 1)]
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedBiseries):
@@ -504,93 +493,59 @@ def single_series_on_axis(
     )
 
 
-def elementary_series(kind: str, value, degree: int) -> TruncatedBiseries:
-    """exp_y_scaled(c): series of exp(c*y); binomial_x(p): series of (1-x)^p."""
-    c = as_scalar(value)
-    if kind == "exp_y_scaled":
-        return TruncatedBiseries.from_function(
-            degree, lambda m, n: c**n / _fact(n) if m == 0 else ZERO
-        )
-    if kind == "binomial_x":
-        table = pochhammer_table(-c, degree)
-        return TruncatedBiseries.from_function(
-            degree, lambda m, n: table[m] / _fact(m) if n == 0 else ZERO
-        )
-    raise ValueError(f"unknown elementary series kind {kind!r}")
+# --- argument transforms and prefactors -------------------------------------
 
-
-# --- argument substitution --------------------------------------------------
-
-X_TRANSFORMS = ("identity", "negate", "moebius_x")
-Y_TRANSFORMS = ("identity", "negate", "scale_by_geometric")
-
-
-def _transform_series(name: str, which: str, degree: int) -> TruncatedBiseries:
-    if which == "x":
-        if name == "identity":
-            return TruncatedBiseries.monomial(degree, 1, 0) if degree >= 1 \
-                else TruncatedBiseries.zero(degree)
-        if name == "negate":
-            return TruncatedBiseries.monomial(degree, 1, 0, -ONE) if degree >= 1 \
-                else TruncatedBiseries.zero(degree)
-        if name == "moebius_x":
-            # x/(x-1) = -(x + x^2 + x^3 + ...)
-            return TruncatedBiseries.from_function(
-                degree, lambda m, n: -ONE if n == 0 and m >= 1 else ZERO
-            )
-        raise UnsupportedTransform(f"{name!r} is not a supported x-transform")
-    if name == "identity":
-        return TruncatedBiseries.monomial(degree, 0, 1) if degree >= 1 \
-            else TruncatedBiseries.zero(degree)
-    if name == "negate":
-        return TruncatedBiseries.monomial(degree, 0, 1, -ONE) if degree >= 1 \
-            else TruncatedBiseries.zero(degree)
-    if name == "scale_by_geometric":
-        # y/(1-x) = y*(1 + x + x^2 + ...)
-        return TruncatedBiseries.from_function(
-            degree, lambda m, n: ONE if n == 1 else ZERO
-        )
-    raise UnsupportedTransform(f"{name!r} is not a supported y-transform")
-
-
-def compose(
-    s: TruncatedBiseries, sx: TruncatedBiseries, sy: TruncatedBiseries
-) -> TruncatedBiseries:
-    """Truncated composition s(sx, sy); both images must vanish at (0, 0)."""
-    N = s.degree
-    if sx.coeff(0, 0) != 0 or sy.coeff(0, 0) != 0:
-        raise UnsupportedTransform("argument images must map 0 to 0")
-    acc = TruncatedBiseries.zero(N)
-    for m in range(N, -1, -1):
-        row = TruncatedBiseries.zero(N)
-        for n in range(N - m, -1, -1):
-            row = row * sy
-            c = s.coeff(m, n)
-            if c:
-                row = row + TruncatedBiseries.monomial(N, 0, 0, c)
-        acc = acc * sx + row
-    return acc
+# Each argument transform is a sign and a power of 1/(1-x): x -> sx x (1-x)^-mu
+# and y -> sy y (1-x)^-nu, stated as name -> (sign, power).
+X_TRANSFORMS = {"identity": (1, 0), "negate": (-1, 0), "moebius_x": (-1, 1)}
+Y_TRANSFORMS = {"identity": (1, 0), "negate": (-1, 0),
+                "scale_by_geometric": (1, 1)}
+# The elementary prefactors a function node may carry, as the keywords of
+# substitute_args: (1-x)^pow_one_minus_x and exp(exp_y * y).
+PREFACTORS = ("pow_one_minus_x", "exp_y")
 
 
 def substitute_args(
-    s: TruncatedBiseries, tx: str, ty: str, degree: int | None = None
+    s: TruncatedBiseries, tx: str, ty: str,
+    pow_one_minus_x: Scalar = 0, exp_y: Scalar = 0,
 ) -> TruncatedBiseries:
-    """Apply named argument transforms (tx to x, ty to y), exactly.
+    """(1-x)^p e^(c y) s(X, Y) for the named transforms X of x and Y of y,
+    with p = pow_one_minus_x and c = exp_y, exactly, in O(N^3).
 
-    Supported: tx in {identity, negate, moebius_x}; ty in {identity, negate,
-    scale_by_geometric}.  All of them fix the origin, so the truncated
-    composition is well-defined degree by degree.
+    With X = sx x (1-x)^-mu and Y = sy y (1-x)^-nu, the term c_{m,n} x^m y^n
+    becomes sx^m sy^n c_{m,n} x^m y^n (1-x)^-e, e = mu m + nu n - p, so it
+    spreads down its column with the binomial weights (e)_k / k!; then each
+    row is convolved once with the series c^k / k! of e^(c y).
     """
     if tx not in X_TRANSFORMS:
-        raise UnsupportedTransform(f"x-transform {tx!r} not in {X_TRANSFORMS}")
+        raise UnsupportedTransform(f"x-transform {tx!r} not in {tuple(X_TRANSFORMS)}")
     if ty not in Y_TRANSFORMS:
-        raise UnsupportedTransform(f"y-transform {ty!r} not in {Y_TRANSFORMS}")
-    N = s.degree if degree is None else degree
-    if N != s.degree:
-        s = s.truncate(N)
-    if tx == "identity" and ty == "identity":
+        raise UnsupportedTransform(f"y-transform {ty!r} not in {tuple(Y_TRANSFORMS)}")
+    p, c = as_scalar(pow_one_minus_x), as_scalar(exp_y)
+    if tx == ty == "identity" and not p and not c:
         return s
-    return compose(s, _transform_series(tx, "x", N), _transform_series(ty, "y", N))
+    (sx, mu), (sy, nu) = X_TRANSFORMS[tx], Y_TRANSFORMS[ty]
+    N = s.degree
+    binomial: dict = {}  # e -> [(e)_k / k!, k = 0..N]
+    rows = [[ZERO] * (N + 1 - m) for m in range(N + 1)]
+    for m, row in enumerate(s._rows):
+        for n, v in enumerate(row):
+            if not v:
+                continue
+            if sx ** m * sy ** n < 0:
+                v = -v
+            e = mu * m + nu * n - p
+            if e not in binomial:
+                binomial[e] = [a / _fact(k) for k, a
+                               in enumerate(pochhammer_table(e, N))]
+            for k, w in enumerate(binomial[e][: N + 1 - m - n]):
+                if w:
+                    rows[m + k][n] += w * v
+    if c:
+        exp = [c ** k / _fact(k) for k in range(N + 1)]
+        rows = [[sum((row[n - k] * exp[k] for k in range(n + 1)), ZERO)
+                 for n in range(len(row))] for row in rows]
+    return TruncatedBiseries(N, rows)
 
 
 # --- floating-point summation ----------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,11 @@ from humbert.catalog import (
     load_catalog,
     load_errata,
     save_catalog,
+    validate_entry,
     verify_all,
     verify_formula,
 )
-from humbert.errors import UnknownFormula
+from humbert.errors import SignatureError, UnknownFormula
 from humbert.expressions import assemble_expression
 
 from conftest import collapse_substitutions
@@ -121,6 +123,33 @@ class TestVerification:
         assert report.detail.startswith(f"SignatureError: {detail}")
         [report] = verify_all(profile_a, 4, catalog=[entry])
         assert report.status == "error"
+
+    @pytest.mark.parametrize("formula_id, side, edit, detail", [
+        ("2.39", "lhs", {"prefactor": {"pow_one_minus_y": "beta"}},
+         "function prefactor has unknown keys ['pow_one_minus_y']"),
+        ("2.36", "lhs", {"transfrom_x": "negate"},
+         "function node has unknown keys ['transfrom_x']"),
+        ("2.36", "lhs", {"axis": "z"}, "function axis must be 'x' or 'y'"),
+        ("2.36", "lhs", {"axis": "x"}, "function axis must be 'x' or 'y'"),
+        ("2.37", "rhs", {"sign": None, "sgn": "(-1)^i"},
+         "sum node has unknown keys ['sgn']"),
+        ("2.36", "lhs", {"transform_x": "invert"},
+         "function transform_x must be one of"),
+        ("2.39", "rhs", {"transform_y": "moebius_x"},
+         "function transform_y must be one of"),
+    ], ids=["prefactor-key", "function-key", "axis-z", "axis-on-bivariate",
+            "sum-key", "x-transform-name", "y-transform-name"])
+    def test_node_outside_its_schema_is_refused(
+            self, catalog, profile_a, formula_id, side, edit, detail):
+        # each edit states a formula other than the one the node computes
+        entry = copy.deepcopy(get_formula(formula_id, catalog))
+        entry[side].update(edit)
+        entry[side] = {k: v for k, v in entry[side].items() if v is not None}
+        with pytest.raises(SignatureError, match=re.escape(detail)):
+            validate_entry(entry)
+        report = verify_formula(formula_id, profile_a, 4, catalog=[entry])
+        assert report.status == "error"
+        assert report.detail.startswith(f"SignatureError: {detail}")
 
 
 class TestCollapseSuite:

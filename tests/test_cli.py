@@ -269,7 +269,10 @@ BAD_INPUTS = [
     (PHI1 + ("--x", "1e400"), {}, "DomainError"),
     (("eval", "phi1", "--x", "0.5", "--y", "0.1", "--alpha", "1e400",
       "--beta", "1/3", "--gamma", "5/4"), {}, "DomainError"),
-]
+] + [(("verify", "all"), {"HUMBERT_CATALOG": f"{{{name}}}"}, "SignatureError")
+     for name in ("prefactor_key", "function_key", "axis_z", "axis_bivariate",
+                  "sum_key", "inner_key", "factor_key", "ops_key", "step_key",
+                  "transform_name")]
 
 # inputs every report of a run refuses: exit 2, error reports on stdout
 BAD_REPORTS = [
@@ -288,6 +291,11 @@ _GENERIC_A = load_config()["profiles"]["generic-A"]
 def _ops_entry(step):
     return json.dumps([{**_ENTRY, "lhs": {
         "type": "ops", "ops": [step], "operand": _ENTRY["lhs"]}}])
+
+
+def _edited(side, **keys):
+    """The first catalog entry with keys added to (or replaced in) one side."""
+    return json.dumps([{**_ENTRY, side: {**_ENTRY[side], **keys}}])
 
 
 BAD_FILES = {
@@ -316,6 +324,19 @@ BAD_FILES = {
     "ops_number": _ops_entry({**_OP, "a": 1}),
     "ops_no_operand": json.dumps(
         [{**_ENTRY, "lhs": {"type": "ops", "ops": [_OP]}}]),
+    "prefactor_key": _edited("lhs", prefactor={"pow_one_minus_y": "beta"}),
+    "function_key": _edited("lhs", transfrom_x="negate"),
+    "axis_z": _edited("lhs", axis="z"),
+    "axis_bivariate": _edited("lhs", axis="y"),
+    "sum_key": _edited("rhs", sgn="(-1)^i"),
+    "inner_key": _edited(
+        "rhs", inner={**_ENTRY["rhs"]["inner"], "transfrom_y": "negate"}),
+    "factor_key": _edited(
+        "rhs", num=[{**f, "power": 2} for f in _ENTRY["rhs"]["num"]]),
+    "ops_key": json.dumps([{**_ENTRY, "lhs": {
+        "type": "ops", "ops": [], "operand": _ENTRY["lhs"], "note": ""}}]),
+    "step_key": _ops_entry({**_OP, "repeat": 2}),
+    "transform_name": _edited("lhs", transform_x="invert"),
     "alpha_float": json.dumps(
         {"profiles": {"generic-A": {**_GENERIC_A, "alpha": 0.5}}}),
     "alpha_huge": json.dumps(

@@ -30,8 +30,6 @@ from humbert.series import (
     FunctionRef,
     TruncatedBiseries,
     coefficient_rule,
-    compose,
-    elementary_series,
     eval_double_series,
     eval_single_series,
     graded_indices,
@@ -270,27 +268,79 @@ class TestTruncatedSeries:
         assert s.coeff(2, 0) == 0
 
 
+def compose_oracle(s, tx, ty):
+    """s(X, Y) for the named transforms, by Horner over the triangle with
+    one full truncated product per coefficient: the generic composition,
+    the reference for the closed form of substitute_args."""
+    N = s.degree
+    x_images = {
+        "identity": lambda m, n: F(m == 1 and n == 0),
+        "negate": lambda m, n: -F(m == 1 and n == 0),
+        "moebius_x": lambda m, n: -F(m >= 1 and n == 0),  # -(x + x^2 + ...)
+    }
+    y_images = {
+        "identity": lambda m, n: F(m == 0 and n == 1),
+        "negate": lambda m, n: -F(m == 0 and n == 1),
+        "scale_by_geometric": lambda m, n: F(n == 1),  # y (1 + x + ...)
+    }
+    sx = TruncatedBiseries.from_function(N, x_images[tx])
+    sy = TruncatedBiseries.from_function(N, y_images[ty])
+    acc = TruncatedBiseries.zero(N)
+    for m in range(N, -1, -1):
+        row = TruncatedBiseries.zero(N)
+        for n in range(N - m, -1, -1):
+            row = row * sy + TruncatedBiseries.monomial(N, 0, 0, s.coeff(m, n))
+        acc = acc * sx + row
+    return acc
+
+
+def prefactor_oracle(N, p=F(0), c=F(0)):
+    """(1-x)^p e^(c y) as the product of its two series, each coefficient a
+    direct pochhammer product or power."""
+    binomial = TruncatedBiseries.from_function(
+        N, lambda m, n: P(-p, m) / fact(m) if n == 0 else F(0))
+    exp = TruncatedBiseries.from_function(
+        N, lambda m, n: c ** n / fact(n) if m == 0 else F(0))
+    return binomial * exp
+
+
+PREFACTOR_CASES = {
+    "none": {},
+    "p": {"pow_one_minus_x": F(-2, 3)},
+    "c": {"exp_y": F(3, 5)},
+    "both": {"pow_one_minus_x": F(5, 7), "exp_y": F(-1, 4)},
+}
+
+
 class TestElementary:
+    # the elementary factors are the prefactors of substitute_args
     def test_geometric_series(self):
-        s = elementary_series("binomial_x", -1, 3)
+        s = substitute_args(TruncatedBiseries.one(3), "identity", "identity",
+                            pow_one_minus_x=-1)
         assert s == poly(3, [(0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 0, 1)])
 
     def test_binomial_exponent(self):
-        s = elementary_series("binomial_x", F(-1, 2), 4)
+        s = substitute_args(TruncatedBiseries.one(4), "identity", "identity",
+                            pow_one_minus_x=F(-1, 2))
         # (1-x)^(-1/2) = 1 + x/2 + 3x^2/8 + 5x^3/16 + 35x^4/128
         assert [s.coeff(m, 0) for m in range(5)] == [
             F(1), F(1, 2), F(3, 8), F(5, 16), F(35, 128)
         ]
 
     def test_exp_scaled(self):
-        s = elementary_series("exp_y_scaled", F(2, 3), 3)
+        s = substitute_args(TruncatedBiseries.one(3), "identity", "identity",
+                            exp_y=F(2, 3))
         assert s.coeff(0, 2) == F(2, 9)
         assert s.coeff(0, 3) == F(4, 81)
         assert s.coeff(1, 0) == 0
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            elementary_series("log_x", 1, 3)
+        # an elementary factor outside series.PREFACTORS is refused
+        from humbert.expressions import expression_symbols
+
+        with pytest.raises(SignatureError, match="prefactor has unknown keys"):
+            expression_symbols({"type": "function", "kind": None,
+                                "prefactor": {"log_x": "1"}})
 
 
 class TestSubstitution:
@@ -300,6 +350,36 @@ class TestSubstitution:
             substitute_args(s, "scale_by_geometric", "identity")
         with pytest.raises(UnsupportedTransform):
             substitute_args(s, "identity", "moebius_x")
+
+    @pytest.mark.parametrize("pre", PREFACTOR_CASES)
+    @pytest.mark.parametrize("ty", series.Y_TRANSFORMS)
+    @pytest.mark.parametrize("tx", series.X_TRANSFORMS)
+    def test_closed_form_matches_composition(self, tx, ty, pre):
+        N = 8
+        s = truncated_series(FunctionRef("Psi1", REFERENCE_PARAMS["Psi1"]), N)
+        got = substitute_args(s, tx, ty, **PREFACTOR_CASES[pre])
+        oracle = compose_oracle(s, tx, ty)
+        assert got == oracle * prefactor_oracle(N, **{
+            {"pow_one_minus_x": "p", "exp_y": "c"}[key]: value
+            for key, value in PREFACTOR_CASES[pre].items()})
+        if tx == ty == "identity" and pre == "none":
+            assert got is s
+
+    def test_float_parameters_match_the_oracle(self):
+        from humbert.expressions import assemble_expression
+
+        params = {"alpha": 0.37, "beta": 1.21, "gamma1": 0.83, "gamma2": 1.64}
+        term = {"type": "function", "kind": "Psi1",
+                "params": {k: k for k in params},
+                "transform_x": "moebius_x", "transform_y": "scale_by_geometric",
+                "prefactor": {"pow_one_minus_x": "-beta", "exp_y": "alpha"}}
+        N = 8
+        got = assemble_expression(term, params, N)
+        want = compose_oracle(truncated_series(FunctionRef("Psi1", params), N),
+                              "moebius_x", "scale_by_geometric") \
+            * prefactor_oracle(N, -params["beta"], params["alpha"])
+        for m, n in graded_indices(N):
+            assert got.coeff(m, n) == pytest.approx(want.coeff(m, n), rel=1e-13)
 
     def test_negate_is_involutive(self):
         ref = FunctionRef("Phi2", REFERENCE_PARAMS["Phi2"])
@@ -315,9 +395,7 @@ class TestSubstitution:
         inner = single_series_on_axis(
             FunctionRef("Gauss2F1", {"alpha": a, "beta": c - b, "gamma": c}), N, "x"
         )
-        lhs = elementary_series("binomial_x", -a, N) * substitute_args(
-            inner, "moebius_x", "identity"
-        )
+        lhs = substitute_args(inner, "moebius_x", "identity", pow_one_minus_x=-a)
         rhs = single_series_on_axis(
             FunctionRef("Gauss2F1", {"alpha": a, "beta": b, "gamma": c}), N, "x"
         )
@@ -330,12 +408,6 @@ class TestSubstitution:
         for m in range(4):
             assert out.coeff(m, 1) == 1
         assert out.coeff(0, 2) == 0
-
-    def test_compose_requires_origin_fixed(self):
-        s = TruncatedBiseries.one(2)
-        shifted = poly(2, [(0, 0, 1), (1, 0, 1)])
-        with pytest.raises(UnsupportedTransform):
-            compose(s, shifted, TruncatedBiseries.monomial(2, 0, 1))
 
 
 class TestEvalDoubleSeries:
