@@ -38,17 +38,18 @@ def catalog_path() -> Path:
     return DATA_DIR / "decompositions.json"
 
 
-def validate_entry(entry: dict) -> None:
+def _check_fields(entry: dict) -> None:
     if not isinstance(entry, dict):
         raise SignatureError(f"catalog entry must be an object, got {entry!r}")
     missing = [f for f in _REQUIRED_FIELDS if f not in entry]
     if missing:
         raise SignatureError(f"catalog entry missing fields {missing}")
-    for side in ("lhs", "rhs"):
-        if not isinstance(entry[side], dict):
-            raise SignatureError(
-                f"entry {entry['id']}: {side} must be an object"
-            )
+
+
+def validate_entry(entry: dict) -> None:
+    """Refuse an entry without its fields, with a malformed side, or whose
+    `symbols` field differs from the symbols its sides bind."""
+    _check_fields(entry)
     computed = sorted(
         expression_symbols(entry["lhs"]) | expression_symbols(entry["rhs"])
     )
@@ -104,23 +105,24 @@ def get_formula(formula_id: str, catalog: list[dict] | None = None) -> dict:
 
 
 def _verify_entry(
-    entry: dict, params: dict, degree: int, variant: str,
-    outer_bound: int | None = None,
+    entry: dict, params: dict, degree: int, variant: str
 ) -> VerificationReport:
-    """Exact report of lhs == rhs on degree-`degree` triangles.  A
-    malformed entry is an error (a caller-supplied catalog has not been
-    through `load_catalog`), and so is a parameter that is not an exact
-    rational, since float coefficients cannot be compared exactly."""
+    """Exact report of lhs == rhs on degree-`degree` triangles.  An entry
+    without its fields or with a malformed side is an error (a
+    caller-supplied catalog has not been through `load_catalog`;
+    `assemble_expression` validates each side), and so is a parameter that
+    is not an exact rational, since float coefficients cannot be compared
+    exactly."""
     settings = {"N": degree, "variant": variant}
     start = time.perf_counter()
     try:
-        validate_entry(entry)
+        _check_fields(entry)
         for sym, value in params.items():
             if not is_exact(as_scalar(value)):
                 raise SignatureError(
                     f"parameter {sym!r} = {value!r} is not an exact rational")
-        lhs = assemble_expression(entry["lhs"], params, degree, outer_bound)
-        rhs = assemble_expression(entry["rhs"], params, degree, outer_bound)
+        lhs = assemble_expression(entry["lhs"], params, degree)
+        rhs = assemble_expression(entry["rhs"], params, degree)
     except HumbertError as exc:
         return VerificationReport(
             target=entry["id"], mode="exact", status="error",
@@ -151,11 +153,10 @@ def verify_formula(
     params: dict,
     degree: int = 8,
     catalog: list[dict] | None = None,
-    outer_bound: int | None = None,
 ) -> VerificationReport:
     """Exact coefficientwise comparison of one catalog entry's two sides."""
     entry = get_formula(formula_id, catalog)
-    return _verify_entry(entry, params, degree, "as-printed", outer_bound)
+    return _verify_entry(entry, params, degree, "as-printed")
 
 
 def verify_all(

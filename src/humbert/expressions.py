@@ -54,6 +54,7 @@ _TOKEN = re.compile(r"\s*([+-]|[A-Za-z][A-Za-z0-9]*|\d+)")
 SIGNS = ("+1", "(-1)^i", "(-1)^(i+j)")
 INDEX_EXPRS = ("i", "j", "i+j")
 WEIGHTS = ("xy", "x", "y")
+INDICES = ("ij", "i")
 
 
 @lru_cache(maxsize=None)
@@ -114,23 +115,19 @@ def eval_affine(expr, env: dict) -> Scalar:
 
 
 def _index_value(index_expr: str, i: int, j: int) -> int:
+    """Value of one of INDEX_EXPRS at (i, j)."""
     if index_expr == "i":
         return i
     if index_expr == "j":
         return j
-    if index_expr == "i+j":
-        return i + j
-    raise SignatureError(f"index expression must be one of {INDEX_EXPRS}")
+    return i + j
 
 
 def _sign_value(sign: str, i: int, j: int) -> int:
+    """Value of one of SIGNS at (i, j)."""
     if sign == "+1":
         return 1
-    if sign == "(-1)^i":
-        return -1 if i % 2 else 1
-    if sign == "(-1)^(i+j)":
-        return -1 if (i + j) % 2 else 1
-    raise SignatureError(f"sign rule must be one of {SIGNS}")
+    return -1 if (i if sign == "(-1)^i" else i + j) % 2 else 1
 
 
 def _assemble_function_term(
@@ -138,8 +135,6 @@ def _assemble_function_term(
 ) -> TruncatedBiseries:
     kind = term.get("kind")
     if kind is not None:
-        if kind not in KINDS:
-            raise SignatureError(f"unknown kind {kind!r}")
         params = {
             slot: eval_affine(expr, env) for slot, expr in term["params"].items()
         }
@@ -207,17 +202,14 @@ def _convolution_plan(e: dict, env: dict, indices: str, weight: str):
 
     Only exact parameters and a plain bivariate inner kind qualify, and no
     inner base value may be a non-positive integer (1/(b)_s would divide
-    by zero); an inner term the per-term loop would reject (bad kind,
-    slots or symbols) also goes there, so its error is raised as before.
+    by zero); an inner term the per-term loop would reject (wrong slots or
+    unbound symbols) also goes there, so its error is raised as before.
     """
-    inner = e.get("inner")
-    if not isinstance(inner, dict) or not set(inner) <= {"kind", "params"}:
+    inner = e["inner"]
+    info, params = KINDS.get(inner["kind"]), inner["params"]
+    if not (set(inner) <= {"kind", "params"} and info is not None
+            and info.bivariate):
         return None
-    kind, params = inner.get("kind"), inner.get("params")
-    if not (isinstance(kind, str) and kind in KINDS and KINDS[kind].bivariate
-            and isinstance(params, dict)):
-        return None
-    info = KINDS[kind]
     if set(params) != set(info.slots) or not all(map(is_exact, env.values())):
         return None
     units = [(1, 0), (0, 1)] if indices == "ij" else [(1, 0)]
@@ -259,18 +251,14 @@ def _assemble_sum(e: dict, env: dict, degree: int, outer_bound: int
     """
     indices = e.get("indices", "ij")
     weight = e.get("weight", "xy")
-    if weight not in WEIGHTS:
-        raise SignatureError(f"weight must be one of {WEIGHTS}")
     if indices == "ij":
         pairs = [
             (i, j)
             for i in range(outer_bound + 1)
             for j in range(outer_bound + 1 - i)
         ]
-    elif indices == "i":
-        pairs = [(i, 0) for i in range(outer_bound + 1)]
     else:
-        raise SignatureError(f"indices must be 'ij' or 'i', not {indices!r}")
+        pairs = [(i, 0) for i in range(outer_bound + 1)]
     tables: dict = {}
 
     def tables_for(a: Scalar) -> list[Scalar]:
@@ -368,10 +356,14 @@ def assemble_expression(
 ) -> TruncatedBiseries:
     """Build the exact degree-`degree` triangle of a declarative expression.
 
-    For sums the outer summation runs to `outer_bound` (default: `degree`);
-    terms beyond the degree bound cannot touch the triangle because of the
-    monomial weight, so any outer_bound >= degree yields the same triangle.
+    The expression is validated first (`expression_symbols`), so a node
+    outside its schema raises SignatureError instead of assembling as some
+    other formula.  For sums the outer summation runs to `outer_bound`
+    (default: `degree`); terms beyond the degree bound cannot touch the
+    triangle because of the monomial weight, so any outer_bound >= degree
+    yields the same triangle.
     """
+    expression_symbols(e)
     env = {k: as_scalar(v) for k, v in params.items()}
     return _assemble(e, env, degree,
                      degree if outer_bound is None else outer_bound)
@@ -379,33 +371,32 @@ def assemble_expression(
 
 def _assemble(e: dict, env: dict, degree: int, outer_bound: int
               ) -> TruncatedBiseries:
-    etype = e.get("type")
+    etype = e["type"]
     if etype == "function":
         return _assemble_function_term(e, env, degree)
     if etype == "sum":
         return _assemble_sum(e, env, degree, outer_bound)
-    if etype == "ops":
-        series = _assemble(e["operand"], env, degree, outer_bound)
-        for step in e["ops"]:
-            apply, axis, a, b = _operator(step)
-            series = apply(series, eval_affine(a, env), eval_affine(b, env),
-                           axis=axis)
-        return series
-    raise SignatureError(f"unknown expression type {etype!r}")
+    series = _assemble(e["operand"], env, degree, outer_bound)
+    for step in e["ops"]:
+        series = _OPERATORS[step["op"]](
+            series, eval_affine(step["a"], env), eval_affine(step["b"], env),
+            axis=step["axis"])
+    return series
 
 
 _OPERATORS = {"H": apply_H, "Hbar": apply_H_bar}
 
 
-def _operator(step) -> tuple:
-    """(operator function, axis, a, b) of one step of an ops node."""
+def _check_step(step) -> None:
+    """Refuse an ops step that is not {op, axis, a, b} with op H or Hbar,
+    axis in AXES and string a and b."""
     if not isinstance(step, dict) or step.get("op") not in _OPERATORS:
         raise SignatureError(f"ops step needs op H or Hbar, got {step!r}")
     if step.get("axis") not in AXES:
         raise SignatureError(f"ops step axis must be one of {AXES}: {step!r}")
     if not (isinstance(step.get("a"), str) and isinstance(step.get("b"), str)):
         raise SignatureError(f"ops step a and b must be strings: {step!r}")
-    return _OPERATORS[step["op"]], step["axis"], step["a"], step["b"]
+    _check_keys(step, ("op", "axis", "a", "b"), "ops step")
 
 
 _FUNCTION_KEYS = ("kind", "params", "axis", "transform_x", "transform_y",
@@ -427,8 +418,11 @@ def _function_symbols(e: dict, what: str) -> set[str]:
     """Symbols of a function node or a sum's inner term, after checking
     its params, axis, transforms and prefactor."""
     kind = e.get("kind")
-    if kind is not None and not isinstance(e.get("params"), dict):
-        raise SignatureError("a function with a kind needs object params")
+    if kind is not None:
+        if not (isinstance(kind, str) and kind in KINDS):
+            raise SignatureError(f"unknown kind {kind!r}")
+        if not isinstance(e.get("params"), dict):
+            raise SignatureError("a function with a kind needs object params")
     if "axis" in e and not (kind in SINGLE_KINDS and e["axis"] in ("x", "y")):
         raise SignatureError(f"{what} axis must be 'x' or 'y', on a "
                              f"single-variable kind, not {e['axis']!r} on {kind}")
@@ -452,12 +446,16 @@ def expression_symbols(e: dict) -> set[str]:
     """All parameter symbols an expression needs bound (index names
     excluded).  Walks every node, so a malformed one raises SignatureError:
     a node, sum factor, ops step or prefactor may hold only its schema's
-    keys; a function's `params` (required with a kind) and `prefactor` must
-    be objects, its transforms named in series.X_TRANSFORMS / Y_TRANSFORMS,
-    and an `axis` x or y on a single-variable kind; a sum's `inner` is such
-    a function without a type, and its `num` / `den` lists of {param, index}
-    objects; an ops node needs a list of {op, axis, a, b} steps (op H or
-    Hbar, axis in AXES, string a and b) and an operand object."""
+    keys; a function's `kind` is one of series.KINDS, its `params`
+    (required with a kind) and `prefactor` must be objects, its transforms
+    named in series.X_TRANSFORMS / Y_TRANSFORMS, and an `axis` x or y on a
+    single-variable kind; a sum's `sign`, `indices` and `weight` are one of
+    SIGNS, INDICES and WEIGHTS, its `inner` such a function without a type,
+    and its `num` / `den` lists of {param, index} objects with an index in
+    INDEX_EXPRS; an ops node needs a list of {op, axis, a, b} steps (op H
+    or Hbar, axis in AXES, string a and b) and an operand object."""
+    if not isinstance(e, dict):
+        raise SignatureError(f"an expression must be an object, not {e!r}")
     out: set[str] = set()
     etype = e.get("type")
     if not (isinstance(etype, str) and etype in _NODE_KEYS):
@@ -466,6 +464,12 @@ def expression_symbols(e: dict) -> set[str]:
     if etype == "function":
         out |= _function_symbols(e, "function")
     elif etype == "sum":
+        for key, allowed, default in (("sign", SIGNS, "+1"),
+                                      ("indices", INDICES, "ij"),
+                                      ("weight", WEIGHTS, "xy")):
+            if e.get(key, default) not in allowed:
+                raise SignatureError(f"sum {key} must be one of {allowed}, "
+                                     f"not {e[key]!r}")
         for key in ("num", "den"):
             factors = e.get(key, [])
             if not isinstance(factors, list) or not all(
@@ -474,6 +478,10 @@ def expression_symbols(e: dict) -> set[str]:
                 raise SignatureError(
                     f"sum {key} must be a list of {{param, index}} objects")
             for factor in factors:
+                if factor["index"] not in INDEX_EXPRS:
+                    raise SignatureError(
+                        f"sum {key} index must be one of {INDEX_EXPRS}, "
+                        f"not {factor['index']!r}")
                 out |= affine_symbols(str(factor["param"]))
         inner = e.get("inner")
         if not (isinstance(inner, dict) and "kind" in inner
@@ -487,8 +495,7 @@ def expression_symbols(e: dict) -> set[str]:
         if not (isinstance(steps, list) and isinstance(operand, dict)):
             raise SignatureError("ops node needs a list ops and an operand object")
         for step in steps:
-            _, _, a, b = _operator(step)
-            _check_keys(step, ("op", "axis", "a", "b"), "ops step")
-            out |= affine_symbols(a) | affine_symbols(b)
+            _check_step(step)
+            out |= affine_symbols(step["a"]) | affine_symbols(step["b"])
         out |= expression_symbols(operand)
     return out - set(INDEX_SYMBOLS)

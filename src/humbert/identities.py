@@ -18,7 +18,7 @@ from .errors import UnknownIdentity
 from .operators import delta_pochhammer_action
 from .reports import VerificationReport
 from .scalars import as_scalar, format_scalar, pochhammer
-from .series import FunctionRef, TruncatedBiseries, coefficient_rule, truncated_series
+from .series import FunctionRef, TruncatedBiseries, truncated_series
 
 # id -> catalog entry, in 2.1 ... 2.35 order
 IDENTITIES: dict[str, dict] = {
@@ -70,11 +70,7 @@ def check_phi1_shift(params: dict, degree: int, i: int, j: int
         "Phi1",
         {"alpha": eps + i + j, "beta": beta + i, "gamma": gamma + i + j},
     )
-    rhs = TruncatedBiseries.from_function(
-        degree,
-        lambda m, n: factor * coefficient_rule(shifted_ref, m - i, n - j)
-        if m >= i and n >= j else Fraction(0),
-    )
+    rhs = truncated_series(shifted_ref, degree).shifted(i, j).scale(factor)
     mismatch = lhs.first_mismatch(rhs)
     if mismatch is None:
         return None

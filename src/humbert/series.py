@@ -10,6 +10,7 @@ x disk, row by row as one NumPy array recurrence.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -243,8 +244,13 @@ class KindInfo:
     "n"; every kind also divides by m! n!, which the signature leaves out.
     Single-variable kinds index by "m" alone.  The signature is the only
     statement of the coefficients, exact and float: the term ratios
-    `ratio_x` = c_{m+1,n}/c_{m,n} and `ratio_y` = c_{m,n+1}/c_{m,n}, which
-    the float summation steps with, are generated from it once per kind.
+    `ratio_x` = c_{m+1,n}/c_{m,n} and `ratio_y` = c_{m,n+1}/c_{m,n} are
+    generated from it once per kind, and the exact triangles
+    (`truncated_series`), the float sums and the row route's ratio bounds
+    all step with them.  So `_step_factors` is the one interpreter of the
+    signature's index strings for the coefficients; only the sum
+    convolution (`expressions._convolution_plan`) also reads them, to
+    split a catalog sum's inner signature.
     """
 
     name: str
@@ -431,50 +437,46 @@ def in_domain(ref: FunctionRef, x: float, y: float) -> bool:
     return True
 
 
-def _coefficient(info: KindInfo, poch: Callable[[str, int], Scalar],
-                 m: int, n: int) -> Scalar:
-    """c_{m,n} read off the kind's signature; poch(slot, k) is the
-    Pochhammer symbol (a)_k of the slot's value a."""
-    at = {"m+n": m + n, "m": m, "n": n}
-    num: Scalar = ONE
-    for slot, index in info.num:
-        num *= poch(slot, at[index])
-    den: Scalar = ONE
-    for slot, index in info.den:
-        den *= poch(slot, at[index])
-    return num / (den * _fact(m) * _fact(n))
+def _column(ref: FunctionRef, degree: int) -> list[Scalar]:
+    """c_{m,0}, m = 0..degree, stepped down column 0 with ratio_x.
 
-
-def _table_rule(ref: FunctionRef, degree: int) -> Callable[[int, int], Scalar]:
-    """c_{m,n} for m+n <= degree, from per-slot Pochhammer prefix tables."""
-    tables = {slot: pochhammer_table(value, degree)
-              for slot, value in ref.params.items()}
-    info = ref.info
-
-    def poch(slot: str, k: int) -> Scalar:
-        return tables[slot][k]
-
-    return lambda m, n: _coefficient(info, poch, m, n)
-
-
-def coefficient_rule(ref: FunctionRef, m: int, n: int) -> Scalar:
-    """Exact series coefficient of x^m y^n for the given kind."""
-    if m < 0 or n < 0:
-        raise ValueError("indices must be non-negative")
-    info = ref.info
-    if not info.bivariate and n != 0:
-        raise SignatureError(f"{ref.kind} is single-variable; coefficient needs n = 0")
-    return _coefficient(info, lambda slot, k: pochhammer(ref.params[slot], k), m, n)
+    c_{0,0} is the product of every slot's (a)_0: 1 in the parameters'
+    field, a Fraction when all are exact and a float otherwise.
+    """
+    p, ratio_x = ref.params, ref.info.ratio_x
+    c = math.prod([pochhammer(a, 0) for a in p.values()], start=ONE)
+    column = [c]
+    for m in range(degree):
+        c = c * ratio_x(p, m, 0)
+        column.append(c)
+    return column
 
 
 def truncated_series(ref: FunctionRef, degree: int) -> TruncatedBiseries:
-    """Exact triangle of the kind's series to total degree <= degree."""
-    rule = _table_rule(ref, degree)
-    if ref.info.bivariate:
-        return TruncatedBiseries.from_function(degree, rule)
-    return TruncatedBiseries.from_function(
-        degree, lambda m, n: rule(m, 0) if n == 0 else ZERO
-    )
+    """Triangle of the kind's series to total degree <= degree, exact for
+    exact parameters.
+
+    Every cell is stepped from its neighbour with the kind's term ratios:
+    c_{m+1,0} = c_{m,0} ratio_x(p, m, 0) down column 0, then
+    c_{m,n+1} = c_{m,n} ratio_y(p, m, n) along each row.  No step divides
+    by zero, since FunctionRef refuses a denominator slot at a non-positive
+    integer; a numerator factor that reaches 0 zeroes the rest of its row
+    or column, as (a)_k does.  A single-variable kind fills column 0 only.
+    """
+    column = _column(ref, degree)
+    info, p = ref.info, ref.params
+    if not info.bivariate:
+        return TruncatedBiseries(
+            degree, [[c] + [ZERO] * (degree - m) for m, c in enumerate(column)])
+    ratio_y = info.ratio_y
+    rows = []
+    for m, c in enumerate(column):
+        row = [c]
+        for n in range(degree - m):
+            c = c * ratio_y(p, m, n)
+            row.append(c)
+        rows.append(row)
+    return TruncatedBiseries(degree, rows)
 
 
 def single_series_on_axis(
@@ -487,10 +489,8 @@ def single_series_on_axis(
         raise ValueError("axis must be 'x' or 'y'")
     if axis == "x":
         return truncated_series(ref, degree)
-    rule = _table_rule(ref, degree)
-    return TruncatedBiseries.from_function(
-        degree, lambda m, n: rule(n, 0) if m == 0 else ZERO
-    )
+    return TruncatedBiseries(degree, [_column(ref, degree)] + [
+        [ZERO] * (degree + 1 - m) for m in range(1, degree + 1)])
 
 
 # --- argument transforms and prefactors -------------------------------------
@@ -570,35 +570,21 @@ def next_diagonal(
 ROW_ROUTE_X = 0.75  # |x| from which the x-restricted kinds are summed by rows
 
 
-class SeriesDiag:
+class SeriesDiag(namedtuple("SeriesDiag",
+                             ("diagonals", "last_diagonal", "est_error"))):
     """How a double series was summed: the highest diagonal m+n summed, the
     magnitude of what was left out (the last diagonal's on the diagonal
     route, the tail bounds on the row route) and the error estimate.
 
     Read-only, and read by field name as the dict it replaces was:
-    diag["est_error"].  Written out rather than as a slotted dataclass,
-    whose class creation alone adds about 3 ms to `import humbert`.
+    diag["est_error"].  A namedtuple, not a slotted dataclass, whose class
+    creation alone adds about 3 ms to `import humbert`.
     """
 
-    __slots__ = ("diagonals", "last_diagonal", "est_error")
-
-    def __init__(self, diagonals: int, last_diagonal: float, est_error: float):
-        object.__setattr__(self, "diagonals", diagonals)
-        object.__setattr__(self, "last_diagonal", last_diagonal)
-        object.__setattr__(self, "est_error", est_error)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesDiag is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError("SeriesDiag is read-only")
+    __slots__ = ()
 
     def __getitem__(self, key: str):
         return getattr(self, key)
-
-    def __repr__(self):
-        return (f"SeriesDiag(diagonals={self.diagonals}, last_diagonal="
-                f"{self.last_diagonal!r}, est_error={self.est_error!r})")
 
 
 def eval_double_series(

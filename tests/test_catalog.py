@@ -137,16 +137,30 @@ class TestVerification:
          "function transform_x must be one of"),
         ("2.39", "rhs", {"transform_y": "moebius_x"},
          "function transform_y must be one of"),
+        ("2.36", "lhs", {"axis": "y"}, "function axis must be 'x' or 'y'"),
+        ("2.55", "lhs", {"axis": "z"}, "function axis must be 'x' or 'y'"),
+        ("2.36", "lhs", {"kind": "Phi9"}, "unknown kind 'Phi9'"),
+        ("2.37", "rhs", {"sign": "(-1)^j"}, "sum sign must be one of"),
+        ("2.37", "rhs", {"indices": "j"}, "sum indices must be one of"),
+        ("2.37", "rhs", {"weight": "yx"}, "sum weight must be one of"),
+        ("2.37", "rhs", {"num": [{"param": "alpha - eps", "index": "j+i"}]},
+         "sum num index must be one of"),
     ], ids=["prefactor-key", "function-key", "axis-z", "axis-on-bivariate",
-            "sum-key", "x-transform-name", "y-transform-name"])
+            "sum-key", "x-transform-name", "y-transform-name",
+            "axis-y-on-bivariate", "axis-z-on-single", "unknown-kind",
+            "sum-sign", "sum-indices", "sum-weight", "sum-factor-index"])
     def test_node_outside_its_schema_is_refused(
             self, catalog, profile_a, formula_id, side, edit, detail):
-        # each edit states a formula other than the one the node computes
+        # each edit states a formula other than the one the node computes;
+        # the catalog's validator, the verifier and the assembler called
+        # directly all refuse it
         entry = copy.deepcopy(get_formula(formula_id, catalog))
         entry[side].update(edit)
         entry[side] = {k: v for k, v in entry[side].items() if v is not None}
         with pytest.raises(SignatureError, match=re.escape(detail)):
             validate_entry(entry)
+        with pytest.raises(SignatureError, match=re.escape(detail)):
+            assemble_expression(entry[side], profile_a, 4)
         report = verify_formula(formula_id, profile_a, 4, catalog=[entry])
         assert report.status == "error"
         assert report.detail.startswith(f"SignatureError: {detail}")

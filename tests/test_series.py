@@ -29,7 +29,6 @@ from humbert.series import (
     ROW_ROUTE_X,
     FunctionRef,
     TruncatedBiseries,
-    coefficient_rule,
     eval_double_series,
     eval_single_series,
     graded_indices,
@@ -138,21 +137,26 @@ class TestFunctionRef:
         assert ref.params["alpha"] == F(1, 3)
 
 
+def coefficient(ref, m, n):
+    """c_{m,n} of the kind's triangle of degree m + n."""
+    return truncated_series(ref, m + n).coeff(m, n)
+
+
 class TestCoefficientRule:
     def test_phi1_basic(self):
         ref = FunctionRef("Phi1", {"alpha": 1, "beta": 1, "gamma": 2})
-        assert coefficient_rule(ref, 1, 1) == F(1, 3)
-        assert coefficient_rule(ref, 0, 0) == 1
+        assert coefficient(ref, 1, 1) == F(1, 3)
+        assert coefficient(ref, 0, 0) == 1
 
     def test_each_kind_at_origin(self):
         for kind, params in REFERENCE_PARAMS.items():
-            assert coefficient_rule(FunctionRef(kind, params), 0, 0) == 1
+            assert coefficient(FunctionRef(kind, params), 0, 0) == 1
 
     def test_single_variable_needs_n_zero(self):
+        # a single-variable kind's triangle is zero off column 0
         ref = FunctionRef("Kummer1F1", {"alpha": 1, "gamma": 2})
-        assert coefficient_rule(ref, 3, 0) == F(1, 24)
-        with pytest.raises(SignatureError):
-            coefficient_rule(ref, 1, 1)
+        assert coefficient(ref, 3, 0) == F(1, 24)
+        assert coefficient(ref, 1, 1) == 0
 
     def test_restrictions_to_axes(self):
         # Setting one variable to zero reduces each kind to its classical
@@ -174,7 +178,7 @@ class TestCoefficientRule:
             sref = FunctionRef(skind, sparams)
             for k in range(11):
                 mn = (k, 0) if axis == "x" else (0, k)
-                assert coefficient_rule(ref, *mn) == coefficient_rule(sref, k, 0), (
+                assert coefficient(ref, *mn) == coefficient(sref, k, 0), (
                     kind,
                     k,
                 )
@@ -228,13 +232,28 @@ POCHHAMMER_ORACLE = {
 class TestSignatures:
     @pytest.mark.parametrize("kind", sorted(POCHHAMMER_ORACLE))
     def test_triangle_matches_pochhammer_oracle(self, kind):
-        params = ALL_PARAMS[kind]
-        s = truncated_series(FunctionRef(kind, params), 6)
-        bivariate = kind in BIVARIATE_KINDS
-        for m, n in graded_indices(6):
-            want = POCHHAMMER_ORACLE[kind](params, m, n) if bivariate or n == 0 \
-                else 0
-            assert s.coeff(m, n) == want, (kind, m, n)
+        # at the reference parameters and with each numerator slot in turn
+        # at 0, -1 and -3, where (a)_k vanishes from k = 1 - a on; a
+        # single-variable kind on both axes
+        N = 8
+        numerator_slots = dict.fromkeys(
+            slot for slot, _ in series.KINDS[kind].num)
+        cases = [ALL_PARAMS[kind]] + [
+            {**ALL_PARAMS[kind], slot: F(value)}
+            for slot in numerator_slots for value in (0, -1, -3)]
+        for params in cases:
+            ref = FunctionRef(kind, params)
+            if kind in BIVARIATE_KINDS:
+                triangles = {"xy": truncated_series(ref, N)}
+            else:
+                triangles = {axis: single_series_on_axis(ref, N, axis)
+                             for axis in ("x", "y")}
+            for axis, s in triangles.items():
+                for m, n in graded_indices(N):
+                    k, off = {"xy": (m, n), "x": (m, n), "y": (n, m)}[axis]
+                    want = POCHHAMMER_ORACLE[kind](params, k, off) \
+                        if axis == "xy" or off == 0 else 0
+                    assert s.coeff(m, n) == want, (params, axis, m, n)
 
     @pytest.mark.parametrize("kind", sorted(POCHHAMMER_ORACLE))
     def test_float_ratio_steps_follow_the_signature(self, kind):
@@ -254,17 +273,31 @@ class TestSignatures:
 
 
 class TestTruncatedSeries:
+    def test_float_parameters_track_the_exact_triangle(self):
+        # the float triangle steps the same ratios in doubles; against the
+        # exact triangle of the same (binary) parameter values it may only
+        # drift by the rounding of its steps
+        params = {"alpha": 0.37, "beta": 1.21, "gamma1": 0.83, "gamma2": 1.64}
+        N = 24
+        got = truncated_series(FunctionRef("Psi1", params), N)
+        exact = truncated_series(
+            FunctionRef("Psi1", {k: F(v) for k, v in params.items()}), N)
+        for m, n in graded_indices(N):
+            assert isinstance(got.coeff(m, n), float)
+            assert got.coeff(m, n) == pytest.approx(
+                float(exact.coeff(m, n)), rel=1e-13), (m, n)
+
     def test_matches_rule_everywhere(self):
         for kind, params in REFERENCE_PARAMS.items():
             ref = FunctionRef(kind, params)
             s = truncated_series(ref, 6)
             for m, n in graded_indices(6):
-                assert s.coeff(m, n) == coefficient_rule(ref, m, n)
+                assert s.coeff(m, n) == coefficient(ref, m, n)
 
     def test_single_kind_on_y_axis(self):
         ref = FunctionRef("Bessel0F1", {"gamma": F(5, 4)})
         s = single_series_on_axis(ref, 4, "y")
-        assert s.coeff(0, 2) == coefficient_rule(ref, 2, 0)
+        assert s.coeff(0, 2) == coefficient(ref, 2, 0)
         assert s.coeff(2, 0) == 0
 
 
