@@ -390,7 +390,8 @@ _OPERATORS = {"H": apply_H, "Hbar": apply_H_bar}
 def _check_step(step) -> None:
     """Refuse an ops step that is not {op, axis, a, b} with op H or Hbar,
     axis in AXES and string a and b."""
-    if not isinstance(step, dict) or step.get("op") not in _OPERATORS:
+    if not (isinstance(step, dict) and isinstance(step.get("op"), str)
+            and step["op"] in _OPERATORS):
         raise SignatureError(f"ops step needs op H or Hbar, got {step!r}")
     if step.get("axis") not in AXES:
         raise SignatureError(f"ops step axis must be one of {AXES}: {step!r}")

@@ -112,6 +112,9 @@ class TestVerification:
         ({"type": "ops", "ops": []}, "ops node needs a list ops"),
         ({"type": "function", "kind": "Phi1", "params": 5},
          "a function with a kind needs object params"),
+        ({"type": "ops", "operand": {"type": "function", "kind": None},
+          "ops": [{"op": ["H"], "axis": "xy", "a": "alpha", "b": "eps"}]},
+         "ops step needs op H or Hbar"),
     ])
     def test_malformed_caller_catalog_is_an_error_report(
             self, catalog, profile_a, rhs, detail):
