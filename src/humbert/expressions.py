@@ -7,9 +7,9 @@ shifted inner series), or an ops node (a chain of H / H_bar operators
 applied left to right to an operand expression).  One interpreter
 assembles any of them into an exact truncated triangle, so there is a
 single code path to trust and entries stay diffable.  A sum is
-assembled as one exact convolution of Pochhammer-table weights where its
-inner signature factors that way (see _convolution_plan), and term by term
-otherwise.
+assembled as one exact convolution of stepped Pochhammer signatures where
+its inner signature factors that way (see _convolution_plan), and term by
+term otherwise.
 
 Parameter expressions use a tiny affine language: sums of signed symbols
 and integer constants, e.g. "eps - alpha", "gamma + i + j", "1 - beta".
@@ -21,7 +21,6 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .errors import PoleError, SignatureError
 from .operators import AXES, apply_H, apply_H_bar
@@ -31,7 +30,6 @@ from .scalars import (
     as_scalar,
     is_exact,
     is_nonpositive_integer,
-    pochhammer_table,
 )
 from .series import (
     FunctionRef,
@@ -41,7 +39,9 @@ from .series import (
     X_TRANSFORMS,
     Y_TRANSFORMS,
     TruncatedBiseries,
+    _triangle_rows,
     single_series_on_axis,
+    step_signature,
     substitute_args,
     truncated_series,
 )
@@ -114,15 +114,6 @@ def eval_affine(expr, env: dict) -> Scalar:
     return total
 
 
-def _index_value(index_expr: str, i: int, j: int) -> int:
-    """Value of one of INDEX_EXPRS at (i, j)."""
-    if index_expr == "i":
-        return i
-    if index_expr == "j":
-        return j
-    return i + j
-
-
 def _sign_value(sign: str, i: int, j: int) -> int:
     """Value of one of SIGNS at (i, j)."""
     if sign == "+1":
@@ -152,37 +143,11 @@ def _assemble_function_term(
         **{key: eval_affine(pre[key], env) for key in PREFACTORS if key in pre})
 
 
-def _outer_coefficient(e: dict, env: dict, i: int, j: int,
-                       poch: Callable[[Scalar, int], Scalar]) -> Scalar:
-    """Signed Pochhammer weight of the (i, j) term; 0 skips the term."""
-
-    def factor_value(factor: dict) -> Scalar:
-        return poch(eval_affine(factor["param"], env),
-                    _index_value(factor["index"], i, j))
-
-    num = Fraction(_sign_value(e.get("sign", "+1"), i, j))
-    for factor in e.get("num", ()):
-        num *= factor_value(factor)
-        if num == 0:
-            return num
-    den: Scalar = Fraction(math.factorial(i) * math.factorial(j))
-    for factor in e.get("den", ()):
-        den *= factor_value(factor)
-    if den == 0:
-        raise PoleError(
-            f"denominator Pochhammer vanishes at (i, j) = ({i}, {j})"
-        )
-    return num / den
-
-
 def _sum_shift(weight: str, i: int, j: int) -> tuple[int, int]:
     """Powers (si, sj) of the monomial x^si y^sj that weights term (i, j)."""
     if weight == "xy":
         return i, j
     return (i, 0) if weight == "x" else (0, i)
-
-
-_AT = {"m+n": lambda m, n: m + n, "m": lambda m, n: m, "n": lambda m, n: n}
 
 
 def _convolution_plan(e: dict, env: dict, indices: str, weight: str):
@@ -197,8 +162,9 @@ def _convolution_plan(e: dict, env: dict, indices: str, weight: str):
     and (b)_{idx(M,N)} goes to the cell factor C, 1/(b)_s to the term
     weight (inverted for a denominator factor).  It is *unshifted* when
     s = 0: (b)_idx(m, n) stays in the kernel.  Both are linear in (i, j),
-    so checking them on unit steps checks every term.  Returns
-    (aligned, unshifted), lists of (b, index, in_num).
+    so checking them on unit steps checks every term.  Returns the base
+    values by slot and the (num, den) signatures, over the inner kind's
+    slots, of the kernel's unshifted and the cell's aligned factors.
 
     Only exact parameters and a plain bivariate inner kind qualify, and no
     inner base value may be a non-positive integer (1/(b)_s would divide
@@ -225,18 +191,38 @@ def _convolution_plan(e: dict, env: dict, indices: str, weight: str):
         step = dict(parse_affine(expr)[1]) if isinstance(expr, str) else {}
         slots[slot] = base, [step.get("i", 0) * i + step.get("j", 0) * j
                              for i, j in units]
-    aligned, unshifted = [], []
-    for factors, in_num in ((info.num, True), (info.den, False)):
+    unit_shifts = [_sum_shift(weight, i, j) for i, j in units]
+    kernel, cell = ([], []), ([], [])
+    for side, factors in enumerate((info.num, info.den)):
         for slot, index in factors:
-            base, shifts = slots[slot]
-            if shifts == [_AT[index](*_sum_shift(weight, i, j))
-                          for i, j in units]:
-                aligned.append((base, index, in_num))
+            shifts = slots[slot][1]
+            if shifts == [("m" in index) * si + ("n" in index) * sj
+                          for si, sj in unit_shifts]:
+                cell[side].append((slot, index))
             elif not any(shifts):
-                unshifted.append((base, index, in_num))
+                kernel[side].append((slot, index))
             else:
                 return None
-    return aligned, unshifted
+    return {slot: base for slot, (base, _) in slots.items()}, kernel, cell
+
+
+def _outer_terms(e: dict, env: dict, degree: int, outer_bound: int):
+    """(i, j, signed weight, si, sj) of every term that reaches the
+    triangle, in the outer loop's order.  The sum's num / den factors are
+    a signature in (i, j), read as (m, n), over their params' base values,
+    each evaluated once, and stepped with its pole rule (step_signature)."""
+    sign, weight = e.get("sign", "+1"), e.get("weight", "xy")
+    num, den = ([(f["param"], f["index"].replace("i", "m").replace("j", "n"))
+                 for f in e.get(key, ())] for key in ("num", "den"))
+    p = {param: eval_affine(param, env) for param, _ in num + den}
+    bivariate = e.get("indices", "ij") == "ij"
+    pairs = ((i, j) for i in range(outer_bound + 1)
+             for j in range(outer_bound + 1 - i if bivariate else 1))
+    for (i, j), a in zip(pairs, step_signature(num, den, p, outer_bound,
+                                               bivariate=bivariate)):
+        si, sj = _sum_shift(weight, i, j)
+        if a and si + sj <= degree:
+            yield i, j, _sign_value(sign, i, j) * a, si, sj
 
 
 def _assemble_sum(e: dict, env: dict, degree: int, outer_bound: int
@@ -245,92 +231,42 @@ def _assemble_sum(e: dict, env: dict, degree: int, outer_bound: int
     splits the inner signature, else by one inner triangle per term.
 
     Convolution: rhs(M, N) = C(M, N) * sum over terms of
-    A(i, j) * B(M - si, N - sj), with A the outer coefficient times the
-    aligned 1/(b)_s, B the unshifted factors over m! n!, and C the aligned
-    (b)_idx(M, N), all read from one Pochhammer table per base value.
+    A(i, j) * B(M - si, N - sj), with A the outer weight over the aligned
+    C(si, sj), B the unshifted factors over m! n!, and C the aligned
+    (b)_idx(M, N): B and C are signatures too, stepped as the outer
+    weight is.
     """
-    indices = e.get("indices", "ij")
-    weight = e.get("weight", "xy")
-    if indices == "ij":
-        pairs = [
-            (i, j)
-            for i in range(outer_bound + 1)
-            for j in range(outer_bound + 1 - i)
-        ]
-    else:
-        pairs = [(i, 0) for i in range(outer_bound + 1)]
-    tables: dict = {}
-
-    def tables_for(a: Scalar) -> list[Scalar]:
-        """Prefix table of (a)_k for k <= max(outer_bound, degree), one per
-        argument."""
-        key = (a, type(a))
-        if key not in tables:
-            tables[key] = pochhammer_table(a, max(outer_bound, degree))
-        return tables[key]
-
-    def poch(a: Scalar, k: int) -> Scalar:
-        return tables_for(a)[k]
-
-    def outer_terms():
-        """(i, j, env, coefficient, si, sj) of every term that reaches the
-        triangle, in the outer loop's order."""
-        for i, j in pairs:
-            env2 = dict(env)
-            env2["i"] = Fraction(i)
-            env2["j"] = Fraction(j)
-            coeff = _outer_coefficient(e, env2, i, j, poch)
-            if coeff == 0:
-                continue
-            si, sj = _sum_shift(weight, i, j)
-            if si + sj > degree:
-                continue
-            yield i, j, env2, coeff, si, sj
-
-    plan = _convolution_plan(e, env, indices, weight)
+    plan = _convolution_plan(e, env, e.get("indices", "ij"),
+                             e.get("weight", "xy"))
+    terms = _outer_terms(e, env, degree, outer_bound)
     if plan is None:
         def inner_terms():
-            for i, j, env2, coeff, si, sj in outer_terms():
+            for i, j, a, si, sj in terms:
                 # x^si y^sj pushes inner degrees above degree - si - sj out
                 # of the triangle, and no inner step reads a higher degree
                 # to build a lower one, so the inner term is assembled only
                 # that far.
+                env2 = {**env, "i": Fraction(i), "j": Fraction(j)}
                 try:
                     inner = _assemble_function_term(
                         e["inner"], env2, degree - si - sj)
                 except PoleError as exc:
                     raise PoleError(f"at (i, j) = ({i}, {j}): {exc}") from exc
-                yield coeff, si, sj, inner
+                yield a, si, sj, inner
 
         return TruncatedBiseries.shifted_sum(degree, inner_terms())
 
-    # each factor bound to its base value's table and its index rule
-    aligned, unshifted = (
-        [(tables_for(base), _AT[index], in_num)
-         for base, index, in_num in factors] for factors in plan)
-
-    def ratio(factors, m: int, n: int) -> Fraction:
-        """Product of (b)_idx(m, n) over numerator factors divided by the
-        product over denominator factors."""
-        num = den = Fraction(1)
-        for table, at, in_num in factors:
-            if in_num:
-                num *= table[at(m, n)]
-            else:
-                den *= table[at(m, n)]
-        return num / den
-
-    kernel = [[ratio(unshifted, m, n) / (math.factorial(m) * math.factorial(n))
-               for n in range(degree + 1 - m)] for m in range(degree + 1)]
-    weights = [(coeff / ratio(aligned, si, sj), si, sj)
-               for _, _, _, coeff, si, sj in outer_terms()]
-    return _convolve(degree, weights, kernel,
-                     lambda m, n: ratio(aligned, m, n))
+    p, (b_num, b_den), (c_num, c_den) = plan
+    kernel = _triangle_rows(step_signature(b_num, b_den, p, degree), degree)
+    cell = _triangle_rows(
+        step_signature(c_num, c_den, p, degree, factorial=False), degree)
+    weights = [(a / cell[si][sj], si, sj) for _, _, a, si, sj in terms]
+    return _convolve(degree, weights, kernel, cell)
 
 
-def _convolve(degree: int, weights: list, kernel: list,
-              cell: Callable[[int, int], Fraction]) -> TruncatedBiseries:
-    """Triangle of cell(M, N) times the sum of a * kernel[M - si][N - sj]
+def _convolve(degree: int, weights: list, kernel: list, cell: list
+              ) -> TruncatedBiseries:
+    """Triangle of cell[M][N] times the sum of a * kernel[M - si][N - sj]
     over weights (a, si, sj), exactly.  Weights and kernel are first put
     over one integer denominator each, so every mul-add is an integer one
     and each cell is reduced once."""
@@ -347,7 +283,7 @@ def _convolve(degree: int, weights: list, kernel: list,
             dst[sj:stop] = [u + a * v for u, v in zip(dst[sj:stop], ints[m])]
     den = da * db
     return TruncatedBiseries(degree, [
-        [cell(m, n) * Fraction(v, den) if v else Fraction(0)
+        [cell[m][n] * Fraction(v, den) if v else Fraction(0)
          for n, v in enumerate(row)] for m, row in enumerate(acc)])
 
 
@@ -356,13 +292,17 @@ def assemble_expression(
 ) -> TruncatedBiseries:
     """Build the exact degree-`degree` triangle of a declarative expression.
 
-    The expression is validated first (`expression_symbols`), so a node
-    outside its schema raises SignatureError instead of assembling as some
-    other formula.  For sums the outer summation runs to `outer_bound`
-    (default: `degree`); terms beyond the degree bound cannot touch the
-    triangle because of the monomial weight, so any outer_bound >= degree
-    yields the same triangle.
+    The degree must be a non-negative int, and the expression is validated
+    first (`expression_symbols`), so a node outside its schema raises
+    SignatureError instead of assembling as some other formula.  For sums
+    the outer summation runs to `outer_bound` (default: `degree`); terms
+    beyond the degree bound cannot touch the triangle because of the
+    monomial weight, so any outer_bound >= degree yields the same
+    triangle.
     """
+    if type(degree) is not int or degree < 0:
+        raise SignatureError(
+            f"degree must be a non-negative int, not {degree!r}")
     expression_symbols(e)
     env = {k: as_scalar(v) for k, v in params.items()}
     return _assemble(e, env, degree,
@@ -453,8 +393,9 @@ def expression_symbols(e: dict) -> set[str]:
     single-variable kind; a sum's `sign`, `indices` and `weight` are one of
     SIGNS, INDICES and WEIGHTS, its `inner` such a function without a type,
     and its `num` / `den` lists of {param, index} objects with an index in
-    INDEX_EXPRS; an ops node needs a list of {op, axis, a, b} steps (op H
-    or Hbar, axis in AXES, string a and b) and an operand object."""
+    INDEX_EXPRS and a param free of i and j; an ops node needs a list of
+    {op, axis, a, b} steps (op H or Hbar, axis in AXES, string a and b) and
+    an operand object."""
     if not isinstance(e, dict):
         raise SignatureError(f"an expression must be an object, not {e!r}")
     out: set[str] = set()
@@ -483,7 +424,12 @@ def expression_symbols(e: dict) -> set[str]:
                     raise SignatureError(
                         f"sum {key} index must be one of {INDEX_EXPRS}, "
                         f"not {factor['index']!r}")
-                out |= affine_symbols(str(factor["param"]))
+                symbols = affine_symbols(str(factor["param"]))
+                if symbols & set(INDEX_SYMBOLS):
+                    raise SignatureError(
+                        f"sum {key} param must not contain i or j, "
+                        f"not {factor['param']!r}")
+                out |= symbols
         inner = e.get("inner")
         if not (isinstance(inner, dict) and "kind" in inner
                 and isinstance(inner.get("params"), dict)):

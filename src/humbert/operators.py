@@ -38,13 +38,6 @@ class DiagonalAction:
     def apply(self, s: TruncatedBiseries) -> TruncatedBiseries:
         return s.map_indexed(lambda m, n, c: c * self.multiplier(m, n))
 
-    def then(self, other: "DiagonalAction") -> "DiagonalAction":
-        """Pointwise product of eigenvalues; diagonal actions commute."""
-        return DiagonalAction(
-            f"{other.label} . {self.label}",
-            lambda m, n: self.multiplier(m, n) * other.multiplier(m, n),
-        )
-
 
 def _is_zero(v: Scalar) -> bool:
     if isinstance(v, Fraction):
@@ -95,20 +88,6 @@ def delta_pochhammer_action(
     if k < 0:
         raise ValueError("k must be non-negative")
     table = [pochhammer(Fraction(-i), k) for i in range(s.degree + 1)]
-    if which == "x":
-        return s.map_indexed(lambda m, n, c: c * table[m])
-    return s.map_indexed(lambda m, n, c: c * table[n])
-
-
-def shifted_delta_action(
-    s: TruncatedBiseries, which: str, k: int, alpha: Scalar
-) -> TruncatedBiseries:
-    """Multiply c_{m,n} by (m + alpha)_k (or (n + alpha)_k for which = "y")."""
-    if which not in ("x", "y"):
-        raise ValueError("which must be 'x' or 'y'")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    table = [pochhammer(alpha + i, k) for i in range(s.degree + 1)]
     if which == "x":
         return s.map_indexed(lambda m, n, c: c * table[m])
     return s.map_indexed(lambda m, n, c: c * table[n])

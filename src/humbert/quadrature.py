@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     ConstraintViolation,
     DomainError,
+    HumbertError,
     NoConvergence,
     SignatureError,
 )
@@ -756,15 +757,20 @@ def cross_check(
 
     Returns a numeric VerificationReport with the max relative error, the
     worst point and the highest tanh-sinh level any grid point needed.
-    Constraint violations raise; evaluation failures at some grid point
-    produce an error report.
+    grid None selects `default_grid`; an empty grid and constraint
+    violations raise; evaluation failures at some grid point produce an
+    error report.
     """
     import time as _time
 
     from .reports import VerificationReport
 
     rep = REPS[rep_id]
-    grid = grid or default_grid(rep_id)
+    if grid is None:
+        grid = default_grid(rep_id)
+    elif len(grid) == 0:
+        raise HumbertError(f"empty grid for {rep_id}: cross_check needs "
+                           f"at least one point")
     tol = tol if tol is not None else default_tolerance(rep_id)
     spec = spec or QuadratureSpec()
     settings = {

@@ -43,7 +43,7 @@ def _ratio_bound(info: KindInfo, step: str) -> Callable:
     (a + k)/(b + k).  A denominator factor left over only falls; a
     numerator factor left over is unbounded.
     """
-    num, den = _step_factors(info, step)
+    num, den = _step_factors(info.num, info.den, step)
     terms = [f"_sup_pair({a}, {b})" for a, b in zip(num, den)]
     terms += [f"_sup_falling({b})" for b in den[len(num):]]
     terms += ["inf"] * max(0, len(num) - len(den))
@@ -56,7 +56,7 @@ def _step_roundings(info: KindInfo, step: str) -> int:
     """Roundings one recurrence step commits, at most: two additions per
     ratio factor, one product or quotient joining each, then the products
     by the argument and by the previous term."""
-    num, den = _step_factors(info, step)
+    num, den = _step_factors(info.num, info.den, step)
     return 3 * (len(num) + len(den)) + 1
 
 

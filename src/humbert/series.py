@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -243,14 +244,15 @@ class KindInfo:
     coefficient c_{m,n} as (slot, index) pairs, index one of "m+n", "m",
     "n"; every kind also divides by m! n!, which the signature leaves out.
     Single-variable kinds index by "m" alone.  The signature is the only
-    statement of the coefficients, exact and float: the term ratios
-    `ratio_x` = c_{m+1,n}/c_{m,n} and `ratio_y` = c_{m,n+1}/c_{m,n} are
-    generated from it once per kind, and the exact triangles
-    (`truncated_series`), the float sums and the row route's ratio bounds
-    all step with them.  So `_step_factors` is the one interpreter of the
-    signature's index strings for the coefficients; only the sum
-    convolution (`expressions._convolution_plan`) also reads them, to
-    split a catalog sum's inner signature.
+    statement of the coefficients, exact and float: `_step_factors` is the
+    one reader of its index strings, and from its factors come the float
+    term ratios `ratio_x` = c_{m+1,n}/c_{m,n} and `ratio_y` =
+    c_{m,n+1}/c_{m,n} (the float sums and the row route's ratio bounds)
+    and the exact steps of `step_signature` (the triangles of
+    `truncated_series`).  A catalog sum's outer weights, kernel and cell
+    factor are signatures of the same form, read by the same two
+    functions; only `expressions._convolution_plan` also reads a kind's
+    index strings, to split a sum's inner signature into the last two.
     """
 
     name: str
@@ -269,40 +271,93 @@ class KindInfo:
 
     @cached_property
     def ratio_x(self) -> Callable:
-        return _term_ratio(self, "m")
+        return _term_ratio(self.num, self.den, "m")
 
     @cached_property
     def ratio_y(self) -> Callable | None:
-        return _term_ratio(self, "n") if self.bivariate else None
+        return _term_ratio(self.num, self.den, "n") if self.bivariate else None
 
 
-def _step_factors(info: KindInfo, step: str) -> tuple[list[str], list[str]]:
-    """Source text, in (p, m, n), of the factors of the term ratio for a
-    unit step in `step` ("m" or "n"): each signature factor whose index
-    contains the step, (p[slot] + index), numerator and denominator in
-    signature order, and the step's factorial (step + 1) last among the
-    denominator's."""
+def _step_factors(num, den, step: str, factorial: bool = True
+                  ) -> tuple[list[str], list[str]]:
+    """Source text, in (p, m, n), of the factors of the term ratio of the
+    signature (num, den) for a unit step in `step` ("m" or "n"): each
+    factor whose index contains the step, (p[key] + index), numerator and
+    denominator in signature order, and with `factorial` the step's
+    (step + 1) of m! n! last among the denominator's."""
     def factors(pairs):
-        return [f"(p[{slot!r}] + {index.replace('+', ' + ')})"
-                for slot, index in pairs if step in index]
+        return [f"(p[{key!r}] + {index.replace('+', ' + ')})"
+                for key, index in pairs if step in index]
 
-    return factors(info.num), factors(info.den) + [f"({step} + 1)"]
+    falling = [f"({step} + 1)"] if factorial else []
+    return factors(num), factors(den) + falling
 
 
-def _term_ratio(info: KindInfo, step: str) -> Callable:
+def _term_ratio(num, den, step: str) -> Callable:
     """Compile the term ratio for a unit step in `step` ("m" or "n") as a
     function of (p, m, n), with p the slot values, float or exact.
 
     The expression is compiled once, as collections.namedtuple compiles its
     methods, so a step costs what a hand-written lambda would.
     """
-    num, den = _step_factors(info, step)
+    num, den = _step_factors(num, den, step)
     return eval(f"lambda p, m, n: {' * '.join(num) or '1'} / "
                 f"({' * '.join(den)})", {})
 
 
-def _fact(n: int) -> int:
-    return math.factorial(n)
+@cache
+def _exact_steps(num, den, factorial: bool) -> tuple[Callable, Callable]:
+    """The unit steps in m and in n of the signature (num, den), each
+    compiled once per signature as a function of (p, m, n) that returns
+    the (numerator, denominator) pair of the term ratio."""
+    def compiled(step):
+        a, b = _step_factors(num, den, step, factorial)
+        return eval(f"lambda p, m, n: ({' * '.join(a) or '1'}, "
+                    f"{' * '.join(b) or '1'})", {})
+
+    return compiled("m"), compiled("n")
+
+
+def step_signature(num, den, p: dict, degree: int, first: Scalar = ONE,
+                   bivariate: bool = True, factorial: bool = True
+                   ) -> Iterator[Scalar]:
+    """Yield c_{m,n}, m + n <= degree, of the Pochhammer signature
+    (num, den) at the key values p, over m! n! with `factorial`, from
+    c_{0,0} = `first`, in row order; column 0 only if not `bivariate`.
+
+    Column 0 is stepped in m lazily, just before each row, then the row in
+    n: each step multiplies by the ratio's numerator and divides by its
+    denominator.  A term that has vanished stays 0 and is never divided; a
+    step whose denominator vanishes gives 0 where its numerator does too,
+    and otherwise raises PoleError at its (m, n), so that a caller reading
+    the terms in order meets the first pole in that order.
+    """
+    step_m, step_n = _exact_steps(tuple(num), tuple(den), factorial)
+    c0 = first
+    for m in range(degree + 1):
+        if m:
+            a, d = step_m(p, m - 1, 0)
+            c0 = c0 * a / d if d else _vanishing(c0, a, m, 0)
+        yield c0
+        if bivariate:
+            c = c0
+            for n in range(degree - m):
+                a, d = step_n(p, m, n)
+                c = c * a / d if d else _vanishing(c, a, m, n + 1)
+                yield c
+
+
+def _vanishing(c: Scalar, a: Scalar, m: int, n: int) -> Scalar:
+    """The term at (m, n) stepped from c by a ratio a / 0."""
+    if c and a:
+        raise PoleError(
+            f"denominator Pochhammer vanishes at (i, j) = ({m}, {n})")
+    return c * a
+
+
+def _triangle_rows(terms: Iterator[Scalar], degree: int) -> list[list[Scalar]]:
+    """Split the row-order terms of a degree-`degree` triangle into rows."""
+    return [list(islice(terms, degree + 1 - m)) for m in range(degree + 1)]
 
 
 KINDS: dict[str, KindInfo] = {}
@@ -437,46 +492,33 @@ def in_domain(ref: FunctionRef, x: float, y: float) -> bool:
     return True
 
 
-def _column(ref: FunctionRef, degree: int) -> list[Scalar]:
-    """c_{m,0}, m = 0..degree, stepped down column 0 with ratio_x.
+def _kind_terms(ref: FunctionRef, degree: int) -> Iterator[Scalar]:
+    """The kind's coefficients, stepped in row order by step_signature.
 
     c_{0,0} is the product of every slot's (a)_0: 1 in the parameters'
     field, a Fraction when all are exact and a float otherwise.
     """
-    p, ratio_x = ref.params, ref.info.ratio_x
-    c = math.prod([pochhammer(a, 0) for a in p.values()], start=ONE)
-    column = [c]
-    for m in range(degree):
-        c = c * ratio_x(p, m, 0)
-        column.append(c)
-    return column
+    info, p = ref.info, ref.params
+    first = math.prod([pochhammer(a, 0) for a in p.values()], start=ONE)
+    return step_signature(info.num, info.den, p, degree, first, info.bivariate)
 
 
 def truncated_series(ref: FunctionRef, degree: int) -> TruncatedBiseries:
     """Triangle of the kind's series to total degree <= degree, exact for
     exact parameters.
 
-    Every cell is stepped from its neighbour with the kind's term ratios:
-    c_{m+1,0} = c_{m,0} ratio_x(p, m, 0) down column 0, then
-    c_{m,n+1} = c_{m,n} ratio_y(p, m, n) along each row.  No step divides
-    by zero, since FunctionRef refuses a denominator slot at a non-positive
-    integer; a numerator factor that reaches 0 zeroes the rest of its row
-    or column, as (a)_k does.  A single-variable kind fills column 0 only.
+    Every cell is stepped from its neighbour with the kind's term ratios
+    (`step_signature`): down column 0 in m, then along each row in n.  No
+    step divides by zero, since FunctionRef refuses a denominator slot at a
+    non-positive integer; a numerator factor that reaches 0 zeroes the rest
+    of its row or column, as (a)_k does.  A single-variable kind fills
+    column 0 only.
     """
-    column = _column(ref, degree)
-    info, p = ref.info, ref.params
-    if not info.bivariate:
+    terms = _kind_terms(ref, degree)
+    if not ref.info.bivariate:
         return TruncatedBiseries(
-            degree, [[c] + [ZERO] * (degree - m) for m, c in enumerate(column)])
-    ratio_y = info.ratio_y
-    rows = []
-    for m, c in enumerate(column):
-        row = [c]
-        for n in range(degree - m):
-            c = c * ratio_y(p, m, n)
-            row.append(c)
-        rows.append(row)
-    return TruncatedBiseries(degree, rows)
+            degree, [[c] + [ZERO] * (degree - m) for m, c in enumerate(terms)])
+    return TruncatedBiseries(degree, _triangle_rows(terms, degree))
 
 
 def single_series_on_axis(
@@ -489,7 +531,7 @@ def single_series_on_axis(
         raise ValueError("axis must be 'x' or 'y'")
     if axis == "x":
         return truncated_series(ref, degree)
-    return TruncatedBiseries(degree, [_column(ref, degree)] + [
+    return TruncatedBiseries(degree, [list(_kind_terms(ref, degree))] + [
         [ZERO] * (degree + 1 - m) for m in range(1, degree + 1)])
 
 
@@ -536,13 +578,13 @@ def substitute_args(
                 v = -v
             e = mu * m + nu * n - p
             if e not in binomial:
-                binomial[e] = [a / _fact(k) for k, a
+                binomial[e] = [a / math.factorial(k) for k, a
                                in enumerate(pochhammer_table(e, N))]
             for k, w in enumerate(binomial[e][: N + 1 - m - n]):
                 if w:
                     rows[m + k][n] += w * v
     if c:
-        exp = [c ** k / _fact(k) for k in range(N + 1)]
+        exp = [c ** k / math.factorial(k) for k in range(N + 1)]
         rows = [[sum((row[n - k] * exp[k] for k in range(n + 1)), ZERO)
                  for n in range(len(row))] for row in rows]
     return TruncatedBiseries(N, rows)

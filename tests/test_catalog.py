@@ -19,6 +19,7 @@ from humbert.catalog import (
 )
 from humbert.errors import SignatureError, UnknownFormula
 from humbert.expressions import assemble_expression
+from humbert.identities import verify_all_identities, verify_operator_identity
 
 from conftest import collapse_substitutions
 
@@ -99,6 +100,22 @@ class TestVerification:
                 report = verify_formula(formula_id, profile_a, degree=degree)
                 assert report.status == "pass", (formula_id, degree)
 
+    @pytest.mark.parametrize("degree", [-1, 2.0, True, "4"])
+    def test_bad_degree_is_an_error_report(self, profile_a, degree):
+        # every checking surface reports a degree bound that is not a
+        # non-negative int, instead of raising from the triangle code
+        detail = f"SignatureError: degree must be a non-negative int, " \
+                 f"not {degree!r}"
+        reports = [verify_formula("2.36", profile_a, degree),
+                   verify_operator_identity("2.1", profile_a, degree),
+                   *verify_all(profile_a, degree),
+                   *verify_all_identities(profile_a, degree)]
+        assert len(reports) == 72
+        assert all(r.status == "error" and r.detail == detail
+                   for r in reports)
+        with pytest.raises(SignatureError, match="non-negative int"):
+            assemble_expression(get_formula("2.36")["rhs"], profile_a, degree)
+
     def test_unknown_formula(self, profile_a):
         with pytest.raises(UnknownFormula):
             verify_formula("3.1", profile_a)
@@ -148,10 +165,13 @@ class TestVerification:
         ("2.37", "rhs", {"weight": "yx"}, "sum weight must be one of"),
         ("2.37", "rhs", {"num": [{"param": "alpha - eps", "index": "j+i"}]},
          "sum num index must be one of"),
+        ("2.37", "rhs", {"den": [{"param": "gamma + i", "index": "i+j"}]},
+         "sum den param must not contain i or j, not 'gamma + i'"),
     ], ids=["prefactor-key", "function-key", "axis-z", "axis-on-bivariate",
             "sum-key", "x-transform-name", "y-transform-name",
             "axis-y-on-bivariate", "axis-z-on-single", "unknown-kind",
-            "sum-sign", "sum-indices", "sum-weight", "sum-factor-index"])
+            "sum-sign", "sum-indices", "sum-weight", "sum-factor-index",
+            "sum-factor-param-index"])
     def test_node_outside_its_schema_is_refused(
             self, catalog, profile_a, formula_id, side, edit, detail):
         # each edit states a formula other than the one the node computes;

@@ -272,7 +272,7 @@ BAD_INPUTS = [
 ] + [(("verify", "all"), {"HUMBERT_CATALOG": f"{{{name}}}"}, "SignatureError")
      for name in ("prefactor_key", "function_key", "axis_z", "axis_bivariate",
                   "sum_key", "inner_key", "factor_key", "ops_key", "step_key",
-                  "transform_name")]
+                  "transform_name", "factor_index_symbol")]
 
 # inputs every report of a run refuses: exit 2, error reports on stdout
 BAD_REPORTS = [
@@ -333,6 +333,8 @@ BAD_FILES = {
         "rhs", inner={**_ENTRY["rhs"]["inner"], "transfrom_y": "negate"}),
     "factor_key": _edited(
         "rhs", num=[{**f, "power": 2} for f in _ENTRY["rhs"]["num"]]),
+    "factor_index_symbol": _edited(
+        "rhs", den=[{"param": "gamma + i + j", "index": "i+j"}]),
     "ops_key": json.dumps([{**_ENTRY, "lhs": {
         "type": "ops", "ops": [], "operand": _ENTRY["lhs"], "note": ""}}]),
     "step_key": _ops_entry({**_OP, "repeat": 2}),

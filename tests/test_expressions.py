@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -272,7 +273,10 @@ def _plan(rhs, params):
 
 def _sum_at_full_degree(e, params, degree):
     """Reference assembly of a sum: every inner term built at the full
-    degree, then scaled, shifted and added as a fresh triangle."""
+    degree, then scaled, shifted and added as a fresh triangle.  Its
+    weights are direct Pochhammer products: a term whose numerator vanishes
+    is skipped, and the first term in loop order whose denominator alone
+    vanishes, or whose inner function hits a pole, raises PoleError."""
     indices = {"i": lambda i, j: i, "j": lambda i, j: j,
                "i+j": lambda i, j: i + j}
     sign = {"+1": lambda i, j: 1, "(-1)^i": lambda i, j: (-1) ** i,
@@ -291,9 +295,18 @@ def _sum_at_full_degree(e, params, degree):
         for f in e.get("den", ()):
             den *= pochhammer(eval_affine(f["param"], env), indices[f["index"]](i, j))
         si, sj = {"xy": (i, j), "x": (i, 0), "y": (0, i)}[e.get("weight", "xy")]
-        if num == 0 or si + sj > degree:
+        if num == 0:
             continue
-        inner = assemble_expression({"type": "function", **e["inner"]}, env, degree)
+        if den == 0:
+            raise PoleError(
+                f"denominator Pochhammer vanishes at (i, j) = ({i}, {j})")
+        if si + sj > degree:
+            continue
+        try:
+            inner = assemble_expression(
+                {"type": "function", **e["inner"]}, env, degree)
+        except PoleError as exc:
+            raise PoleError(f"at (i, j) = ({i}, {j}): {exc}") from exc
         total = total + inner.scale(num / den).shifted(si, sj)
     return total
 
@@ -347,6 +360,29 @@ class TestCatalogSums:
         else:
             assert assemble_expression(rhs, params, 6) == \
                 _sum_at_full_degree(rhs, params, 6)
+
+    def test_degenerate_profiles_meet_the_direct_products(
+            self, profile_a, profile_b):
+        # each symbol in turn at 0, -1, -2, -3 makes outer weights vanish,
+        # outer denominators vanish and inner slots hit poles; the stepped
+        # weights must skip, raise or assemble as the direct products do,
+        # with the first PoleError in the outer loop's order
+        def outcome(assemble, rhs, params):
+            try:
+                return assemble(rhs, params, 3)
+            except PoleError as exc:
+                return str(exc)
+
+        outer_poles = 0
+        for entry in SUM_ENTRIES:
+            for params, symbol, value in itertools.product(
+                    (profile_a, profile_b), entry["symbols"], (0, -1, -2, -3)):
+                params = {**params, symbol: Fraction(value)}
+                want = outcome(_sum_at_full_degree, entry["rhs"], params)
+                assert outcome(assemble_expression, entry["rhs"], params) \
+                    == want, (entry["id"], symbol, value)
+                outer_poles += str(want).startswith("denominator")
+        assert outer_poles == 60
 
     def test_unaligned_shift_falls_back(self, profile_a):
         # gamma + 2i + j at index m+n is neither aligned nor unshifted

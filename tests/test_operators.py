@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from humbert.errors import PoleError
 from humbert.operators import (
-    DiagonalAction,
     apply_H,
     apply_H_bar,
     apply_delta_op,
@@ -16,7 +15,6 @@ from humbert.operators import (
     delta_pochhammer_action,
     h_action,
     nabla_delta_ksum,
-    shifted_delta_action,
 )
 from humbert.series import FunctionRef, TruncatedBiseries, graded_indices, truncated_series
 
@@ -63,27 +61,6 @@ class TestDeltaPochhammerAction:
         s = TruncatedBiseries.monomial(3, 0, 2)
         out = delta_pochhammer_action(s, "y", 2)
         assert out.coeff(0, 2) == 2  # (-2)_2 = 2
-
-
-class TestShiftedDeltaAction:
-    def test_k_zero_is_identity(self):
-        s = truncated_series(PHI1, 4)
-        assert shifted_delta_action(s, "y", 0, F(3, 7)) == s
-
-    def test_annihilates_matching_monomial(self):
-        s = TruncatedBiseries.monomial(4, 3, 0)
-        assert shifted_delta_action(s, "x", 2, F(-3)) == TruncatedBiseries.zero(4)
-
-    def test_exp_derivative_oracle(self):
-        # (delta + 1) f = d/dx (x f) on series; on e^x this scales c_m by m+1.
-        import math
-
-        e = TruncatedBiseries.from_function(
-            5, lambda m, n: F(1, math.factorial(m)) if n == 0 else F(0)
-        )
-        out = shifted_delta_action(e, "x", 1, F(1))
-        for m in range(6):
-            assert out.coeff(m, 0) == F(m + 1, math.factorial(m))
 
 
 class TestApplyH:
@@ -225,12 +202,6 @@ class TestNablaDelta:
 
 
 class TestDiagonalAction:
-    def test_compose_multiplies_pointwise(self):
-        double = DiagonalAction("double", lambda m, n: F(2))
-        triple = DiagonalAction("triple", lambda m, n: F(3))
-        s = TruncatedBiseries.one(2)
-        assert double.then(triple).apply(s).coeff(0, 0) == 6
-
     def test_h_action_composes_with_inverse(self):
         a, b = F(2, 7), F(9, 5)
         act = h_action(a, b, 6)

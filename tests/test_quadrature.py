@@ -7,6 +7,7 @@ import pytest
 from humbert.errors import (
     ConstraintViolation,
     DomainError,
+    HumbertError,
     NoConvergence,
     SignatureError,
 )
@@ -278,6 +279,13 @@ class TestGuards:
         assert report.status == "error"
         assert report.detail.startswith(
             "NoConvergence: Phi1 at (0.99999, 0.2)")
+
+    @pytest.mark.parametrize("grid", [(), []])
+    def test_cross_check_refuses_an_empty_grid(self, config, grid):
+        # only grid=None selects the default grid; an empty one is no check
+        params = resolved_params("generic-A", "4.1", config)
+        with pytest.raises(HumbertError, match="empty grid for 4.1"):
+            cross_check("4.1", params, grid=grid)
 
     def test_cross_check_near_the_edge_of_the_x_disk(self, config):
         # the row-summed series target converges at |x| = 0.995

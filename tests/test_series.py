@@ -33,6 +33,7 @@ from humbert.series import (
     eval_single_series,
     graded_indices,
     single_series_on_axis,
+    step_signature,
     substitute_args,
     truncated_series,
 )
@@ -293,6 +294,31 @@ class TestTruncatedSeries:
             s = truncated_series(ref, 6)
             for m, n in graded_indices(6):
                 assert s.coeff(m, n) == coefficient(ref, m, n)
+
+    @pytest.mark.parametrize("a, b, stop", [
+        (F(-1), F(-2), None),   # (a)_k vanishes first: no term is divided
+        (F(-2), F(-2), None),   # both at k = 3: the step gives 0
+        (F(-3), F(-2), (3, 0)),  # (b)_3 = 0 alone: a pole at (3, 0)
+    ])
+    def test_step_signature_pole_rule(self, a, b, stop):
+        # (a)_m (1/2)_n / ((b)_m m! n!), stepped in row order to degree 4:
+        # a term is 0 once its numerator is, and raises where only its
+        # denominator vanishes
+        p = {"a": a, "b": b, "h": F(1, 2)}
+        terms = step_signature((("a", "m"), ("h", "n")), (("b", "m"),), p, 4)
+        for m in range(5):
+            for n in range(5 - m):
+                if (m, n) == stop:
+                    with pytest.raises(PoleError) as exc:
+                        next(terms)
+                    assert str(exc.value) == \
+                        f"denominator Pochhammer vanishes at (i, j) = {stop}"
+                    return
+                num = pochhammer(a, m) * pochhammer(F(1, 2), n)
+                want = num and num / (pochhammer(b, m) * math.factorial(m)
+                                      * math.factorial(n))
+                assert next(terms) == want, (m, n)
+        assert stop is None
 
     def test_single_kind_on_y_axis(self):
         ref = FunctionRef("Bessel0F1", {"gamma": F(5, 4)})
