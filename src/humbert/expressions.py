@@ -295,18 +295,20 @@ def assemble_expression(
     The degree must be a non-negative int, and the expression is validated
     first (`expression_symbols`), so a node outside its schema raises
     SignatureError instead of assembling as some other formula.  For sums
-    the outer summation runs to `outer_bound` (default: `degree`); terms
-    beyond the degree bound cannot touch the triangle because of the
-    monomial weight, so any outer_bound >= degree yields the same
-    triangle.
+    the outer summation runs to `outer_bound` (default: `degree`), also a
+    non-negative int; terms beyond the degree bound cannot touch the
+    triangle because of the monomial weight, so any outer_bound >= degree
+    yields the same triangle.
     """
-    if type(degree) is not int or degree < 0:
-        raise SignatureError(
-            f"degree must be a non-negative int, not {degree!r}")
+    if outer_bound is None:
+        outer_bound = degree
+    for name, value in (("degree", degree), ("outer_bound", outer_bound)):
+        if type(value) is not int or value < 0:
+            raise SignatureError(
+                f"{name} must be a non-negative int, not {value!r}")
     expression_symbols(e)
     env = {k: as_scalar(v) for k, v in params.items()}
-    return _assemble(e, env, degree,
-                     degree if outer_bound is None else outer_bound)
+    return _assemble(e, env, degree, outer_bound)
 
 
 def _assemble(e: dict, env: dict, degree: int, outer_bound: int

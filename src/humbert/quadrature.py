@@ -16,7 +16,8 @@ expanded as power series in a product u(xi) * v(eta) whenever they admit
 one; the double integral then collapses to sums of products of
 one-dimensional moments, which is both faster and better conditioned than
 evaluating on the full tensor grid.  Representations whose coupling resists
-that shape fall back to a row-by-row evaluation.
+that shape evaluate it on the full grid of live node pairs in one array
+pass, and contract it with the two axes' weights.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -56,7 +57,10 @@ class QuadratureSpec:
     max_level: int = 12
     rtol: float = 1e-10
 
+    @lru_cache(maxsize=16)
     def to_dict(self) -> dict:
+        """The spec as a dict, built once per distinct spec and shared by
+        every report that records it: read-only."""
         return {
             "start_level": self.start_level,
             "max_level": self.max_level,
@@ -262,23 +266,31 @@ def kummer_coeffs(a: float, b: float, c: float, zmax: float) -> np.ndarray:
     )
 
 
-def ray_coeffs(kind: str, params: dict, cx: float, cy: float, zmax: float
-               ) -> np.ndarray:
+def ray_coeffs(kind: str, params: dict, cx, cy, zmax: float) -> np.ndarray:
     """Series in t of F(cx*t, cy*t) for a bivariate kind: the k-th
-    coefficient is the k-th diagonal sum of the double series."""
+    coefficient is the k-th diagonal sum of the double series.
+
+    Scalar cx, cy give one ray, its coefficients summed with math.fsum.
+    Arrays give one ray per element, stepped together: column j of the
+    (K, rays) result holds ray j's coefficients, each diagonal summed with
+    np.sum, and the series stops once every ray's has settled.
+    """
     info = KINDS[kind]
-    if info.x_restricted and abs(cx) * zmax >= 1.0:
+    if info.x_restricted and np.max(np.abs(cx)) * zmax >= 1.0:
         raise DomainError(f"{kind} ray leaves the convergence region")
-    terms = [1.0]
-    out = [1.0]
+    shape = np.broadcast(cx, cy).shape
+    diagonal_sum = partial(np.sum, axis=0) if shape else math.fsum
+    one = np.ones(shape) if shape else 1.0
+    terms = [one]
+    out = [one]
     pz = 1.0
     streak = 0
     for _ in range(_COEFF_CAP):
         terms = next_diagonal(info, params, terms, cx, cy)
-        rk = math.fsum(terms)
+        rk = diagonal_sum(terms)
         out.append(rk)
         pz *= zmax
-        if abs(rk) * pz < _COEFF_FLOOR:
+        if np.max(np.abs(rk)) * pz < _COEFF_FLOOR:
             streak += 1
             if streak == 3:
                 return np.array(out)
@@ -288,10 +300,12 @@ def ray_coeffs(kind: str, params: dict, cx: float, cy: float, zmax: float
 
 
 def poly_arr(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(z)
+    """sum_k coeffs[k] z^k.  A (K, rays) coeffs gives a (rays, len(z))
+    array: each ray's polynomial at every z."""
+    total = np.zeros(np.shape(coeffs)[1:] + z.shape)
     pz = np.ones_like(z)
     for g in coeffs:
-        total += g * pz
+        total += np.multiply.outer(g, pz)
         pz = pz * z
     return total
 
@@ -306,13 +320,13 @@ class Integrand:
     `factor(xi, omx)` multiplies the first axis's kernel (None: 1).  A
     two-dimensional integrand adds either `couplings`, terms (g, u, v)
     standing for sum_k g[k] (u(xi, 1-xi) v(eta, 1-eta))^k, or
-    `row(xi_i, omx_i, eta, ome)`, its whole coupling on one node row.
-    `const` multiplies the integral.
+    `grid(xi, omx, eta, ome)`, its whole coupling on the node grid as a
+    (len(xi), len(eta)) array.  `const` multiplies the integral.
     """
 
     factor: Callable | None = None
     couplings: tuple = ()
-    row: Callable | None = None
+    grid: Callable | None = None
     const: float = 1.0
 
 
@@ -330,7 +344,7 @@ class IntegralRep:
     id: str
     lhs_kind: str
     kernel: tuple
-    style: str  # "1d" | "ps" (power-series couplings) | "rw" (row by row)
+    style: str  # "1d" | "ps" (power-series couplings) | "rw" (node grid)
     build: Callable = field(compare=False)
     notes: str = ""
 
@@ -432,11 +446,11 @@ def _b49(p, x, y, tol):
 def _b410(p, x, y, tol):
     a, b = p["gamma"] - p["eps"], p["gamma"]
 
-    def row(xi_i, omx_i, eta, ome):
-        z = -x * xi_i - y * omx_i * eta
-        return np.exp(y * omx_i * eta) * kummer_arr(a, b, z, tol)
+    def grid(xi, omx, eta, ome):
+        s = np.outer(omx, eta)
+        return np.exp(y * s) * kummer_arr(a, b, -x * xi[:, None] - y * s, tol)
 
-    return Integrand(factor=lambda xi, omx: np.exp(x * xi), row=row)
+    return Integrand(factor=lambda xi, omx: np.exp(x * xi), grid=grid)
 
 
 def _b411(p, x, y, tol):
@@ -505,14 +519,13 @@ def _b416(p, x, y, tol):
     }
     FunctionRef("Xi1", params)  # pole guard
 
-    def row(xi_i, omx_i, eta, ome):
-        cx = x * omx_i / (1.0 - x * xi_i)
-        cy = y * omx_i
-        q = ray_coeffs("Xi1", params, cx, cy, 1.0)
-        return np.exp(y * omx_i * eta) * poly_arr(q, ome)
+    def grid(xi, omx, eta, ome):
+        # one ray (cx, cy) per xi row, all stepped together
+        q = ray_coeffs("Xi1", params, x * omx / (1.0 - x * xi), y * omx, 1.0)
+        return np.exp(y * np.outer(omx, eta)) * poly_arr(q, ome)
 
     return Integrand(
-        factor=lambda xi, omx: np.power(1.0 - x * xi, -p["beta"]), row=row
+        factor=lambda xi, omx: np.power(1.0 - x * xi, -p["beta"]), grid=grid
     )
 
 
@@ -646,12 +659,11 @@ def _tensor_level(rep, exps, integrand: Integrand, level: int) -> float:
         for g in reversed(gs):
             total = total @ g
         total = float(total)
-    else:  # rowwise, skipping the rows whose weight underflowed to 0
-        inner = np.zeros_like(w1)
-        for i in np.flatnonzero(w1):
-            row = integrand.row(nodes.xi[i], nodes.omx[i], nodes.xi, nodes.omx)
-            inner[i] = float(np.sum(w2 * row))
-        total = float(np.sum(w1 * inner))
+    else:  # the coupling on the grid of live rows (weight not underflowed)
+        live = np.flatnonzero(w1)
+        coupling = integrand.grid(nodes.xi[live], nodes.omx[live],
+                                  nodes.xi, nodes.omx)
+        total = float(w1[live] @ (coupling @ w2))
     return total * nodes.h * nodes.h * integrand.const
 
 
@@ -696,7 +708,7 @@ def eval_integral(
     at (x, y).
 
     Refines level by level until the successive relative change is within
-    spec.rtol.  `builder` swaps in an alternative integrand (the corrected
+    spec.rtol.  A non-finite x or y, or x >= 1, is a DomainError.  `builder` swaps in an alternative integrand (the corrected
     variants) while keeping the rep's kernel.
     """
     if isinstance(rep, str):
@@ -704,6 +716,8 @@ def eval_integral(
     spec = spec or QuadratureSpec()
     env = _Symbols({k: to_float(v, f"parameter {k}") for k, v in params.items()})
     exps, norm = _kernel(rep, env)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"{rep.id}: needs finite x and y, got ({x}, {y})")
     if x >= 1.0:
         raise DomainError(f"{rep.id}: integrand needs x < 1, got {x}")
     integrand = (builder or rep.build)(env, x, y, spec.rtol * 0.1)
@@ -773,8 +787,9 @@ def cross_check(
                            f"at least one point")
     tol = tol if tol is not None else default_tolerance(rep_id)
     spec = spec or QuadratureSpec()
+    grid = tuple(map(tuple, grid))
     settings = {
-        "grid": [list(pt) for pt in grid],
+        "grid": grid,
         "quad": spec.to_dict(),
         "variant": variant,
     }
@@ -782,13 +797,14 @@ def cross_check(
     worst = (0.0, None)
     quad_level = 0
     try:
-        for gx, gy in grid:
+        for pt in grid:
+            gx, gy = pt
             target = series_value(rep, params, gx, gy)
             value, diag = eval_integral(rep, params, gx, gy, spec, builder)
             quad_level = max(quad_level, diag["final_level"])
             rel = abs(value - target) / max(abs(target), 1e-300)
             if rel > worst[0]:
-                worst = (rel, (gx, gy))
+                worst = (rel, pt)
     except (DomainError, NoConvergence) as exc:
         return VerificationReport(
             target=rep_id, mode="numeric", status="error",
@@ -802,7 +818,7 @@ def cross_check(
         settings=settings, duration=duration,
         numeric={
             "max_rel_error": worst[0],
-            "worst_point": list(worst[1]) if worst[1] else None,
+            "worst_point": worst[1],
             "tolerance": tol,
             "quad_level": quad_level,
         },

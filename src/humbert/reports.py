@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     """Outcome of one exact or numeric check.
 
@@ -14,6 +14,11 @@ class VerificationReport:
     a check that could not run.  A fail always carries a witness: the first
     mismatching coefficient for exact mode, the worst grid point for numeric
     mode.
+
+    Reports are kept by the thousand, so they are slotted and share what
+    they can: a numeric report's settings["quad"] is its spec's one
+    `QuadratureSpec.to_dict()` dict, and its grid and worst point are the
+    caller's tuples.  Treat every field as read-only.
     """
 
     target: str

@@ -162,6 +162,14 @@ class TestSumAssembly:
         )
         assert at_n == padded
 
+    @pytest.mark.parametrize("outer_bound", [-1, 1.5, True])
+    def test_bad_outer_bound_is_refused(self, profile_a, outer_bound):
+        # -1 used to return the zero triangle, 1.5 a bare TypeError
+        rhs = next(e["rhs"] for e in load_catalog() if e["id"] == "2.36")
+        with pytest.raises(SignatureError,
+                           match="outer_bound must be a non-negative int"):
+            assemble_expression(rhs, profile_a, 4, outer_bound=outer_bound)
+
     def test_weight_x_shifts_only_first_slot(self, profile_a):
         sum_expr = {
             "type": "sum",

@@ -27,6 +27,9 @@ from humbert.quadrature import (
     eval_integral,
     gauss_arr,
     integrate_beta_kernel,
+    kummer_arr,
+    poly_arr,
+    ray_coeffs,
     series_value,
 )
 from humbert.series import eval_single_series
@@ -241,6 +244,67 @@ class TestTensorContraction:
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def _row_410(p, x, y, xi_i, omx_i, eta, ome):
+    return np.exp(y * omx_i * eta) * kummer_arr(
+        p["gamma"] - p["eps"], p["gamma"], -x * xi_i - y * omx_i * eta, 1e-11)
+
+
+def _row_416(p, x, y, xi_i, omx_i, eta, ome):
+    params = {"alpha1": p["alpha1"] - p["eps1"],
+              "alpha2": p["alpha2"] - p["eps2"], "beta": p["beta"],
+              "gamma": p["gamma"] - p["eps1"] - p["eps2"]}
+    q = ray_coeffs("Xi1", params, x * omx_i / (1.0 - x * xi_i), y * omx_i,
+                   1.0)
+    return np.exp(y * omx_i * eta) * poly_arr(q, ome)
+
+
+class TestGridContraction:
+    @pytest.mark.parametrize("rep_id, row", [("4.10", _row_410),
+                                             ("4.16", _row_416)])
+    def test_matches_per_row_sum(self, rep_id, row, config):
+        # the full-grid coupling, contracted once, must equal the sum of
+        # one row at a time, each row's coupling computed on its own
+        params = {k: float(v) for k, v in
+                  resolved_params("generic-A", rep_id, config).items()}
+        x, y = 0.3, 0.2
+        exps, _ = _kernel(REPS[rep_id], params)
+        integrand = REPS[rep_id].build(params, x, y, 1e-11)
+        nodes = _nodes(3)
+        w1 = _axis_weights(nodes, *exps[0])
+        w1 = w1 * integrand.factor(nodes.xi, nodes.omx)
+        w2 = _axis_weights(nodes, *exps[1])
+        want = math.fsum(
+            w1[i] * math.fsum(w2 * row(params, x, y, nodes.xi[i],
+                                       nodes.omx[i], nodes.xi, nodes.omx))
+            for i in np.flatnonzero(w1)
+        ) * nodes.h**2 * integrand.const
+        got = _tensor_level(REPS[rep_id], exps, integrand, 3)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("Xi1", {"alpha1": 0.5, "alpha2": 0.75, "beta": 1 / 3,
+                 "gamma": 1.25}),
+        ("Phi2", {"beta1": 0.5, "beta2": 1 / 3, "gamma": 1.25}),
+    ])
+    def test_array_rays_match_scalar_rays(self, kind, params):
+        cx = np.linspace(-0.6, 0.6, 7)
+        cy = np.linspace(0.8, -0.8, 7)
+        cols = ray_coeffs(kind, params, cx, cy, 1.0)
+        assert cols.shape[1] == cx.size
+        for j in range(cx.size):
+            one = ray_coeffs(kind, params, cx[j], cy[j], 1.0)
+            assert len(one) <= len(cols)
+            scale = np.max(np.abs(one))
+            assert np.all(np.abs(cols[:len(one), j] - one) <= 1e-15 * scale)
+            assert np.all(np.abs(cols[len(one):, j]) <= 1e-15 * scale)
+
+    def test_array_rays_keep_the_x_disk(self):
+        params = {"alpha1": 0.5, "alpha2": 0.75, "beta": 1 / 3,
+                  "gamma": 1.25}
+        with pytest.raises(DomainError, match="convergence region"):
+            ray_coeffs("Xi1", params, np.array([0.2, 1.0]), np.zeros(2), 1.0)
+
+
 class TestGuards:
     def test_constraint_violation_raises(self, config):
         params = resolved_params("generic-A", "4.8", config)
@@ -257,6 +321,16 @@ class TestGuards:
         params = {"alpha": 0.5, "beta": 1 / 3, "gamma": 1.25}
         with pytest.raises(DomainError):
             eval_integral("4.1", params, 1.0, 0.0)
+
+    @pytest.mark.parametrize("rep_id", REP_IDS)
+    def test_non_finite_point_is_refused(self, rep_id, config):
+        # refused before the integrand is built: no silent 0.0, no bare
+        # ValueError from a coefficient sum, no long run to NoConvergence
+        params = resolved_params("generic-A", rep_id, config)
+        bad = (math.nan, math.inf, -math.inf)
+        for pt in [(v, 0.1) for v in bad] + [(0.1, v) for v in bad]:
+            with pytest.raises(DomainError, match="needs finite x and y"):
+                eval_integral(rep_id, params, *pt)
 
     def test_gauss_series_needs_open_disk(self):
         with pytest.raises(DomainError):
