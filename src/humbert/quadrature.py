@@ -57,10 +57,7 @@ class QuadratureSpec:
     max_level: int = 12
     rtol: float = 1e-10
 
-    @lru_cache(maxsize=16)
     def to_dict(self) -> dict:
-        """The spec as a dict, built once per distinct spec and shared by
-        every report that records it: read-only."""
         return {
             "start_level": self.start_level,
             "max_level": self.max_level,
@@ -166,7 +163,8 @@ def _series_loop(kind: str, params: dict, z: np.ndarray, tol: float,
     term = np.ones_like(z)
     streak = 0
     for k in range(max_terms):
-        term = term * ratio(params, k, 0) * z
+        term *= ratio(params, k, 0)  # in place: z may span a whole node grid
+        term *= z
         total += term
         if np.max(np.abs(term)) < tol * max(1.0, np.max(np.abs(total))):
             streak += 1
@@ -447,8 +445,10 @@ def _b410(p, x, y, tol):
     a, b = p["gamma"] - p["eps"], p["gamma"]
 
     def grid(xi, omx, eta, ome):
-        s = np.outer(omx, eta)
-        return np.exp(y * s) * kummer_arr(a, b, -x * xi[:, None] - y * s, tol)
+        ys = np.outer(y * omx, eta)
+        out = kummer_arr(a, b, -x * xi[:, None] - ys, tol)
+        out *= np.exp(ys)
+        return out
 
     return Integrand(factor=lambda xi, omx: np.exp(x * xi), grid=grid)
 
@@ -522,7 +522,9 @@ def _b416(p, x, y, tol):
     def grid(xi, omx, eta, ome):
         # one ray (cx, cy) per xi row, all stepped together
         q = ray_coeffs("Xi1", params, x * omx / (1.0 - x * xi), y * omx, 1.0)
-        return np.exp(y * np.outer(omx, eta)) * poly_arr(q, ome)
+        out = poly_arr(q, ome)
+        out *= np.exp(np.outer(y * omx, eta))
+        return out
 
     return Integrand(
         factor=lambda xi, omx: np.power(1.0 - x * xi, -p["beta"]), grid=grid
@@ -708,8 +710,9 @@ def eval_integral(
     at (x, y).
 
     Refines level by level until the successive relative change is within
-    spec.rtol.  A non-finite x or y, or x >= 1, is a DomainError.  `builder` swaps in an alternative integrand (the corrected
-    variants) while keeping the rep's kernel.
+    spec.rtol.  A non-finite x or y, or x >= 1, is a DomainError.
+    `builder` swaps in an alternative integrand (the corrected variants)
+    while keeping the rep's kernel.
     """
     if isinstance(rep, str):
         rep = REPS[rep]
@@ -758,6 +761,16 @@ def series_value(rep: IntegralRep, params: dict, x: float, y: float) -> float:
     return value
 
 
+@lru_cache(maxsize=256)
+def _numeric_settings(grid: tuple, spec: QuadratureSpec, variant: str
+                      ) -> dict:
+    """A numeric report's settings, built once per distinct (grid, spec,
+    variant) and shared, read-only, by every report made with them: a
+    repeated cross-check then keeps one small record per run, not three
+    more containers."""
+    return {"grid": grid, "quad": spec.to_dict(), "variant": variant}
+
+
 def cross_check(
     rep_id: str,
     params: dict,
@@ -777,7 +790,7 @@ def cross_check(
     """
     import time as _time
 
-    from .reports import VerificationReport
+    from .reports import NumericResult, VerificationReport
 
     rep = REPS[rep_id]
     if grid is None:
@@ -788,11 +801,7 @@ def cross_check(
     tol = tol if tol is not None else default_tolerance(rep_id)
     spec = spec or QuadratureSpec()
     grid = tuple(map(tuple, grid))
-    settings = {
-        "grid": grid,
-        "quad": spec.to_dict(),
-        "variant": variant,
-    }
+    settings = _numeric_settings(grid, spec, variant)
     start = _time.perf_counter()
     worst = (0.0, None)
     quad_level = 0
@@ -816,10 +825,5 @@ def cross_check(
     return VerificationReport(
         target=rep_id, mode="numeric", status=status,
         settings=settings, duration=duration,
-        numeric={
-            "max_rel_error": worst[0],
-            "worst_point": worst[1],
-            "tolerance": tol,
-            "quad_level": quad_level,
-        },
+        numeric=NumericResult(worst[0], worst[1], tol, quad_level),
     )

@@ -3,7 +3,34 @@
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
+
+
+class NumericResult(namedtuple("NumericResult", ("max_rel_error",
+                                                 "worst_point", "tolerance",
+                                                 "quad_level"))):
+    """What a numeric check found: the max relative error over its grid,
+    the worst point, the tolerance it was held to and the highest tanh-sinh
+    level any point needed.
+
+    Read by key, as the dict it stands for: numeric["worst_point"],
+    numeric.get(...), dict(numeric).  A tuple, a third of a dict's size,
+    because repeated cross-checks keep their reports by the thousand.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, key: str):
+        if key not in self._fields:
+            raise KeyError(key)
+        return getattr(self, key)
+
+    def get(self, key: str, default=None):
+        return getattr(self, key) if key in self._fields else default
+
+    def keys(self) -> tuple[str, ...]:
+        return self._fields
 
 
 @dataclass(slots=True)
@@ -16,9 +43,10 @@ class VerificationReport:
     mode.
 
     Reports are kept by the thousand, so they are slotted and share what
-    they can: a numeric report's settings["quad"] is its spec's one
-    `QuadratureSpec.to_dict()` dict, and its grid and worst point are the
-    caller's tuples.  Treat every field as read-only.
+    they can: numeric reports made with equal grid, spec and variant share
+    one settings dict, and the worst point is that grid's own tuple.
+    Treat every field as read-only.  `numeric` is a NumericResult or a
+    dict with its keys.
     """
 
     target: str
@@ -27,8 +55,7 @@ class VerificationReport:
     settings: dict = field(default_factory=dict)
     duration: float = 0.0
     mismatch: dict | None = None  # exact fail: {m, n, lhs, rhs, diff}
-    # numeric: {max_rel_error, worst_point, tolerance, quad_level}
-    numeric: dict | None = None
+    numeric: NumericResult | dict | None = None
     detail: str | None = None
 
     def __post_init__(self):
@@ -54,7 +81,7 @@ class VerificationReport:
         if self.mismatch is not None:
             out["mismatch"] = self.mismatch
         if self.numeric is not None:
-            out["numeric"] = self.numeric
+            out["numeric"] = dict(self.numeric)
         if self.detail is not None:
             out["detail"] = self.detail
         return out

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -118,6 +119,27 @@ class TestCrossCheckSweep:
         else:
             assert report.status == "pass", report.to_json()
             assert report.numeric["max_rel_error"] < 1e-7
+
+    def test_repeated_reports_share_their_settings(self, config):
+        # a repeated cross-check keeps one small record per run: equal
+        # grid, spec and variant give the same settings dict, the worst
+        # point is the grid's own tuple, and the JSON is the dict form
+        params = resolved_params("generic-A", "4.14", config)
+        grid = [[0.2, 0.35]]
+        first = cross_check("4.14", params, grid=grid,
+                            spec=QuadratureSpec())
+        again = cross_check("4.14", params, grid=((0.2, 0.35),))
+        assert again.settings is first.settings
+        assert first.settings["grid"] == ((0.2, 0.35),)
+        assert first.numeric["worst_point"] is first.settings["grid"][0]
+        assert first.numeric.get("quad_level") == first.numeric.quad_level
+        assert first.numeric.get("missing", "none") == "none"
+        with pytest.raises(KeyError):
+            first.numeric["count"]
+        numeric = json.loads(first.to_json())["numeric"]
+        assert numeric == {**dict(first.numeric), "worst_point": [0.2, 0.35]}
+        assert sorted(numeric) == ["max_rel_error", "quad_level",
+                                   "tolerance", "worst_point"]
 
     def test_profile_b_same_adjudication(self, config):
         for rep_id in ("4.6", "4.10", "4.14", "4.16"):
