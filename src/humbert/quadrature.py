@@ -38,7 +38,7 @@ from .errors import (
 )
 from .expressions import eval_affine
 from .scalars import to_float
-from .series import KINDS, FunctionRef, eval_double_series, next_diagonal
+from .series import KINDS, FunctionRef, diagonal_terms, eval_double_series
 
 T_MAX = 6.0
 
@@ -278,13 +278,10 @@ def ray_coeffs(kind: str, params: dict, cx, cy, zmax: float) -> np.ndarray:
         raise DomainError(f"{kind} ray leaves the convergence region")
     shape = np.broadcast(cx, cy).shape
     diagonal_sum = partial(np.sum, axis=0) if shape else math.fsum
-    one = np.ones(shape) if shape else 1.0
-    terms = [one]
-    out = [one]
+    out = [np.ones(shape) if shape else 1.0]
     pz = 1.0
     streak = 0
-    for _ in range(_COEFF_CAP):
-        terms = next_diagonal(info, params, terms, cx, cy)
+    for terms in diagonal_terms(info, params, cx, cy, _COEFF_CAP):
         rk = diagonal_sum(terms)
         out.append(rk)
         pz *= zmax

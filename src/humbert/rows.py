@@ -78,7 +78,7 @@ def _geometric_tail(first, ratio):
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def sum_by_rows(
     info: KindInfo, p: dict, x: float, y: float, tol: float, budget: int
-) -> tuple[float, SeriesDiag] | str:
+) -> SeriesDiag | str:
     """Sum rows m < M, each over n <= N, as one array recurrence in n.
 
     The row starts t_{m,0} are one cumulative product of ratio_x(p, m, 0) x;
@@ -156,8 +156,8 @@ def sum_by_rows(
             cx * np.abs(beyond).sum() + cy * row_tails.sum()
             + partials.sum() + abs(value))
         if truncation + rounding <= tol * abs(value):
-            return value, SeriesDiag(rows - 1 + n, truncation,
-                                     truncation + rounding)
+            return SeriesDiag(value, rows - 1 + n, truncation,
+                              truncation + rounding)
         if truncation <= tol * abs(value) / 2:
             return (f"rounding bound {rounding:.3e} exceeds tol |value| = "
                     f"{tol * abs(value):.3e}")

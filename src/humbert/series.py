@@ -10,7 +10,6 @@ x disk, row by row as one NumPy array recurrence.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
@@ -597,11 +596,12 @@ def _float_params(ref: FunctionRef) -> dict[str, float]:
 
 
 def next_diagonal(
-    info: KindInfo, p: dict, terms: list[float], x: float, y: float
-) -> list[float]:
+    info: KindInfo, p: dict, terms: list, x, y
+) -> list:
     """Terms t_{m,k-m}, m = 0..k, of diagonal k = len(terms), stepped from
     the terms of diagonal k - 1: t_{0,k} in y from t_{0,k-1}, every other
-    t_{m,k-m} in x from t_{m-1,k-m}."""
+    t_{m,k-m} in x from t_{m-1,k-m}.  Each term is a node array, one entry
+    per ray (see `diagonal_terms`)."""
     k = len(terms)
     ratio_x = info.ratio_x
     return [terms[0] * info.ratio_y(p, 0, k - 1) * y] + [
@@ -609,24 +609,123 @@ def next_diagonal(
     ]
 
 
+BAND = 32  # diagonals stepped per NumPy pass on the scalar route
+BAND_TERMS = 4096  # cap on the terms of one band, and so on its transient
+
+
+def _band(info: KindInfo, p: dict, x: float, y: float, last, width: int):
+    """Diagonals k0+1..k0+width stepped from `last`, the terms t_{k0-n,n}
+    of diagonal k0 by n, as a (width, k0+width+1) array: row j-1, column n
+    holds t_{k0+j-n,n}, and 1.0 where k0+j-n < 0.
+
+    Column 0's successors t_{0,n}, n > k0, are one cumulative product of
+    the interleaved factors t_{0,k0}, ratio_y, y, ratio_y, y, ...; then down
+    every column one cumulative product of t, ratio_x, x, ratio_x, x, ...
+    performs next_diagonal's float operations, (t * ratio_x) * x, in its
+    order, so every term has the bits of the term-by-term recurrence.  A
+    new column n = k0+i has factors 1.0 down to its start t_{0,n}, which
+    takes the place of the factor x of diagonal k0+i.
+    """
+    import numpy as np  # loaded on first use, as rows.py is
+
+    k0 = len(last) - 1
+    n = np.arange(k0 + width + 1.0)
+    top = np.empty(2 * width + 1)
+    top[0] = last[-1]
+    top[1::2] = info.ratio_y(p, 0.0, n[k0:-1])
+    top[2::2] = y
+    m = np.arange(k0, k0 + width, dtype=float)[:, None] - n  # row stepped from
+    live = m >= 0
+    factors = np.ones((2 * width + 1, len(n)))
+    factors[0, :k0 + 1] = last
+    factors[1::2] = np.where(live, info.ratio_x(p, np.maximum(m, 0.0), n), 1.0)
+    factors[2::2] = np.where(live, x, 1.0)
+    i = np.arange(1, width + 1)
+    factors[2 * i, k0 + i] = np.cumprod(top)[2::2]
+    return np.cumprod(factors, axis=0)[2::2]
+
+
+def diagonal_terms(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
+    """Yield the terms of diagonals 1..count of the kind's series at (x, y)
+    with the float parameters p, c_{0,0} = 1.
+
+    Scalar (x, y) are stepped BAND diagonals at a time (`_band`), fewer
+    once a band would pass BAND_TERMS terms, and never past `count`; each
+    diagonal is a list of floats.  Arrays, one ray per element, are
+    stepped one diagonal at a time by next_diagonal; each diagonal is a
+    list of arrays.  The shape of (x, y) alone picks the path.
+    """
+    import numpy as np
+
+    if np.ndim(x) or np.ndim(y):
+        terms = [np.ones(np.broadcast(x, y).shape)]
+        for _ in range(count):
+            terms = next_diagonal(info, p, terms, x, y)
+            yield terms
+        return
+    last = np.ones(1)
+    k = 0
+    while k < count:
+        width = max(1, min(BAND, count - k, BAND_TERMS // (k + BAND + 1)))
+        # terms past the float range are refused by the caller
+        with np.errstate(over="ignore", invalid="ignore"):
+            band = _band(info, p, x, y, last, width)
+        for j in range(width):
+            yield band[j, :k + j + 2].tolist()
+        last = band[-1]
+        k += width
+
+
 ROW_ROUTE_X = 0.75  # |x| from which the x-restricted kinds are summed by rows
 
 
-class SeriesDiag(namedtuple("SeriesDiag",
-                             ("diagonals", "last_diagonal", "est_error"))):
-    """How a double series was summed: the highest diagonal m+n summed, the
-    magnitude of what was left out (the last diagonal's on the diagonal
-    route, the tail bounds on the row route) and the error estimate.
+class SeriesDiag:
+    """A double series' sum and how it was summed: the value, the highest
+    diagonal m+n summed, the magnitude of what was left out (the last
+    diagonal's on the diagonal route, the tail bounds on the row route) and
+    the error estimate.
 
-    Read-only, and read by field name as the dict it replaces was:
-    diag["est_error"].  A namedtuple, not a slotted dataclass, whose class
-    creation alone adds about 3 ms to `import humbert`.
+    One read-only record that still reads as the (value, diag) pair it
+    replaces: `value, diag = eval_double_series(...)` binds diag to the
+    record itself, and diag["est_error"] and result[1]["diagonals"] read
+    fields by name.  A slotted class, not a dataclass, whose class creation
+    alone adds about 3 ms to `import humbert`.
     """
 
-    __slots__ = ()
+    __slots__ = ("value", "diagonals", "last_diagonal", "est_error")
 
-    def __getitem__(self, key: str):
-        return getattr(self, key)
+    def __init__(self, value: float, diagonals: int, last_diagonal: float,
+                 est_error: float):
+        for name, v in zip(self.__slots__,
+                           (value, diagonals, last_diagonal, est_error)):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("SeriesDiag is read-only")
+
+    __delattr__ = __setattr__
+
+    def __iter__(self):
+        return iter((self.value, self))
+
+    def __getitem__(self, key):
+        if isinstance(key, str):
+            return getattr(self, key)
+        return (self.value, self)[key]
+
+    def __repr__(self) -> str:
+        return "SeriesDiag(%s)" % ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+
+
+def _check_budget(tol: float, budget: int, name: str) -> None:
+    """Refuse a tolerance that is not positive and finite, and a term or
+    diagonal budget that is not a non-negative int."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValueError(
+            f"{name} must be a non-negative int, got {budget!r}")
 
 
 def eval_double_series(
@@ -635,15 +734,17 @@ def eval_double_series(
     y: float,
     tol: float = 1e-12,
     max_diagonal: int = 400,
-) -> tuple[float, SeriesDiag]:
+) -> SeriesDiag:
     """Sum the defining double series at (x, y), by one of two routes.
 
     - The diagonal route (every kind, and the x-restricted kinds Phi1,
       Psi1, Xi1, Xi2 at |x| < ROW_ROUTE_X): terms along each diagonal
       m+n = k come from Pochhammer-ratio recurrence steps on the previous
-      diagonal.  Summation stops once three consecutive diagonals each
-      contribute (in summed absolute value) less than tol times the
-      running |sum|; `est_error` is the last diagonal's magnitude.
+      diagonal, BAND diagonals per NumPy pass (`diagonal_terms`).  Summation
+      stops once three consecutive diagonals each contribute (in summed
+      absolute value) less than tol times the running |sum|; `est_error`
+      is the last diagonal's magnitude.  A diagonal past the float range
+      is refused.
     - The row route (x-restricted kinds at |x| >= ROW_ROUTE_X, where the
       x series converges slowly): every row, the series in y at a fixed
       power x^m, is stepped at once as one NumPy array (`rows.sum_by_rows`).
@@ -653,10 +754,10 @@ def eval_double_series(
     `max_diagonal` is a budget of max_diagonal (max_diagonal + 1) / 2 terms
     on both routes: the diagonal route sums at most max_diagonal diagonals,
     and the row route refuses, before it allocates, a block of more terms.
-    Both raise NoConvergence when the budget runs out.
+    Both raise NoConvergence when the budget runs out.  The result is one
+    SeriesDiag, which unpacks as (value, diag).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_budget(tol, max_diagonal, "max_diagonal")
     info = ref.info
     if not info.bivariate:
         raise SignatureError(f"{ref.kind} is single-variable; use eval_single_series")
@@ -679,20 +780,22 @@ def eval_double_series(
 
 def _sum_by_diagonals(
     info: KindInfo, p: dict, x: float, y: float, tol: float, max_diagonal: int
-) -> tuple[float, SeriesDiag] | str:
-    terms = [1.0]
+) -> SeriesDiag | str:
     total = 1.0
     small_streak = 0
     last_mag = 1.0
-    for k in range(1, max_diagonal + 1):
-        terms = next_diagonal(info, p, terms, x, y)
-        contribution = math.fsum(terms)
-        total += contribution
-        last_mag = math.fsum(abs(t) for t in terms)
+    for k, terms in enumerate(diagonal_terms(info, p, x, y, max_diagonal), 1):
+        try:
+            total += math.fsum(terms)
+            last_mag = math.fsum(map(abs, terms))
+        except (OverflowError, ValueError):  # inf - inf, or a sum past range
+            last_mag = math.inf
+        if not (math.isfinite(total) and math.isfinite(last_mag)):
+            return f"the terms overflowed at diagonal {k}"
         if last_mag < tol * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak == 3:
-                return total, SeriesDiag(k, last_mag, last_mag)
+                return SeriesDiag(total, k, last_mag, last_mag)
         else:
             small_streak = 0
     return (f"no convergence within {max_diagonal} diagonals "
@@ -711,8 +814,7 @@ def eval_single_series(
     Stops under the same three-consecutive-small-terms rule as the double
     series.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_budget(tol, max_terms, "max_terms")
     ref = FunctionRef(kind, params)
     info = ref.info
     if info.bivariate:

@@ -562,6 +562,164 @@ class TestEvalDoubleSeries:
         assert abs(loose - tight) < 1e-7 * max(1.0, abs(tight))
 
 
+def per_term_diagonals(info, p, x, y, count):
+    """Diagonals 1..count stepped term by term with next_diagonal, each
+    ordered by m: the diagonal route before it stepped bands."""
+    terms = [1.0]
+    for _ in range(count):
+        terms = series.next_diagonal(info, p, terms, x, y)
+        yield terms
+
+
+def per_term_sum(ref, x, y, tol=1e-12, max_diagonal=400):
+    """The diagonal route term by term: (value, diagonals, est_error), or
+    the refusal's reason."""
+    p = {k: float(v) for k, v in ref.params.items()}
+    total, streak, last_mag = 1.0, 0, 1.0
+    for k, terms in enumerate(
+            per_term_diagonals(ref.info, p, x, y, max_diagonal), 1):
+        total += math.fsum(terms)
+        last_mag = math.fsum(abs(t) for t in terms)
+        if last_mag < tol * max(abs(total), 1e-300):
+            streak += 1
+            if streak == 3:
+                return total, k, last_mag
+        else:
+            streak = 0
+    return (f"no convergence within {max_diagonal} diagonals "
+            f"(last diagonal magnitude {last_mag:.3e})")
+
+
+# (kind, x, y, fewest and most diagonals the point stops within): one band,
+# two bands, and several, some of them cancelling
+BAND_POINTS = [
+    ("Phi1", 0.05, -0.07, 1, 32),
+    ("Phi1", 0.4, -0.7, 1, 32),
+    ("Phi2", 1.7, -2.4, 1, 32),
+    ("Phi3", 5.0, -20.0, 33, 64),
+    ("Xi1", -0.7, 1.9, 33, 64),
+    ("Phi2", -10.0, -12.0, 33, 64),
+    ("Xi2", 0.7, -1.5, 33, 64),
+    ("Psi2", -3.3, -7.3, 65, 400),
+    ("Psi1", 0.6, 1.5, 65, 400),
+    ("Phi3", -40.0, 30.0, 65, 400),
+    ("Phi2", -40.0, -40.0, 65, 400),
+    ("Psi2", -33.3, -37.3, 65, 400),
+]
+
+
+class TestDiagonalBands:
+    """The banded diagonal route against its term-by-term oracle, bit for
+    bit."""
+
+    @pytest.mark.parametrize("kind, x, y, lo, hi", BAND_POINTS)
+    def test_matches_per_term_sum(self, kind, x, y, lo, hi):
+        ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
+        value, diag = eval_double_series(ref, x, y)
+        want_value, want_diagonals, want_error = per_term_sum(ref, x, y)
+        assert lo <= diag.diagonals <= hi
+        assert (value.hex(), diag.est_error.hex(), diag.diagonals) == (
+            want_value.hex(), want_error.hex(), want_diagonals)
+
+    @pytest.mark.parametrize("kind, x, y", [
+        ("Psi2", -33.3, -37.3), ("Xi1", -0.7, 1.9), ("Phi2", 1e-3, 250.0)])
+    def test_every_term_has_the_per_term_bits(self, kind, x, y):
+        ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
+        p = {k: float(v) for k, v in ref.params.items()}
+        banded = series.diagonal_terms(ref.info, p, x, y, 150)
+        for k, (got, want) in enumerate(zip(
+                banded, per_term_diagonals(ref.info, p, x, y, 150)), 1):
+            assert [t.hex() for t in got] == [t.hex() for t in want[::-1]], k
+        assert k == 150
+
+    @pytest.mark.parametrize("budget", [0, 1, 31, 32, 33, 40])
+    def test_budget_is_kept(self, budget, monkeypatch):
+        bands = []
+        band = series._band
+
+        def spy(info, p, x, y, last, width):
+            bands.append((len(last) - 1, width))
+            return band(info, p, x, y, last, width)
+
+        monkeypatch.setattr(series, "_band", spy)
+        for kind, x, y in (("Phi3", 5.0, -20.0), ("Phi2", -40.0, -40.0)):
+            ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
+            want = per_term_sum(ref, x, y, max_diagonal=budget)
+            if isinstance(want, str):
+                with pytest.raises(NoConvergence) as info:
+                    eval_double_series(ref, x, y, max_diagonal=budget)
+                assert str(info.value) == f"{kind} at ({x}, {y}): {want}"
+                assert f"within {budget} diagonals" in want
+            else:
+                value, diag = eval_double_series(ref, x, y,
+                                                 max_diagonal=budget)
+                assert (value, diag.diagonals) == want[:2]
+            assert all(k0 + width <= budget for k0, width in bands)
+
+    def test_a_long_sum_keeps_its_bands_small(self):
+        # all 400 diagonals: an uncapped band of 32 would hold 65 x 401
+        # factors near the end, about 1 MB of transients with its temporaries
+        ref = FunctionRef("Psi2", REFERENCE_PARAMS["Psi2"])
+        eval_double_series(ref, 0.1, 0.1)  # loads NumPy's lazy parts
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoConvergence, match="within 400 diagonals"):
+                eval_double_series(ref, -60.0, -60.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+    @pytest.mark.parametrize("kind, x, y, diagonal", [
+        ("Psi2", 300.0, 300.0, 305),
+        ("Psi2", -700.0, -700.0, 198),
+        ("Phi2", -1e6, -1e6, 68),
+        ("Phi3", 1e5, 1e5, 90),
+        ("Phi2", 1e300, 0.0, 2),
+    ])
+    def test_overflow_is_refused_at_its_diagonal(self, kind, x, y, diagonal):
+        ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence,
+                               match=f"overflowed at diagonal {diagonal}$"):
+                eval_double_series(ref, x, y)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"tol": -1e-12}, {"tol": math.nan}, {"tol": math.inf},
+        {"max_diagonal": 2.5}, {"max_diagonal": -3}, {"max_diagonal": True},
+    ])
+    def test_bad_summation_arguments_are_refused(self, kwargs):
+        ref = FunctionRef("Phi1", REFERENCE_PARAMS["Phi1"])
+        for x in (0.4, 0.9):  # the diagonal and the row route
+            with pytest.raises(ValueError):
+                eval_double_series(ref, x, 0.1, **kwargs)
+        single = {"max_terms": kwargs["max_diagonal"]} \
+            if "max_diagonal" in kwargs else kwargs
+        with pytest.raises(ValueError):
+            eval_single_series("Gauss2F1", SINGLE_PARAMS["Gauss2F1"], 0.4,
+                               **single)
+
+    def test_the_result_is_one_record(self):
+        ref = FunctionRef("Phi1", REFERENCE_PARAMS["Phi1"])
+        for x in (0.4, 0.9):  # the diagonal and the row route
+            result = eval_double_series(ref, x, -0.7)
+            value, diag = result
+            assert diag is result and result[1] is result
+            assert value == result.value == result[0]
+            assert result[1]["diagonals"] == result.diagonals > 0
+            assert result["est_error"] == result.est_error > 0
+
+    def test_scalar_rays_match_the_per_term_steps(self):
+        # a ray long enough for several bands
+        params = {k: float(v) for k, v in REFERENCE_PARAMS["Phi2"].items()}
+        coeffs = ray_coeffs("Phi2", params, 20.0, -15.0, 1.0)
+        assert len(coeffs) > 70
+        want = [1.0] + [math.fsum(t) for t in per_term_diagonals(
+            series.KINDS["Phi2"], params, 20.0, -15.0, len(coeffs) - 1)]
+        assert [c.hex() for c in coeffs] == [c.hex() for c in want]
+
+
 # The x-restricted kinds in mpmath.hyper2d form, with the roles of x and y
 # swapped: hyper2d sums its second variable innermost, with the most care,
 # and near |x| = 1 the x series is the slow one.
