@@ -616,32 +616,28 @@ BAND_TERMS = 4096  # cap on the terms of one band, and so on its transient
 def _band(info: KindInfo, p: dict, x: float, y: float, last, width: int):
     """Diagonals k0+1..k0+width stepped from `last`, the terms t_{k0-n,n}
     of diagonal k0 by n, as a (width, k0+width+1) array: row j-1, column n
-    holds t_{k0+j-n,n}, and 1.0 where k0+j-n < 0.
+    holds t_{k0+j-n,n} where k0+j-n >= 0.
 
-    Column 0's successors t_{0,n}, n > k0, are one cumulative product of
-    the interleaved factors t_{0,k0}, ratio_y, y, ratio_y, y, ...; then down
-    every column one cumulative product of t, ratio_x, x, ratio_x, x, ...
-    performs next_diagonal's float operations, (t * ratio_x) * x, in its
-    order, so every term has the bits of the term-by-term recurrence.  A
-    new column n = k0+i has factors 1.0 down to its start t_{0,n}, which
-    takes the place of the factor x of diagonal k0+i.
+    Down every column one cumulative product of the interleaved factors t,
+    ratio_x, x, ratio_x, x, ... performs next_diagonal's float operations,
+    (t * ratio_x) * x, in its order, so every term has the bits of the
+    term-by-term recurrence.  A new column n = k0+i starts from t_{0,k0}
+    with the factors ratio_y, y, ratio_y, y, ... of the steps in y along
+    row 0, so that its product reaches t_{0,n} in row i, as next_diagonal
+    steps it, and then steps in x.
     """
     import numpy as np  # loaded on first use, as rows.py is
 
     k0 = len(last) - 1
     n = np.arange(k0 + width + 1.0)
-    top = np.empty(2 * width + 1)
-    top[0] = last[-1]
-    top[1::2] = info.ratio_y(p, 0.0, n[k0:-1])
-    top[2::2] = y
     m = np.arange(k0, k0 + width, dtype=float)[:, None] - n  # row stepped from
     live = m >= 0
-    factors = np.ones((2 * width + 1, len(n)))
+    factors = np.empty((2 * width + 1, len(n)))
+    factors[0] = last[-1]
     factors[0, :k0 + 1] = last
-    factors[1::2] = np.where(live, info.ratio_x(p, np.maximum(m, 0.0), n), 1.0)
-    factors[2::2] = np.where(live, x, 1.0)
-    i = np.arange(1, width + 1)
-    factors[2 * i, k0 + i] = np.cumprod(top)[2::2]
+    factors[1::2] = np.where(live, info.ratio_x(p, np.maximum(m, 0.0), n),
+                             info.ratio_y(p, 0.0, n[k0:-1, None]))
+    factors[2::2] = np.where(live, x, y)
     return np.cumprod(factors, axis=0)[2::2]
 
 
