@@ -622,9 +622,9 @@ def _band(info: KindInfo, p: dict, x: float, y: float, last, width: int):
     ratio_x, x, ratio_x, x, ... performs next_diagonal's float operations,
     (t * ratio_x) * x, in its order, so every term has the bits of the
     term-by-term recurrence.  A new column n = k0+i starts from t_{0,k0}
-    with the factors ratio_y, y, ratio_y, y, ... of the steps in y along
-    row 0, so that its product reaches t_{0,n} in row i, as next_diagonal
-    steps it, and then steps in x.
+    with the factors ratio_y, y, ratio_y, y, ... of the i steps in y along
+    m = 0, so that its product reaches t_{0,n} as next_diagonal steps it,
+    and then steps in x.
     """
     import numpy as np  # loaded on first use, as rows.py is
 
