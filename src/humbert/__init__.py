@@ -41,7 +41,6 @@ from .identities import (
     verify_operator_identity,
 )
 from .operators import (
-    DiagonalAction,
     apply_H,
     apply_H_bar,
     apply_delta_op,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BIVARIATE_KINDS",
     "ConstraintViolation",
-    "DiagonalAction",
     "DomainError",
     "FunctionRef",
     "HumbertError",

@@ -10,9 +10,7 @@ routes must agree exactly and are never merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import PoleError
 from .scalars import (
@@ -25,18 +23,6 @@ from .scalars import (
 from .series import TruncatedBiseries
 
 AXES = ("xy", "x", "y")
-
-
-@dataclass(frozen=True)
-class DiagonalAction:
-    """A monomial-basis eigenvalue rule (m, n) -> multiplier, with a label
-    naming the operator it realizes."""
-
-    label: str
-    multiplier: Callable[[int, int], Scalar]
-
-    def apply(self, s: TruncatedBiseries) -> TruncatedBiseries:
-        return s.map_indexed(lambda m, n, c: c * self.multiplier(m, n))
 
 
 def _is_zero(v: Scalar) -> bool:
@@ -93,31 +79,6 @@ def delta_pochhammer_action(
     return s.map_indexed(lambda m, n, c: c * table[n])
 
 
-def h_action(a: Scalar, b: Scalar, degree: int, axis: str = "xy") -> DiagonalAction:
-    """Eigenvalue form of H(a, b): multiplier (a)_d/(b)_d on index d.
-
-    The index d is m+n for the two-variable operator, m or n for the
-    single-axis restrictions.  Raises PoleError if (b)_d vanishes anywhere
-    on a degree-`degree` triangle.
-    """
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}")
-    lams = _ratio_prefix(a, b, degree, f"H({a}, {b})")
-    return DiagonalAction(
-        f"H_{axis}({a}, {b})", lambda m, n: lams[_index(axis, m, n)]
-    )
-
-
-def h_bar_action(a: Scalar, b: Scalar, degree: int, axis: str = "xy") -> DiagonalAction:
-    """Eigenvalue form of the inverse operator: multiplier (b)_d/(a)_d."""
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}")
-    lams = _ratio_prefix(b, a, degree, f"H_bar({a}, {b})")
-    return DiagonalAction(
-        f"H_bar_{axis}({a}, {b})", lambda m, n: lams[_index(axis, m, n)]
-    )
-
-
 def _h_sum_multiplier(a, b, m, n, axis, inverse):
     """Finite-sum eigenvalue of H (or its inverse) on the (m, n) slot.
 
@@ -142,6 +103,20 @@ def _h_sum_multiplier(a, b, m, n, axis, inverse):
     return total
 
 
+def _apply_h(s, a, b, mode, axis, inverse):
+    """apply_H, or apply_H_bar if `inverse`."""
+    if axis not in AXES:
+        raise ValueError(f"axis must be one of {AXES}")
+    if mode == "closed_form":
+        lams = (_ratio_prefix(b, a, s.degree, f"H_bar({a}, {b})") if inverse
+                else _ratio_prefix(a, b, s.degree, f"H({a}, {b})"))
+        return s.map_indexed(lambda m, n, c: c * lams[_index(axis, m, n)])
+    if mode == "double_sum":
+        return s.map_indexed(
+            lambda m, n, c: c * _h_sum_multiplier(a, b, m, n, axis, inverse))
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def apply_H(
     s: TruncatedBiseries,
     a: Scalar,
@@ -152,13 +127,7 @@ def apply_H(
     """Apply H(a, b): scale the (m, n) coefficient by (a)_d/(b)_d, d the
     axis index.  mode "double_sum" evaluates the defining finite sum instead;
     both modes agree exactly and the sum route exists as a cross-check."""
-    if mode == "closed_form":
-        return h_action(a, b, s.degree, axis).apply(s)
-    if mode == "double_sum":
-        return s.map_indexed(
-            lambda m, n, c: c * _h_sum_multiplier(a, b, m, n, axis, inverse=False)
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return _apply_h(s, a, b, mode, axis, inverse=False)
 
 
 def apply_H_bar(
@@ -172,39 +141,29 @@ def apply_H_bar(
 
     apply_H_bar(apply_H(s, a, b), a, b) == s exactly, slot by slot.
     """
-    if mode == "closed_form":
-        return h_bar_action(a, b, s.degree, axis).apply(s)
-    if mode == "double_sum":
-        return s.map_indexed(
-            lambda m, n, c: c * _h_sum_multiplier(a, b, m, n, axis, inverse=True)
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return _apply_h(s, a, b, mode, axis, inverse=True)
 
 
-def nabla_action(h: Scalar, degree: int) -> DiagonalAction:
-    """Multiplier (h)_{m+n} / ((h)_m (h)_n); identity on pure-axis slots."""
-    poch = pochhammer_table(h, degree)
-    return DiagonalAction(
-        f"nabla({h})",
-        lambda m, n: _safe_div(poch[m + n], poch[m] * poch[n], f"nabla({h})"),
-    )
+def _apply_nabla(s, h, inverse):
+    """Scale the (m, n) coefficient by (h)_{m+n} / ((h)_m (h)_n), or by its
+    reciprocal for the inverse; both fix the pure-axis slots."""
+    poch = pochhammer_table(h, s.degree)
+    context = f"delta_op({h})" if inverse else f"nabla({h})"
 
+    def scale(m, n, c):
+        joint, apart = poch[m + n], poch[m] * poch[n]
+        num, den = (apart, joint) if inverse else (joint, apart)
+        return c * _safe_div(num, den, context)
 
-def delta_op_action(h: Scalar, degree: int) -> DiagonalAction:
-    """Multiplier (h)_m (h)_n / (h)_{m+n}; the reciprocal of nabla_action."""
-    poch = pochhammer_table(h, degree)
-    return DiagonalAction(
-        f"delta_op({h})",
-        lambda m, n: _safe_div(poch[m] * poch[n], poch[m + n], f"delta_op({h})"),
-    )
+    return s.map_indexed(scale)
 
 
 def apply_nabla(s: TruncatedBiseries, h: Scalar) -> TruncatedBiseries:
-    return nabla_action(h, s.degree).apply(s)
+    return _apply_nabla(s, h, inverse=False)
 
 
 def apply_delta_op(s: TruncatedBiseries, h: Scalar) -> TruncatedBiseries:
-    return delta_op_action(h, s.degree).apply(s)
+    return _apply_nabla(s, h, inverse=True)
 
 
 def nabla_delta_ksum(h: Scalar, g: Scalar, m: int, n: int) -> Scalar:

@@ -13,7 +13,6 @@ from humbert.operators import (
     apply_nabla,
     apply_nabla_delta,
     delta_pochhammer_action,
-    h_action,
     nabla_delta_ksum,
 )
 from humbert.series import FunctionRef, TruncatedBiseries, graded_indices, truncated_series
@@ -113,6 +112,39 @@ class TestApplyH:
             apply_H(TruncatedBiseries.one(2), F(1), F(2), mode="magic")
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize("apply", [apply_H, apply_H_bar])
+    @pytest.mark.parametrize("mode", ["closed_form", "double_sum"])
+    def test_bad_axis_is_refused(self, apply, mode):
+        with pytest.raises(ValueError, match="axis must be one of"):
+            apply(TruncatedBiseries.one(3), F(1, 3), F(5, 2), mode=mode,
+                  axis="z")
+
+    # h = -2 + 1e-13: (h)_6 clears the float pole guard while (h)_3 (h)_3
+    # falls under it, so nabla(h) itself meets a vanishing denominator
+    @pytest.mark.parametrize("apply, args, mode, text", [
+        (apply_H, (F(1, 2), F(-2)), "closed_form",
+         "H(1/2, -2): ratio step denominator b + k = -2 + 2 = 0"),
+        (apply_H, (F(1, 2), F(-2)), "double_sum",
+         "H finite sum: denominator Pochhammer vanishes"),
+        (apply_H_bar, (F(-3), F(1, 2)), "closed_form",
+         "H_bar(-3, 1/2): ratio step denominator b + k = -3 + 3 = 0"),
+        (apply_H_bar, (F(-3), F(1, 2)), "double_sum",
+         "H finite sum: denominator Pochhammer vanishes"),
+        (apply_nabla_delta, (-2 + 1e-13, 0.5), "closed_form",
+         "nabla(-1.9999999999999): denominator Pochhammer vanishes"),
+        (apply_nabla_delta, (F(1, 2), F(-2)), "closed_form",
+         "delta_op(-2): denominator Pochhammer vanishes"),
+        (apply_nabla_delta, (F(1, 2), F(-2)), "k_sum",
+         "nabla-delta finite sum: denominator Pochhammer vanishes"),
+    ])
+    def test_pole_texts(self, apply, args, mode, text):
+        s = TruncatedBiseries.from_function(8, lambda m, n: F(1))
+        with pytest.raises(PoleError) as raised:
+            apply(s, *args, mode=mode)
+        assert str(raised.value) == text
+
+
 class TestApplyHBar:
     def test_inverse_pair_both_ways(self):
         rng = random.Random(31)
@@ -200,10 +232,3 @@ class TestNablaDelta:
         )
         assert nabla_delta_ksum(h, g, m, n) == expected
 
-
-class TestDiagonalAction:
-    def test_h_action_composes_with_inverse(self):
-        a, b = F(2, 7), F(9, 5)
-        act = h_action(a, b, 6)
-        s = TruncatedBiseries.from_function(6, lambda m, n: F(m - n, m + n + 1))
-        assert act.apply(s).first_mismatch(apply_H(s, a, b)) is None
