@@ -320,13 +320,16 @@ def _assemble(e: dict, env: dict, degree: int, outer_bound: int
         return _assemble_sum(e, env, degree, outer_bound)
     series = _assemble(e["operand"], env, degree, outer_bound)
     for step in e["ops"]:
-        series = _OPERATORS[step["op"]](
+        # read the module globals per call, so that a wrapped apply_H or
+        # apply_H_bar (a tracer's, a test's) sees every step
+        apply = apply_H if step["op"] == "H" else apply_H_bar
+        series = apply(
             series, eval_affine(step["a"], env), eval_affine(step["b"], env),
             axis=step["axis"])
     return series
 
 
-_OPERATORS = {"H": apply_H, "Hbar": apply_H_bar}
+_OPERATORS = ("H", "Hbar")
 
 
 def _check_step(step) -> None:

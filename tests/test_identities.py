@@ -1,5 +1,6 @@
 import pytest
 
+from humbert import expressions
 from humbert.errors import UnknownIdentity
 from humbert.expressions import expression_symbols
 from humbert.identities import (
@@ -9,6 +10,7 @@ from humbert.identities import (
     verify_all_identities,
     verify_operator_identity,
 )
+from humbert.operators import apply_H
 from humbert.scalars import SYMBOLS
 
 
@@ -71,6 +73,19 @@ class TestVerification:
     def test_unknown_identity(self, profile_a):
         with pytest.raises(UnknownIdentity):
             verify_operator_identity("2.99", profile_a)
+
+    def test_ops_steps_read_the_module_operators(self, profile_a, monkeypatch):
+        # a wrapper set on the module, as a tracer sets one, sees the steps
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return apply_H(*args, **kwargs)
+
+        monkeypatch.setattr(expressions, "apply_H", counting)
+        report = verify_operator_identity("2.1", profile_a, degree=4)
+        assert report.status == "pass", report.to_json()
+        assert len(calls) > 0
 
 
 class TestShiftMechanics:
