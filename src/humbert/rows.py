@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .series import KindInfo, SeriesDiag, _step_factors
-
-_UNIT_ROUNDOFF = 2.0 ** -53
+from .series import (_UNIT_ROUNDOFF, KindInfo, SeriesDiag, _step_factors,
+                     _step_roundings)
 
 
 def _sup_pair(a, b):
@@ -52,18 +51,10 @@ def _ratio_bound(info: KindInfo, step: str) -> Callable:
                  "inf": math.inf})
 
 
-def _step_roundings(info: KindInfo, step: str) -> int:
-    """Roundings one recurrence step commits, at most: two additions per
-    ratio factor, one product or quotient joining each, then the products
-    by the argument and by the previous term."""
-    num, den = _step_factors(info.num, info.den, step)
-    return 3 * (len(num) + len(den)) + 1
-
-
 @functools.cache
 def ratio_bounds(info: KindInfo) -> tuple[Callable, Callable]:
     """The kind's bounds on its x and y term ratios over every later step,
-    compiled once."""
+    compiled once; `series.eval_single_series` reads the x bound too."""
     return _ratio_bound(info, "m"), _ratio_bound(info, "n")
 
 

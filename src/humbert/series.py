@@ -292,6 +292,14 @@ def _step_factors(num, den, step: str, factorial: bool = True
     return factors(num), factors(den) + falling
 
 
+def _step_roundings(info: KindInfo, step: str) -> int:
+    """Roundings one recurrence step commits, at most: two additions per
+    ratio factor, one product or quotient joining each, then the products
+    by the argument and by the previous term."""
+    num, den = _step_factors(info.num, info.den, step)
+    return 3 * (len(num) + len(den)) + 1
+
+
 def _term_ratio(num, den, step: str) -> Callable:
     """Compile the term ratio for a unit step in `step` ("m" or "n") as a
     function of (p, m, n), with p the slot values, float or exact.
@@ -673,6 +681,7 @@ def diagonal_terms(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
 
 
 ROW_ROUTE_X = 0.75  # |x| from which the x-restricted kinds are summed by rows
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class SeriesDiag:
@@ -807,8 +816,14 @@ def eval_single_series(
 ) -> tuple[float, dict]:
     """Sum a single-variable series by term recurrence.
 
-    Stops under the same three-consecutive-small-terms rule as the double
-    series.
+    Stops, after at least three consecutive terms each below tol times the
+    running |sum|, once `est_error` is within tol |value|.  `est_error`
+    adds the tail, geometric in the sup of the term ratio over every later
+    step (`rows.ratio_bounds`), and a first-order rounding bound: each
+    step commits at most c = `_step_roundings` roundings of u, so term m
+    is off by at most c m u of itself, and each addition by u of its
+    partial sum.  A sum whose rounding alone exceeds tol |value| / 2, as a
+    cancelling one's does, is refused, and so is one whose terms overflow.
     """
     _check_budget(tol, max_terms, "max_terms")
     ref = FunctionRef(kind, params)
@@ -817,23 +832,40 @@ def eval_single_series(
         raise SignatureError(f"{kind} is bivariate; use eval_double_series")
     if not in_domain(ref, x, 0.0):
         raise DomainError(f"x = {x} outside the {kind} convergence region")
+    from .rows import ratio_bounds  # loaded on first use: see rows.py
+
     p = _float_params(ref)
+    c = _step_roundings(info, "m")
+    bound_x = ratio_bounds(info)[0]
     term = 1.0
     total = 1.0
+    weight = partials = 0.0  # sum of m |term m|, sum of |partial sums|
     small_streak = 0
     for m in range(1, max_terms + 1):
         term *= info.ratio_x(p, m - 1, 0) * x
         total += term
-        if abs(term) < tol * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak == 3:
-                return total, {
-                    "terms": m,
-                    "last_term": abs(term),
-                    "est_error": abs(term),
-                }
-        else:
+        if not math.isfinite(total):
+            raise NoConvergence(
+                f"{kind} at {x}: the terms overflowed at term {m}")
+        weight += m * abs(term)
+        partials += abs(total)
+        if abs(term) >= tol * max(abs(total), 1e-300):
             small_streak = 0
+            continue
+        small_streak += 1
+        if small_streak < 3:
+            continue
+        rho = abs(x) * float(bound_x(p, m, 0))
+        tail = 0.0 if term == 0 else (
+            abs(term) * rho / (1.0 - rho) if rho < 1 else math.inf)
+        rounding = _UNIT_ROUNDOFF * (c * weight + partials)
+        if tail + rounding <= tol * abs(total):
+            return total, {"terms": m, "last_term": abs(term),
+                           "est_error": tail + rounding}
+        if tail <= tol * abs(total) / 2:
+            raise NoConvergence(
+                f"{kind} at {x}: rounding bound {rounding:.3e} exceeds "
+                f"tol |value| = {tol * abs(total):.3e}")
     raise NoConvergence(
         f"{kind} at {x}: no convergence within {max_terms} terms"
     )

@@ -272,7 +272,11 @@ BAD_INPUTS = [
 ] + [(("verify", "all"), {"HUMBERT_CATALOG": f"{{{name}}}"}, "SignatureError")
      for name in ("prefactor_key", "function_key", "axis_z", "axis_bivariate",
                   "sum_key", "inner_key", "factor_key", "ops_key", "step_key",
-                  "transform_name", "factor_index_symbol")]
+                  "transform_name", "factor_index_symbol")] + [
+    # a cancelling single series is refused, not printed
+    (("eval", "kummer1f1", "--alpha", "1/2", "--gamma", "5/4", "--x", "-50"),
+     {}, "NoConvergence"),
+]
 
 # inputs every report of a run refuses: exit 2, error reports on stdout
 BAD_REPORTS = [

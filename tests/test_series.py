@@ -26,7 +26,9 @@ from humbert import series
 from humbert.scalars import pochhammer
 from humbert.series import (
     BIVARIATE_KINDS,
+    KINDS,
     ROW_ROUTE_X,
+    SINGLE_KINDS,
     FunctionRef,
     TruncatedBiseries,
     eval_double_series,
@@ -824,7 +826,61 @@ class TestRowRoute:
         assert frames >= 2  # the test's frame and eval_double_series'
 
 
+# The single-variable kinds as mpmath functions of (params, x).
+MPMATH_SINGLE = {
+    "Gauss2F1": lambda mp, p, x: mp.hyp2f1(p["alpha"], p["beta"], p["gamma"], x),
+    "Kummer1F1": lambda mp, p, x: mp.hyp1f1(p["alpha"], p["gamma"], x),
+    "Bessel0F1": lambda mp, p, x: mp.hyp0f1(p["gamma"], x),
+}
+
+
+@st.composite
+def _single_points(draw):
+    kind = draw(st.sampled_from(SINGLE_KINDS))
+    params = {}
+    for slot in KINDS[kind].slots:
+        q = draw(st.integers(1, 12))
+        low = 1 if slot == "gamma" else -3 * q
+        params[slot] = F(draw(st.integers(low, 3 * q)), q)
+    reach = 0.97 if KINDS[kind].x_restricted else 60.0
+    return kind, params, draw(st.floats(-reach, reach))
+
+
 class TestEvalSingleSeries:
+    @given(point=_single_points())
+    @settings(deadline=None, max_examples=60)
+    def test_within_estimate_of_mpmath_or_refused(self, point):
+        mpmath = pytest.importorskip("mpmath")
+        kind, params, x = point
+        try:
+            value, diag = eval_single_series(kind, params, x)
+        except NoConvergence:
+            return
+        # est_error bounds the float arithmetic at the float parameters;
+        # rounding the reference to a float adds at most u |ref|
+        with mpmath.workdps(40):
+            p = {k: mpmath.mpf(float(v)) for k, v in params.items()}
+            ref = float(MPMATH_SINGLE[kind](mpmath, p, mpmath.mpf(x)))
+        assert abs(value - ref) <= diag["est_error"] + 2.0 ** -53 * abs(ref), (
+            value, ref, diag)
+
+    @pytest.mark.parametrize("kind, params, x, refusal", [
+        ("Kummer1F1", SINGLE_PARAMS["Kummer1F1"], 1e5,
+         "the terms overflowed at term 90"),
+        ("Bessel0F1", SINGLE_PARAMS["Bessel0F1"], 1e9,
+         "the terms overflowed at term 48"),
+        # mpmath gives 0.10487 and 0.16648; the float sums cancel to
+        # -1575.06 and to 9e-10 relative off
+        ("Kummer1F1", SINGLE_PARAMS["Kummer1F1"], -50.0, "rounding bound"),
+        ("Kummer1F1", SINGLE_PARAMS["Kummer1F1"], -20.0, "rounding bound"),
+    ])
+    def test_overflow_and_cancellation_are_refused(self, kind, params, x,
+                                                   refusal):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match=refusal):
+                eval_single_series(kind, params, x)
+
     def test_gauss_log(self):
         val, _ = eval_single_series(
             "Gauss2F1", {"alpha": 1, "beta": 1, "gamma": 2}, 0.5
