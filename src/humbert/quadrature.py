@@ -23,9 +23,10 @@ pass, and contract it with the two axes' weights.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import count, islice
 
 import numpy as np
 
@@ -152,36 +153,45 @@ def _refine(level_value, spec: QuadratureSpec, prefix: str = ""
     )
 
 
-# --- vectorized single-variable series over node arrays ---------------------
+# --- vectorized series over node arrays --------------------------------------
 
-def _series_loop(kind: str, params: dict, z: np.ndarray, tol: float,
-                 max_terms: int, what: str) -> np.ndarray:
-    """Sum a single-variable kind over the node array z, stepping each term
-    with the kind's float term ratio."""
-    ratio = KINDS[kind].ratio_x
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    streak = 0
-    for k in range(max_terms):
-        term *= ratio(params, k, 0)  # in place: z may span a whole node grid
-        term *= z
-        total += term
-        if np.max(np.abs(term)) < tol * max(1.0, np.max(np.abs(total))):
+def _series_loop(steps: Iterator, tol: float, max_steps: int, what: str
+                 ) -> np.ndarray:
+    """Sum 1 plus the increments of `steps` over a node array.  Each step
+    is a pair (increment, size): a single-variable kind's term and its
+    magnitude, or a bivariate kind's diagonal sum and the sum of its terms'
+    magnitudes.  The sum stops once three steps in a row have every size
+    below tol times max(1, the largest |sum|)."""
+    total, streak = 1.0, 0  # total is a node array from the first step on
+    for step, size in islice(steps, max_steps):
+        total += step
+        if np.max(size) < tol * max(1.0, np.max(np.abs(total))):
             streak += 1
             if streak == 3:
                 return total
         else:
             streak = 0
-    raise NoConvergence(f"{what}: series did not settle in {max_terms} terms")
+    raise NoConvergence(f"{what}: series did not settle in {max_steps} steps")
+
+
+def _terms(kind: str, params: dict, z: np.ndarray) -> Iterator:
+    """A single-variable kind's terms at the node array z, each stepped
+    from the last with the kind's float term ratio, with their sizes."""
+    ratio = KINDS[kind].ratio_x
+    term = np.ones_like(z)
+    for k in count():
+        term *= ratio(params, k, 0)  # in place: z may span a whole node grid
+        term *= z
+        yield term, np.abs(term)
 
 
 def kummer_arr(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
-    return _series_loop("Kummer1F1", {"alpha": a, "gamma": b}, z, tol, 500,
-                        "confluent series")
+    return _series_loop(_terms("Kummer1F1", {"alpha": a, "gamma": b}, z),
+                        tol, 500, "confluent series")
 
 
 def bessel_arr(b: float, z: np.ndarray, tol: float) -> np.ndarray:
-    return _series_loop("Bessel0F1", {"gamma": b}, z, tol, 500,
+    return _series_loop(_terms("Bessel0F1", {"gamma": b}, z), tol, 500,
                         "limit-confluent series")
 
 
@@ -189,34 +199,21 @@ def gauss_arr(a: float, b: float, c: float, z: np.ndarray, tol: float
               ) -> np.ndarray:
     if np.max(np.abs(z)) >= 1.0:
         raise DomainError("Gauss series argument reached |z| >= 1 at a node")
-    return _series_loop("Gauss2F1", {"alpha": a, "beta": b, "gamma": c}, z,
-                        tol, 800, "Gauss series")
+    p = {"alpha": a, "beta": b, "gamma": c}
+    return _series_loop(_terms("Gauss2F1", p, z), tol, 800, "Gauss series")
 
 
 def phi1_arr(a: float, b: float, c: float, u: np.ndarray, v: np.ndarray,
              tol: float) -> np.ndarray:
-    """First Humbert kind on per-node argument pairs, by row reduction:
-    sum_m (a)_m (b)_m / ((c)_m m!) u^m * 1F1(a+m; c+m; v)."""
+    """First Humbert kind on per-node argument pairs (u, v), by diagonals
+    (`diagonal_terms`), each summed with np.sum and sized by its terms'
+    absolute sum: a signed diagonal sum can stop a cancelling series early."""
     if np.max(np.abs(u)) >= 1.0:
-        raise DomainError("row-reduced series argument reached |u| >= 1")
-    ratio = KINDS["Gauss2F1"].ratio_x
-    params = {"alpha": a, "beta": b, "gamma": c}
-    coef = 1.0
-    pu = np.ones_like(u)
-    total = np.zeros_like(u)
-    streak = 0
-    for m in range(400):
-        row = coef * pu * kummer_arr(a + m, c + m, v, tol)
-        total += row
-        if np.max(np.abs(row)) < tol * max(1.0, np.max(np.abs(total))):
-            streak += 1
-            if streak == 3:
-                return total
-        else:
-            streak = 0
-        coef *= ratio(params, m, 0)
-        pu = pu * u
-    raise NoConvergence("row-reduced double series did not settle")
+        raise DomainError("Phi1 series argument reached |u| >= 1 at a node")
+    p = {"alpha": a, "beta": b, "gamma": c}
+    sums = ((np.sum(d, axis=0), np.sum(np.abs(d), axis=0)) for d in
+            map(np.array, diagonal_terms(KINDS["Phi1"], p, u, v, 400)))
+    return _series_loop(sums, tol, 400, "Phi1 series")
 
 
 # --- power-series coefficients for coupling factors -------------------------
@@ -258,10 +255,9 @@ def binom_coeffs(p: float, c: float, zmax: float) -> np.ndarray:
 
 
 def kummer_coeffs(a: float, b: float, c: float, zmax: float) -> np.ndarray:
-    return _adaptive(
-        lambda g, k: g * (a + k) * c / ((b + k) * (k + 1.0)),
-        zmax, "confluent coupling",
-    )
+    ratio, p = KINDS["Kummer1F1"].ratio_x, {"alpha": a, "gamma": b}
+    return _adaptive(lambda g, k: g * ratio(p, k, 0) * c, zmax,
+                     "confluent coupling")
 
 
 def ray_coeffs(kind: str, params: dict, cx, cy, zmax: float) -> np.ndarray:
@@ -731,6 +727,7 @@ def eval_integral(
     return norm * value, diag
 
 
+DIRECT_REPS = ("4.1", "4.2", "4.3", "4.4", "4.5")  # 3 points each, to 1e-8
 DEFAULT_POINTS = ((0.3, 0.2), (0.1, 0.35), (0.25, 0.15))
 DEFAULT_GRID_AXIS = (0.05, 0.2, 0.35)
 
@@ -738,14 +735,14 @@ DEFAULT_GRID_AXIS = (0.05, 0.2, 0.35)
 def default_grid(rep_id: str) -> tuple:
     """Three spot checks for the direct representations, a 3x3 grid for the
     composite ones."""
-    if rep_id in ("4.1", "4.2", "4.3", "4.4", "4.5"):
+    if rep_id in DIRECT_REPS:
         return DEFAULT_POINTS
     return tuple((gx, gy) for gx in DEFAULT_GRID_AXIS
                  for gy in DEFAULT_GRID_AXIS)
 
 
 def default_tolerance(rep_id: str) -> float:
-    return 1e-8 if rep_id in ("4.1", "4.2", "4.3", "4.4", "4.5") else 1e-7
+    return 1e-8 if rep_id in DIRECT_REPS else 1e-7
 
 
 def series_value(rep: IntegralRep, params: dict, x: float, y: float) -> float:

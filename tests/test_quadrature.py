@@ -29,11 +29,13 @@ from humbert.quadrature import (
     gauss_arr,
     integrate_beta_kernel,
     kummer_arr,
+    phi1_arr,
     poly_arr,
     ray_coeffs,
     series_value,
 )
-from humbert.series import eval_single_series
+from humbert import quadrature
+from humbert.series import FunctionRef, eval_double_series, eval_single_series
 
 
 class TestBetaSuite:
@@ -325,6 +327,45 @@ class TestGridContraction:
                   "gamma": 1.25}
         with pytest.raises(DomainError, match="convergence region"):
             ray_coeffs("Xi1", params, np.array([0.2, 1.0]), np.zeros(2), 1.0)
+
+
+class TestPhi1Nodes:
+    @pytest.mark.parametrize("rep_id", ["4.6", "4.7"])
+    def test_matches_per_node_double_series(self, rep_id, config,
+                                            monkeypatch):
+        # the node arguments the integrand passes at levels 3 and 4 over
+        # the default grid, summed again one node at a time
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return phi1_arr(*args)
+
+        monkeypatch.setattr(quadrature, "phi1_arr", record)
+        params = resolved_params("generic-A", rep_id, config)
+        for x, y in default_grid(rep_id):
+            _, diag = eval_integral(rep_id, params, x, y)
+            assert diag["final_level"] == 4
+        assert len(calls) == 2 * len(default_grid(rep_id))
+        for a, b, c, u, v, tol in calls:
+            ref = FunctionRef("Phi1", {"alpha": a, "beta": b, "gamma": c})
+            want = np.array([eval_double_series(ref, ui, vi, tol=1e-13)[0]
+                             for ui, vi in zip(u, v)])
+            got = phi1_arr(a, b, c, u, v, tol)
+            assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
+
+    @pytest.mark.parametrize("edge", [1.0, -1.0, 1.5])
+    def test_needs_the_open_x_disk(self, edge):
+        with pytest.raises(DomainError, match=r"\|u\| >= 1") as info:
+            phi1_arr(0.5, 1 / 3, 1.25, np.array([0.2, edge]), np.zeros(2),
+                     1e-11)
+        assert "row-reduced" not in str(info.value)
+
+    def test_no_convergence_near_the_edge(self):
+        # 0.995^400 leaves diagonals far above tol: 400 do not settle
+        with pytest.raises(NoConvergence, match="400 steps"):
+            phi1_arr(0.5, 1 / 3, 1.25, np.array([0.995]), np.array([0.0]),
+                     1e-11)
 
 
 class TestGuards:

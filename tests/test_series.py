@@ -951,9 +951,9 @@ GOLDEN_KERNELS = {  # on the nodes linspace(-0.8, 0.8, 5), tol 1e-11
     "gauss_arr": ["0x1.d6bca7b326749p-1", "0x1.e8a1f64811400p-1",
                   "0x1.0000000000000p+0", "0x1.10e3f0aeeeed0p+0",
                   "0x1.30aae8422087cp+0"],
-    "phi1_arr": ["0x1.49e7c0f34e2b7p+0", "0x1.1fc94a3571e48p+0",
+    "phi1_arr": ["0x1.49e7c0f352253p+0", "0x1.1fc94a3571e46p+0",
                  "0x1.0000000000000p+0", "0x1.d1be5a14d6413p-1",
-                 "0x1.b761c4afdacc7p-1"],
+                 "0x1.b761c4afdf33ap-1"],
 }
 
 
@@ -987,3 +987,12 @@ class TestGoldenBits:
         }
         for name, values in got.items():
             assert [v.hex() for v in values] == GOLDEN_KERNELS[name], name
+        # the pinned Phi1 values against mpmath, each within tol, and the
+        # |u| = 0.8 ends within 2.5e-12 and 6.4e-12
+        mpmath = pytest.importorskip("mpmath")
+        bounds = (2.5e-12, tol, tol, tol, 6.4e-12)
+        for u, v, value, bound in zip(z, z[::-1], got["phi1_arr"], bounds):
+            with mpmath.workdps(30):
+                ref = mpmath.hyper2d({"m+n": [a], "m": [b]}, {"m+n": [c]},
+                                     mpmath.mpf(u), mpmath.mpf(v))
+            assert abs(value - ref) <= bound * abs(ref), (u, v)
