@@ -67,33 +67,28 @@ def cmd_eval(args) -> int:
     if kind is None:
         print(f"unknown kind {args.kind!r}", file=sys.stderr)
         return 2
-    try:
-        _check_tol(args.tol)
-        params = _collect_params(args)
-        x = to_float(as_scalar(args.x), "x")
-        if kind in BIVARIATE_KINDS:
-            y = to_float(as_scalar(args.y), "y") if args.y is not None else 0.0
-            ref = FunctionRef(kind, params)
-            value, diag = eval_double_series(ref, x, y, tol=args.tol)
-            payload = {
-                "value": value,
-                "diagonals": diag["diagonals"],
-                "est_error": diag["est_error"],
-            }
-        else:
-            if args.y is not None and to_float(as_scalar(args.y), "y") != 0.0:
-                print(f"{kind} takes a single argument; drop --y",
-                      file=sys.stderr)
-                return 2
-            value, diag = eval_single_series(kind, params, x, tol=args.tol)
-            payload = {
-                "value": value,
-                "terms": diag["terms"],
-                "est_error": diag["est_error"],
-            }
-    except HumbertError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    _check_tol(args.tol)
+    params = _collect_params(args)
+    x = to_float(as_scalar(args.x), "x")
+    if kind in BIVARIATE_KINDS:
+        y = to_float(as_scalar(args.y), "y") if args.y is not None else 0.0
+        ref = FunctionRef(kind, params)
+        value, diag = eval_double_series(ref, x, y, tol=args.tol)
+        payload = {
+            "value": value,
+            "diagonals": diag["diagonals"],
+            "est_error": diag["est_error"],
+        }
+    else:
+        if args.y is not None and to_float(as_scalar(args.y), "y") != 0.0:
+            print(f"{kind} takes a single argument; drop --y", file=sys.stderr)
+            return 2
+        value, diag = eval_single_series(kind, params, x, tol=args.tol)
+        payload = {
+            "value": value,
+            "terms": diag["terms"],
+            "est_error": diag["est_error"],
+        }
     print(json.dumps(payload), file=sys.stdout)
     return 0
 
@@ -102,27 +97,23 @@ def cmd_verify(args) -> int:
     if args.scope != "all" and args.id is None:
         print("an id is required unless scope is 'all'", file=sys.stderr)
         return 2
-    try:
-        if args.n < 0:
-            raise HumbertError(f"--n must be non-negative, got {args.n}")
-        config = load_config(args.config)
-        params = profile_params(args.profile, config)
-        if args.scope == "all":
-            cat = _catalog.load_catalog()
-            errata = _catalog.load_errata(config.get("errata"))
-            reports = _catalog.verify_all(params, degree=args.n,
-                                          catalog=cat, errata=errata)
-            reports += _identities.verify_all_identities(params, degree=args.n)
-        elif args.scope == "formula":
-            reports = [_catalog.verify_formula(args.id, params, degree=args.n)]
-        elif args.scope == "identity":
-            reports = [_identities.verify_operator_identity(
-                args.id, params, degree=args.n)]
-        else:  # pragma: no cover - argparse restricts choices
-            raise UnknownFormula(args.scope)
-    except (HumbertError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    if args.n < 0:
+        raise HumbertError(f"--n must be non-negative, got {args.n}")
+    config = load_config(args.config)
+    params = profile_params(args.profile, config)
+    if args.scope == "all":
+        cat = _catalog.load_catalog()
+        errata = _catalog.load_errata(config.get("errata"))
+        reports = _catalog.verify_all(params, degree=args.n,
+                                      catalog=cat, errata=errata)
+        reports += _identities.verify_all_identities(params, degree=args.n)
+    elif args.scope == "formula":
+        reports = [_catalog.verify_formula(args.id, params, degree=args.n)]
+    elif args.scope == "identity":
+        reports = [_identities.verify_operator_identity(
+            args.id, params, degree=args.n)]
+    else:  # pragma: no cover - argparse restricts choices
+        raise UnknownFormula(args.scope)
     return _emit(reports)
 
 
@@ -143,25 +134,21 @@ def _parse_grid(text: str | None):
 def cmd_integral_check(args) -> int:
     rep_ids = REP_IDS if args.rep == "all" else (args.rep,)
     reports = []
-    try:
-        _check_tol(args.tol)
-        config = load_config(args.config)
-        for rep_id in rep_ids:
-            if rep_id not in REPS:
-                raise UnknownFormula(f"unknown representation id {rep_id!r}")
-            params = resolved_params(args.profile, rep_id, config)
-            reports.append(
-                cross_check(
-                    rep_id,
-                    params,
-                    grid=_parse_grid(args.grid),
-                    tol=args.tol,
-                    spec=QuadratureSpec(),
-                )
+    _check_tol(args.tol)
+    config = load_config(args.config)
+    for rep_id in rep_ids:
+        if rep_id not in REPS:
+            raise UnknownFormula(f"unknown representation id {rep_id!r}")
+        params = resolved_params(args.profile, rep_id, config)
+        reports.append(
+            cross_check(
+                rep_id,
+                params,
+                grid=_parse_grid(args.grid),
+                tol=args.tol,
+                spec=QuadratureSpec(),
             )
-    except (HumbertError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        )
     return _emit(reports)
 
 
@@ -207,7 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (HumbertError, OSError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

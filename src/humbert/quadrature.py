@@ -6,7 +6,8 @@ its endpoint exponents (a, b) as affine expressions, and a builder for the
 remaining smooth factors.  The kernel states both the validity constraints
 (the integral converges exactly when every exponent is positive) and the
 prefactor (the product of Gamma(a+b) / (Gamma(a) Gamma(b)) over the axes,
-which normalises each kernel to 1).  Integration uses a tanh-sinh rule on
+which normalises each kernel to 1 and is carried, in log space, by each
+axis's quadrature weights).  Integration uses a tanh-sinh rule on
 (0, 1): the variable change concentrates nodes double-exponentially at both
 endpoints, so one rule handles every algebraic endpoint singularity with
 positive exponent.  Two-dimensional integrals are tensor products.
@@ -23,6 +24,7 @@ pass, and contract it with the two axes' weights.
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -38,6 +40,7 @@ from .errors import (
     SignatureError,
 )
 from .expressions import eval_affine
+from .reports import NumericResult, VerificationReport, _id_key
 from .scalars import to_float
 from .series import KINDS, FunctionRef, diagonal_terms, eval_double_series
 
@@ -99,34 +102,30 @@ def _nodes(level: int) -> _Nodes:
     return _Nodes(level)
 
 
-def _axis_weights(nodes: _Nodes, a: float, b: float) -> np.ndarray:
-    """Quadrature weight times xi^(a-1) (1-xi)^(b-1), assembled in log space."""
-    return np.exp(
-        nodes.logw + (a - 1.0) * nodes.log_xi + (b - 1.0) * nodes.log_omx
-    )
+def _axis_weights(nodes: _Nodes, a: float, b: float, log_norm: float
+                  ) -> np.ndarray:
+    """Step times quadrature weight times the kernel
+    exp(log_norm) xi^(a-1) (1-xi)^(b-1), assembled in log space: a kernel
+    whose normalisation overflows a float still has representable weights."""
+    return nodes.h * np.exp(nodes.logw + log_norm + (a - 1.0) * nodes.log_xi
+                            + (b - 1.0) * nodes.log_omx)
 
 
 def integrate_beta_kernel(
     factor, a: float, b: float, spec: QuadratureSpec | None = None
 ) -> tuple[float, dict]:
-    """Integrate factor(xi) * xi^(a-1) * (1-xi)^(b-1) over (0, 1).
+    """Integrate factor(xi) * xi^(a-1) * (1-xi)^(b-1) over (0, 1), not
+    normalised: with factor None the value is the Beta function B(a, b).
 
     `factor` maps (xi, omx) node arrays to an array, or is None for the
     plain Beta integrand.
     """
-    spec = spec or QuadratureSpec()
     if a <= 0 or b <= 0:
         raise ConstraintViolation(
             f"endpoint exponents must be positive, got ({a}, {b})"
         )
-
-    def level_value(level: int) -> float:
-        nodes = _nodes(level)
-        w = _axis_weights(nodes, a, b)
-        vals = w if factor is None else w * factor(nodes.xi, nodes.omx)
-        return nodes.h * float(np.sum(vals))
-
-    return _refine(level_value, spec)
+    return _refine(partial(_level, ((a, b, 0.0),), Integrand(factor)),
+                   spec or QuadratureSpec())
 
 
 def _refine(level_value, spec: QuadratureSpec, prefix: str = ""
@@ -312,13 +311,12 @@ class Integrand:
     two-dimensional integrand adds either `couplings`, terms (g, u, v)
     standing for sum_k g[k] (u(xi, 1-xi) v(eta, 1-eta))^k, or
     `grid(xi, omx, eta, ome)`, its whole coupling on the node grid as a
-    (len(xi), len(eta)) array.  `const` multiplies the integral.
+    (len(xi), len(eta)) array.
     """
 
     factor: Callable | None = None
     couplings: tuple = ()
     grid: Callable | None = None
-    const: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -428,10 +426,9 @@ def _b48(p, x, y, tol):
 def _b49(p, x, y, tol):
     c2 = -x / (1.0 - x)
     g = np.convolve(exp_coeffs(-y, 1.0), binom_coeffs(p["beta"], c2, 1.0))
-    return Integrand(
-        couplings=((g, _one_minus, _one_minus),),
-        const=math.exp(y) * (1.0 - x) ** (-p["beta"]),
-    )
+    const = math.exp(y) * (1.0 - x) ** (-p["beta"])
+    return Integrand(factor=lambda xi, omx: const,
+                     couplings=((g, _one_minus, _one_minus),))
 
 
 def _b410(p, x, y, tol):
@@ -609,7 +606,7 @@ REPS: dict[str, IntegralRep] = {rep.id: rep for rep in (
                 "ps", lambda p, x, y, tol: _b419(p, x, y, tol, p["alpha"])),
 )}
 
-REP_IDS = tuple(sorted(REPS, key=lambda s: (len(s), s)))
+REP_IDS = tuple(sorted(REPS, key=_id_key))
 
 # Corrected variants adjudicated by the cross-check suite; these sit outside
 # the as-printed table and carry the diagnosis in code form.
@@ -637,40 +634,52 @@ def _moments(w: np.ndarray, bases: list, sizes: tuple) -> np.ndarray:
             ).reshape(sizes)
 
 
-def _tensor_level(rep, exps, integrand: Integrand, level: int) -> float:
+# The grid route holds a live-row x node coupling array per level.  Level 7
+# (1537 nodes per axis) fits; a coupling that still has not settled by then
+# is refused rather than left to allocate gigabytes at levels 9 and up.
+_GRID_CELLS = 1 << 22
+
+
+def _level(exps, integrand: Integrand, level: int) -> float:
+    """One tanh-sinh level of an integral whose axes carry the Beta kernels
+    `exps`, triples (a, b, log-norm), times `integrand`.  One axis is a
+    weighted sum.  Two contract the couplings' moments, or the node grid."""
     nodes = _nodes(level)
     w1 = _axis_weights(nodes, *exps[0])
-    w2 = _axis_weights(nodes, *exps[1])
     if integrand.factor is not None:
         w1 = w1 * integrand.factor(nodes.xi, nodes.omx)
-    if rep.style == "ps":
-        # sum_k prod_j g_j[k_j] A[k] B[k], with A and B the moment tensors
-        # of the couplings' xi- and eta-sides
-        gs, ufns, vfns = zip(*integrand.couplings)
-        sizes = tuple(len(g) for g in gs)
-        amat = _moments(w1, [u(nodes.xi, nodes.omx) for u in ufns], sizes)
-        bmat = _moments(w2, [v(nodes.xi, nodes.omx) for v in vfns], sizes)
-        total = amat * bmat
-        for g in reversed(gs):
-            total = total @ g
-        total = float(total)
-    else:  # the coupling on the grid of live rows (weight not underflowed)
+    if len(exps) == 1:
+        return float(np.sum(w1))
+    w2 = _axis_weights(nodes, *exps[1])
+    if integrand.grid is not None:
+        # the coupling on the grid of live rows (weight not underflowed)
         live = np.flatnonzero(w1)
+        if live.size * w2.size > _GRID_CELLS:
+            raise NoConvergence(
+                f"level {level} needs a {live.size} x {w2.size} coupling "
+                f"grid, over the {_GRID_CELLS}-cell bound")
         coupling = integrand.grid(nodes.xi[live], nodes.omx[live],
                                   nodes.xi, nodes.omx)
-        total = float(w1[live] @ (coupling @ w2))
-    return total * nodes.h * nodes.h * integrand.const
+        return float(w1[live] @ (coupling @ w2))
+    # sum_k prod_j g_j[k_j] A[k] B[k], with A and B the moment tensors of
+    # the couplings' xi- and eta-sides
+    gs, ufns, vfns = zip(*integrand.couplings)
+    sizes = tuple(len(g) for g in gs)
+    total = (_moments(w1, [u(nodes.xi, nodes.omx) for u in ufns], sizes)
+             * _moments(w2, [v(nodes.xi, nodes.omx) for v in vfns], sizes))
+    for g in reversed(gs):
+        total = total @ g
+    return float(total)
 
 
-def _kernel(rep: IntegralRep, env: dict) -> tuple[list, float]:
-    """Evaluate rep's Beta kernel: each axis's float endpoint exponents
-    (a, b) and the normalisation prod Gamma(a+b) / (Gamma(a) Gamma(b)).
+def _kernel(rep: IntegralRep, env: dict) -> list:
+    """Evaluate rep's Beta kernel: per axis, the float endpoint exponents
+    (a, b) and the log of its normalisation Gamma(a+b) / (Gamma(a) Gamma(b)).
 
     The integral converges exactly when every exponent is positive; the
     first one that is not raises ConstraintViolation naming it.
     """
     exps = []
-    log_norm = 0.0
     for axis in rep.kernel:
         a, b = (float(eval_affine(expr, env)) for expr in axis)
         for expr, val in zip(axis, (a, b)):
@@ -678,9 +687,9 @@ def _kernel(rep: IntegralRep, env: dict) -> tuple[list, float]:
                 raise ConstraintViolation(
                     f"{rep.id}: requires {expr} > 0, got {val:.6g}"
                 )
-        exps.append((a, b))
-        log_norm += math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    return exps, math.exp(log_norm)
+        exps.append((a, b, math.lgamma(a + b) - math.lgamma(a)
+                     - math.lgamma(b)))
+    return exps
 
 
 class _Symbols(dict):
@@ -699,8 +708,8 @@ def eval_integral(
     spec: QuadratureSpec | None = None,
     builder=None,
 ) -> tuple[float, dict]:
-    """Kernel normalisation times the tanh-sinh value of one representation
-    at (x, y).
+    """The tanh-sinh value of one representation at (x, y), its kernel
+    normalised.
 
     Refines level by level until the successive relative change is within
     spec.rtol.  A non-finite x or y, or x >= 1, is a DomainError.
@@ -711,20 +720,13 @@ def eval_integral(
         rep = REPS[rep]
     spec = spec or QuadratureSpec()
     env = _Symbols({k: to_float(v, f"parameter {k}") for k, v in params.items()})
-    exps, norm = _kernel(rep, env)
+    exps = _kernel(rep, env)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"{rep.id}: needs finite x and y, got ({x}, {y})")
     if x >= 1.0:
         raise DomainError(f"{rep.id}: integrand needs x < 1, got {x}")
     integrand = (builder or rep.build)(env, x, y, spec.rtol * 0.1)
-    if rep.dim == 1:
-        value, diag = integrate_beta_kernel(integrand.factor, *exps[0], spec)
-    else:
-        value, diag = _refine(
-            lambda level: _tensor_level(rep, exps, integrand, level), spec,
-            f"{rep.id}: ",
-        )
-    return norm * value, diag
+    return _refine(partial(_level, exps, integrand), spec, f"{rep.id}: ")
 
 
 DIRECT_REPS = ("4.1", "4.2", "4.3", "4.4", "4.5")  # 3 points each, to 1e-8
@@ -782,10 +784,6 @@ def cross_check(
     violations raise; evaluation failures at some grid point produce an
     error report.
     """
-    import time as _time
-
-    from .reports import NumericResult, VerificationReport
-
     rep = REPS[rep_id]
     if grid is None:
         grid = default_grid(rep_id)
@@ -796,7 +794,7 @@ def cross_check(
     spec = spec or QuadratureSpec()
     grid = tuple(map(tuple, grid))
     settings = _numeric_settings(grid, spec, variant)
-    start = _time.perf_counter()
+    start = time.perf_counter()
     worst = (0.0, None)
     quad_level = 0
     try:
@@ -811,10 +809,10 @@ def cross_check(
     except (DomainError, NoConvergence) as exc:
         return VerificationReport(
             target=rep_id, mode="numeric", status="error",
-            settings=settings, duration=_time.perf_counter() - start,
+            settings=settings, duration=time.perf_counter() - start,
             detail=f"{type(exc).__name__}: {exc}",
         )
-    duration = _time.perf_counter() - start
+    duration = time.perf_counter() - start
     status = "pass" if worst[0] <= tol else "fail"
     return VerificationReport(
         target=rep_id, mode="numeric", status=status,

@@ -202,6 +202,18 @@ class TestIntegralCheck:
         assert code == 2
         assert "ConstraintViolation: 4.8: requires eps - alpha > 0" in err
 
+    def test_kernel_norm_past_float_range_exit_0(self, capsys, tmp_path):
+        # Gamma(1200) / Gamma(600)^2 overflows a float; the check still runs
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"profiles": {"generic-A": {
+            "alpha": "600", "beta": "1/3", "gamma": "1200"}}}))
+        code, out, _ = run(
+            capsys, "integral-check", "4.1", "--config", str(config)
+        )
+        assert code == 0
+        (report,) = json_lines(out)
+        assert report["status"] == "pass"
+
     def test_all_reports_failures_exit_1(self, capsys):
         code, out, err = run(capsys, "integral-check", "all")
         assert code == 1

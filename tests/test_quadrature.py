@@ -20,8 +20,8 @@ from humbert.quadrature import (
     QuadratureSpec,
     _axis_weights,
     _kernel,
+    _level,
     _nodes,
-    _tensor_level,
     cross_check,
     default_grid,
     default_tolerance,
@@ -253,7 +253,7 @@ class TestTensorContraction:
         # full tensor grid of one level, each coupling series in Horner form
         params = {k: float(v) for k, v in
                   resolved_params("generic-A", rep_id, config).items()}
-        exps, _ = _kernel(REPS[rep_id], params)
+        exps = _kernel(REPS[rep_id], params)
         integrand = build(params, 0.3, 0.2, 1e-12)
         nodes = _nodes(3)
         w1 = _axis_weights(nodes, *exps[0])
@@ -263,8 +263,8 @@ class TestTensorContraction:
         for g, ufn, vfn in integrand.couplings:
             z = np.outer(ufn(nodes.xi, nodes.omx), vfn(nodes.xi, nodes.omx))
             grid = grid * np.polyval(g[::-1], z)
-        want = float(grid.sum()) * nodes.h**2 * integrand.const
-        got = _tensor_level(REPS[rep_id], exps, integrand, 3)
+        want = float(grid.sum())
+        got = _level(exps, integrand, 3)
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -291,7 +291,7 @@ class TestGridContraction:
         params = {k: float(v) for k, v in
                   resolved_params("generic-A", rep_id, config).items()}
         x, y = 0.3, 0.2
-        exps, _ = _kernel(REPS[rep_id], params)
+        exps = _kernel(REPS[rep_id], params)
         integrand = REPS[rep_id].build(params, x, y, 1e-11)
         nodes = _nodes(3)
         w1 = _axis_weights(nodes, *exps[0])
@@ -301,8 +301,8 @@ class TestGridContraction:
             w1[i] * math.fsum(w2 * row(params, x, y, nodes.xi[i],
                                        nodes.omx[i], nodes.xi, nodes.omx))
             for i in np.flatnonzero(w1)
-        ) * nodes.h**2 * integrand.const
-        got = _tensor_level(REPS[rep_id], exps, integrand, 3)
+        )
+        got = _level(exps, integrand, 3)
         assert abs(got - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("kind, params", [
@@ -406,7 +406,8 @@ class TestGuards:
         spec = QuadratureSpec(start_level=6, max_level=6, rtol=1e-10)
         report = cross_check("4.1", params, spec=spec)
         assert report.status == "error"
-        assert report.detail.startswith("NoConvergence: tanh-sinh did not reach")
+        assert report.detail.startswith(
+            "NoConvergence: 4.1: tanh-sinh did not reach")
 
     def test_cross_check_reports_series_no_convergence(self, config):
         # this close to |x| = 1 the Phi1 target series needs more terms than
@@ -424,11 +425,44 @@ class TestGuards:
         with pytest.raises(HumbertError, match="empty grid for 4.1"):
             cross_check("4.1", params, grid=grid)
 
+    def test_cross_check_refuses_an_oversized_coupling_grid(self, config):
+        # at y = -30 the 4.16 levels agree to three digits but never to
+        # rtol; the level whose live-row x node grid passes the cell bound
+        # ends the check as an error report before it allocates the grid
+        params = resolved_params("generic-A", "4.16", config)
+        report = cross_check("4.16", params, grid=((0.3, -30.0),))
+        assert report.status == "error"
+        assert report.detail.startswith("NoConvergence: level 8 needs a")
+        assert report.duration < 10.0
+
     def test_cross_check_near_the_edge_of_the_x_disk(self, config):
         # the row-summed series target converges at |x| = 0.995
         params = resolved_params("generic-A", "4.1", config)
         report = cross_check("4.1", params, grid=((0.995, 0.2),))
         assert report.status == "pass", report.detail
+
+
+class TestLargeExponents:
+    # Beta(600, 600) normalises by Gamma(1200) / Gamma(600)^2 ~ e^828,
+    # past double range; each axis's weights carry it in log space
+    @pytest.mark.parametrize("a, b, levels", [
+        (0.5, 0.5, (4, 5)),
+        (2.5, 0.75, (4, 5)),
+        # the kernel's width, ~0.014, is resolved from level 7 on, where
+        # the node spacing at the centre is pi/4 * 2^-7 ~ 0.006
+        (600.0, 600.0, (7, 8)),
+    ])
+    def test_normalised_weights_sum_to_one(self, a, b, levels):
+        log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        for level in levels:
+            weights = _axis_weights(_nodes(level), a, b, log_norm)
+            assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("rep_id", ["4.1", "4.5"])
+    def test_cross_check_past_float_range_of_the_norm(self, rep_id):
+        params = {"alpha": 600, "beta": Fraction(1, 3), "gamma": 1200}
+        report = cross_check(rep_id, params)
+        assert report.status == "pass", report.to_json()
 
 
 class TestTableShape:
