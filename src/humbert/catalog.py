@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import HumbertError, SignatureError, UnknownFormula
@@ -104,6 +105,13 @@ def get_formula(formula_id: str, catalog: list[dict] | None = None) -> dict:
     raise UnknownFormula(f"no catalog entry with id {formula_id!r}")
 
 
+@lru_cache(maxsize=256)
+def _exact_settings(degree: int, variant: str) -> dict:
+    """An exact report's settings, built once per distinct (degree,
+    variant) and shared, read-only, by every report made with them."""
+    return {"N": degree, "variant": variant}
+
+
 def _verify_entry(
     entry: dict, params: dict, degree: int, variant: str
 ) -> VerificationReport:
@@ -112,8 +120,10 @@ def _verify_entry(
     caller-supplied catalog has not been through `load_catalog`;
     `assemble_expression` validates each side), and so is a parameter that
     is not an exact rational, since float coefficients cannot be compared
-    exactly."""
-    settings = {"N": degree, "variant": variant}
+    exactly.  A degree that is not an int (True, 2.0 and 2 are equal keys,
+    and a list is no key) gets a dict of its own."""
+    settings = (_exact_settings(degree, variant) if type(degree) is int
+                else {"N": degree, "variant": variant})
     start = time.perf_counter()
     try:
         _check_fields(entry)

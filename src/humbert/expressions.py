@@ -269,7 +269,7 @@ def _convolve(degree: int, weights: list, kernel: list, cell: list
     """Triangle of cell[M][N] times the sum of a * kernel[M - si][N - sj]
     over weights (a, si, sj), exactly.  Weights and kernel are first put
     over one integer denominator each, so every mul-add is an integer one
-    and each cell is reduced once."""
+    and each cell, scaled by its cell factor, is reduced once."""
     da = math.lcm(*(a.denominator for a, _, _ in weights))
     db = math.lcm(*(c.denominator for row in kernel for c in row))
     ints = [[c.numerator * (db // c.denominator) for c in row]
@@ -283,8 +283,8 @@ def _convolve(degree: int, weights: list, kernel: list, cell: list
             dst[sj:stop] = [u + a * v for u, v in zip(dst[sj:stop], ints[m])]
     den = da * db
     return TruncatedBiseries(degree, [
-        [cell[m][n] * Fraction(v, den) if v else Fraction(0)
-         for n, v in enumerate(row)] for m, row in enumerate(acc)])
+        [Fraction(c.numerator * v, c.denominator * den) if v else Fraction(0)
+         for c, v in zip(cells, row)] for cells, row in zip(cell, acc)])
 
 
 def assemble_expression(

@@ -43,8 +43,9 @@ class VerificationReport:
     mode.
 
     Reports are kept by the thousand, so they are slotted and share what
-    they can: numeric reports made with equal grid, spec and variant share
-    one settings dict, and the worst point is that grid's own tuple.
+    they can: exact reports made with equal N and variant, and numeric
+    reports made with equal grid, spec and variant, share one settings
+    dict, and the worst point is that grid's own tuple.
     Treat every field as read-only.  `numeric` is a NumericResult or a
     dict with its keys.
     """

@@ -277,15 +277,18 @@ class KindInfo:
         return _term_ratio(self.num, self.den, "n") if self.bivariate else None
 
 
-def _step_factors(num, den, step: str, factorial: bool = True
-                  ) -> tuple[list[str], list[str]]:
+def _step_factors(num, den, step: str, factorial: bool = True,
+                  scale: str = "") -> tuple[list[str], list[str]]:
     """Source text, in (p, m, n), of the factors of the term ratio of the
     signature (num, den) for a unit step in `step` ("m" or "n"): each
     factor whose index contains the step, (p[key] + index), numerator and
     denominator in signature order, and with `factorial` the step's
-    (step + 1) of m! n! last among the denominator's."""
+    (step + 1) of m! n! last among the denominator's.  Each index term is
+    written after `scale`: "q*" gives (p[key] + q*m + q*n), in (p, q, m,
+    n)."""
     def factors(pairs):
-        return [f"(p[{key!r}] + {index.replace('+', ' + ')})"
+        return [f"(p[{key!r}] + "
+                f"{' + '.join(scale + i for i in index.split('+'))})"
                 for key, index in pairs if step in index]
 
     falling = [f"({step} + 1)"] if factorial else []
@@ -315,11 +318,18 @@ def _term_ratio(num, den, step: str) -> Callable:
 @cache
 def _exact_steps(num, den, factorial: bool) -> tuple[Callable, Callable]:
     """The unit steps in m and in n of the signature (num, den), each
-    compiled once per signature as a function of (p, m, n) that returns
-    the (numerator, denominator) pair of the term ratio."""
+    compiled once per signature as a function of (p, q, m, n) that returns
+    the (numerator, denominator) pair of the term ratio, for slot values
+    p[key] / q.  Each factor (p[key] + q*index) is q times the slot's, so
+    the side with fewer such factors takes the powers of q that balance
+    them; with q = 1 the pair is the one the slot values give directly."""
     def compiled(step):
-        a, b = _step_factors(num, den, step, factorial)
-        return eval(f"lambda p, m, n: ({' * '.join(a) or '1'}, "
+        a, b = _step_factors(num, den, step, factorial, "q*")
+        power = sum(step in index for _, index in den) - \
+            sum(step in index for _, index in num)
+        if power:
+            (a if power > 0 else b).append(f"q**{abs(power)}")
+        return eval(f"lambda p, q, m, n: ({' * '.join(a) or '1'}, "
                     f"{' * '.join(b) or '1'})", {})
 
     return compiled("m"), compiled("n")
@@ -338,20 +348,39 @@ def step_signature(num, den, p: dict, degree: int, first: Scalar = ONE,
     step whose denominator vanishes gives 0 where its numerator does too,
     and otherwise raises PoleError at its (m, n), so that a caller reading
     the terms in order meets the first pole in that order.
+
+    When `first` and every value of p are Fractions, p is put over one
+    common denominator q, the ratio's numerator and denominator are
+    integers, and each cell is one Fraction built from them, reduced once;
+    any other field steps with q = 1 and its own arithmetic.
     """
     step_m, step_n = _exact_steps(tuple(num), tuple(den), factorial)
+    q, times = 1, _times
+    if isinstance(first, Fraction) and all(
+            isinstance(v, Fraction) for v in p.values()):
+        q = math.lcm(*(v.denominator for v in p.values()))
+        p = {k: v.numerator * (q // v.denominator) for k, v in p.items()}
+        times = _times_exact
     c0 = first
     for m in range(degree + 1):
         if m:
-            a, d = step_m(p, m - 1, 0)
-            c0 = c0 * a / d if d else _vanishing(c0, a, m, 0)
+            a, d = step_m(p, q, m - 1, 0)
+            c0 = times(c0, a, d) if d else _vanishing(c0, a, m, 0)
         yield c0
         if bivariate:
             c = c0
             for n in range(degree - m):
-                a, d = step_n(p, m, n)
-                c = c * a / d if d else _vanishing(c, a, m, n + 1)
+                a, d = step_n(p, q, m, n)
+                c = times(c, a, d) if d else _vanishing(c, a, m, n + 1)
                 yield c
+
+
+def _times(c: Scalar, a: Scalar, d: Scalar) -> Scalar:
+    return c * a / d
+
+
+def _times_exact(c: Fraction, a: int, d: int) -> Fraction:
+    return Fraction(c.numerator * a, c.denominator * d)
 
 
 def _vanishing(c: Scalar, a: Scalar, m: int, n: int) -> Scalar:

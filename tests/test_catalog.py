@@ -116,6 +116,20 @@ class TestVerification:
         with pytest.raises(SignatureError, match="non-negative int"):
             assemble_expression(get_formula("2.36")["rhs"], profile_a, degree)
 
+    def test_repeated_reports_share_their_settings(self, profile_a):
+        # equal (N, variant) give one settings dict; a degree that is not
+        # an int keeps its own, so True, 2.0 and [8] are not filed under
+        # the int they equal (or raise as an unhashable key)
+        first = verify_formula("2.36", profile_a, 4)
+        again = verify_operator_identity("2.1", profile_a, 4)
+        assert again.settings is first.settings
+        assert first.settings == {"N": 4, "variant": "as-printed"}
+        for degree in (True, 2.0, [8]):
+            report = verify_formula("2.36", profile_a, degree)
+            assert report.status == "error"
+            assert report.settings == {"N": degree, "variant": "as-printed"}
+            assert type(report.settings["N"]) is type(degree)
+
     def test_unknown_formula(self, profile_a):
         with pytest.raises(UnknownFormula):
             verify_formula("3.1", profile_a)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -62,6 +63,18 @@ def _triangle_of_degree(d):
         )
     )
 
+
+# A Pochhammer signature over four slots, exact slot values that include 0
+# and negative integers (so factors vanish inside a degree-8 triangle), and
+# a first term that may be 0.
+_factors = st.lists(st.tuples(st.sampled_from("abcd"),
+                              st.sampled_from(("m+n", "m", "n"))), max_size=3)
+_exact_values = st.one_of(st.integers(-8, 2).map(F),
+                          st.fractions(-5, 5, max_denominator=12))
+_signatures = st.tuples(
+    _factors, _factors,
+    st.fixed_dictionaries({key: _exact_values for key in "abcd"}),
+    st.one_of(st.just(F(1)), st.just(F(0)), _exact_values))
 
 small_triangles = st.integers(min_value=0, max_value=4).flatmap(_triangle_of_degree)
 
@@ -321,6 +334,56 @@ class TestTruncatedSeries:
                                       * math.factorial(n))
                 assert next(terms) == want, (m, n)
         assert stop is None
+
+    @given(signature=_signatures, degree=st.integers(0, 8),
+           bivariate=st.booleans(), factorial=st.booleans())
+    @settings(deadline=None, max_examples=150)
+    def test_exact_steps_meet_the_direct_products(
+            self, signature, degree, bivariate, factorial):
+        # the integer stepper against pochhammer products cell by cell: a
+        # cell is 0 where its numerator product is, its quotient where
+        # neither product vanishes, and the first cell in row order whose
+        # denominator product alone vanishes raises the pole
+        num, den, p, first = signature
+        terms = step_signature(num, den, p, degree, first, bivariate,
+                               factorial)
+        for m in range(degree + 1):
+            for n in range(degree + 1 - m if bivariate else 1):
+                index = {"m+n": m + n, "m": m, "n": n}
+                top, bottom = (
+                    math.prod([pochhammer(p[key], index[i])
+                               for key, i in pairs], start=F(1))
+                    for pairs in (num, den))
+                top *= first
+                if factorial:
+                    bottom *= math.factorial(m) * math.factorial(n)
+                if top and not bottom:
+                    with pytest.raises(PoleError) as exc:
+                        next(terms)
+                    assert str(exc.value) == "denominator Pochhammer " \
+                        f"vanishes at (i, j) = ({m}, {n})"
+                    return
+                got = next(terms)
+                assert type(got) is Fraction
+                assert got == (top and top / bottom), (m, n)
+        assert next(terms, None) is None
+
+    def test_float_and_mixed_triangles_keep_their_bits(self):
+        # SHA-256 of the cells' float.hex(), in row order, pinned so that
+        # stating the exact steps over a common denominator cannot move a
+        # bit of the float (q = 1) steps
+        def digest(params):
+            s = truncated_series(FunctionRef("Psi1", params), 12)
+            text = " ".join(s.coeff(m, n).hex() for m in range(13)
+                            for n in range(13 - m))
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert digest({"alpha": 0.37, "beta": 1.21, "gamma1": 0.83,
+                       "gamma2": 1.64}) == \
+            "12c6259c277d583875d7cc97e16110d92d30c75f9a9e76f7f270fe12794733b8"
+        assert digest({"alpha": F(1, 3), "beta": 1.21, "gamma1": F(5, 7),
+                       "gamma2": 1.64}) == \
+            "78f05e2e91a26d40c6a970ca98af7ff759e58a10548da9295da952b88a7e371b"
 
     def test_single_kind_on_y_axis(self):
         ref = FunctionRef("Bessel0F1", {"gamma": F(5, 4)})
