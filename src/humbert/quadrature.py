@@ -41,7 +41,7 @@ from .errors import (
 )
 from .expressions import eval_affine
 from .reports import NumericResult, VerificationReport, _id_key
-from .scalars import to_float
+from .scalars import check_count, check_tolerance, to_float
 from .series import KINDS, FunctionRef, diagonal_terms, eval_double_series
 
 T_MAX = 6.0
@@ -55,11 +55,22 @@ class QuadratureSpec:
     The default starts at level 3 because every representation converges
     between levels 3 and 4, and level 4 is already at round-off.  Each
     level doubles the nodes per axis, so a higher start only adds work.
+    A level that is not a non-negative int, a start_level past max_level,
+    or an rtol that is not a positive finite real is refused with
+    ValueError when the spec is built.
     """
 
     start_level: int = 3
     max_level: int = 12
     rtol: float = 1e-10
+
+    def __post_init__(self):
+        check_count(self.start_level, "start_level")
+        check_count(self.max_level, "max_level")
+        check_tolerance(self.rtol, "rtol")
+        if self.start_level > self.max_level:
+            raise ValueError(f"start_level {self.start_level} is past "
+                             f"max_level {self.max_level}: no level would run")
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,9 @@ evaluation and quadrature.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from numbers import Real
 from typing import Union
 
 from .errors import DomainError, PoleError, SignatureError
@@ -67,6 +69,23 @@ def is_nonpositive_integer(a: Scalar) -> bool:
 def check_not_pole(a: Scalar, context: str = "parameter") -> None:
     if is_nonpositive_integer(a):
         raise PoleError(f"{context} = {a} is a non-positive integer")
+
+
+def check_tolerance(tol, name: str = "tol") -> None:
+    """Refuse, as ValueError, a tolerance that is not a positive, finite
+    real number: a bool, a string, None or a complex one too.  A float
+    skips the Real check, an ABC lookup that costs more than the rest."""
+    real = isinstance(tol, float) or (
+        isinstance(tol, Real) and not isinstance(tol, bool))
+    if not (real and 0 < tol < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+
+
+def check_count(count, name: str) -> None:
+    """Refuse, as ValueError, a term, diagonal or level count that is not
+    a non-negative int, a bool among them."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {count!r}")
 
 
 def pochhammer(a: Scalar, n: int) -> Scalar:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Iterator
@@ -24,7 +24,8 @@ from .errors import (
     UnsupportedTransform,
 )
 from .scalars import (
-    Scalar, as_scalar, check_not_pole, pochhammer, pochhammer_table, to_float,
+    Scalar, as_scalar, check_count, check_not_pole, check_tolerance,
+    pochhammer, pochhammer_table, to_float,
 )
 
 ZERO = Fraction(0)
@@ -678,15 +679,40 @@ def _band(info: KindInfo, p: dict, x: float, y: float, last, width: int):
     return np.cumprod(factors, axis=0)[2::2]
 
 
+def _bands(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
+    """Yield (k0, band) for diagonals 1..count at scalar (x, y): each
+    `_band` steps BAND diagonals past k0, fewer once it would pass
+    BAND_TERMS terms, and never past `count`."""
+    import numpy as np
+
+    last = np.ones(1)
+    k = 0
+    while k < count:
+        width = max(1, min(BAND, count - k, BAND_TERMS // (k + BAND + 1)))
+        # terms past the float range are refused by the caller
+        with np.errstate(over="ignore", invalid="ignore"):
+            band = _band(info, p, x, y, last, width)
+        yield k, band
+        last = band[-1]
+        k += width
+
+
+@lru_cache(maxsize=64)  # a budget fixes every band's shape
+def _live(width: int, n: int, k0: int):
+    """Which entries of a `_band` past diagonal k0 are terms."""
+    import numpy as np
+
+    return np.tri(width, n, k0 + 1, dtype=bool)
+
+
 def diagonal_terms(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
     """Yield the terms of diagonals 1..count of the kind's series at (x, y)
     with the float parameters p, c_{0,0} = 1.
 
-    Scalar (x, y) are stepped BAND diagonals at a time (`_band`), fewer
-    once a band would pass BAND_TERMS terms, and never past `count`; each
-    diagonal is a list of floats.  Arrays, one ray per element, are
-    stepped one diagonal at a time by next_diagonal; each diagonal is a
-    list of arrays.  The shape of (x, y) alone picks the path.
+    Scalar (x, y) are stepped a band at a time (`_bands`); each diagonal
+    is a list of floats.  Arrays, one ray per element, are stepped one
+    diagonal at a time by next_diagonal; each diagonal is a list of
+    arrays.  The shape of (x, y) alone picks the path.
     """
     import numpy as np
 
@@ -696,17 +722,9 @@ def diagonal_terms(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
             terms = next_diagonal(info, p, terms, x, y)
             yield terms
         return
-    last = np.ones(1)
-    k = 0
-    while k < count:
-        width = max(1, min(BAND, count - k, BAND_TERMS // (k + BAND + 1)))
-        # terms past the float range are refused by the caller
-        with np.errstate(over="ignore", invalid="ignore"):
-            band = _band(info, p, x, y, last, width)
-        for j in range(width):
+    for k, band in _bands(info, p, x, y, count):
+        for j in range(len(band)):
             yield band[j, :k + j + 2].tolist()
-        last = band[-1]
-        k += width
 
 
 ROW_ROUTE_X = 0.75  # |x| from which the x-restricted kinds are summed by rows
@@ -752,16 +770,6 @@ class SeriesDiag:
             f"{name}={getattr(self, name)!r}" for name in self.__slots__)
 
 
-def _check_budget(tol: float, budget: int, name: str) -> None:
-    """Refuse a tolerance that is not positive and finite, and a term or
-    diagonal budget that is not a non-negative int."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise ValueError(
-            f"{name} must be a non-negative int, got {budget!r}")
-
-
 def eval_double_series(
     ref: FunctionRef,
     x: float,
@@ -774,11 +782,13 @@ def eval_double_series(
     - The diagonal route (every kind, and the x-restricted kinds Phi1,
       Psi1, Xi1, Xi2 at |x| < ROW_ROUTE_X): terms along each diagonal
       m+n = k come from Pochhammer-ratio recurrence steps on the previous
-      diagonal, BAND diagonals per NumPy pass (`diagonal_terms`).  Summation
-      stops once three consecutive diagonals each contribute (in summed
-      absolute value) less than tol times the running |sum|; `est_error`
-      is the last diagonal's magnitude.  A diagonal past the float range
-      is refused.
+      diagonal, BAND diagonals per NumPy pass (`_bands`).  Summation (each
+      diagonal by math.fsum) stops once three consecutive diagonals each
+      contribute (in summed absolute value) less than tol times the
+      running |sum|; `est_error` is the last diagonal's magnitude.  Those
+      magnitudes are one NumPy sum per band, exact by math.fsum where its
+      rounding bracket holds the threshold, in the first band and for
+      `est_error`.  A diagonal past the float range is refused.
     - The row route (x-restricted kinds at |x| >= ROW_ROUTE_X, where the
       x series converges slowly): every row, the series in y at a fixed
       power x^m, is stepped at once as one NumPy array (`rows.sum_by_rows`).
@@ -791,7 +801,8 @@ def eval_double_series(
     Both raise NoConvergence when the budget runs out.  The result is one
     SeriesDiag, which unpacks as (value, diag).
     """
-    _check_budget(tol, max_diagonal, "max_diagonal")
+    check_tolerance(tol)
+    check_count(max_diagonal, "max_diagonal")
     info = ref.info
     if not info.bivariate:
         raise SignatureError(f"{ref.kind} is single-variable; use eval_single_series")
@@ -815,25 +826,47 @@ def eval_double_series(
 def _sum_by_diagonals(
     info: KindInfo, p: dict, x: float, y: float, tol: float, max_diagonal: int
 ) -> SeriesDiag | str:
+    import numpy as np
+
     total = 1.0
     small_streak = 0
-    last_mag = 1.0
-    for k, terms in enumerate(diagonal_terms(info, p, x, y, max_diagonal), 1):
-        try:
-            total += math.fsum(terms)
-            last_mag = math.fsum(map(abs, terms))
-        except (OverflowError, ValueError):  # inf - inf, or a sum past range
-            last_mag = math.inf
-        if not (math.isfinite(total) and math.isfinite(last_mag)):
-            return f"the terms overflowed at diagonal {k}"
-        if last_mag < tol * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak == 3:
-                return SeriesDiag(total, k, last_mag, last_mag)
-        else:
-            small_streak = 0
+    terms = [1.0]
+    for k0, band in _bands(info, p, x, y, max_diagonal):
+        width, n = band.shape
+        # Each diagonal's sum s of |t| is within gamma_{n-1} of exact in
+        # any order, and g = 2 (n + 2) u covers the test's own roundings:
+        # math.fsum decides only inside s (1 +- g), for s outside
+        # [2^-1000, 2^1000], and in the first band, whose short diagonals
+        # it sums faster than the pass.
+        mags = [math.nan] * width
+        if k0:
+            with np.errstate(over="ignore"):
+                mags = np.abs(band).sum(
+                    axis=1, where=_live(width, n, k0)).tolist()
+        g = 2 * (n + 2) * _UNIT_ROUNDOFF
+        for j, s in enumerate(mags):
+            k = k0 + j + 1
+            terms = band[j, :k + 1].tolist()
+            try:
+                total += math.fsum(terms)
+                thr = tol * max(abs(total), 1e-300)
+                sure = 2.0 ** -1000 <= s <= 2.0 ** 1000  # NaN: not sure
+                small = sure and s * (1 + g) < thr
+                if not (small or sure and s * (1 - g) >= thr):  # in doubt
+                    small = math.fsum(map(abs, terms)) < thr
+            except (OverflowError, ValueError):  # inf - inf, or past range
+                total = math.inf
+            if not math.isfinite(total):
+                return f"the terms overflowed at diagonal {k}"
+            if small:
+                small_streak += 1
+                if small_streak == 3:
+                    last_mag = math.fsum(map(abs, terms))
+                    return SeriesDiag(total, k, last_mag, last_mag)
+            else:
+                small_streak = 0
     return (f"no convergence within {max_diagonal} diagonals "
-            f"(last diagonal magnitude {last_mag:.3e})")
+            f"(last diagonal magnitude {math.fsum(map(abs, terms)):.3e})")
 
 
 def eval_single_series(
@@ -854,7 +887,8 @@ def eval_single_series(
     partial sum.  A sum whose rounding alone exceeds tol |value| / 2, as a
     cancelling one's does, is refused, and so is one whose terms overflow.
     """
-    _check_budget(tol, max_terms, "max_terms")
+    check_tolerance(tol)
+    check_count(max_terms, "max_terms")
     ref = FunctionRef(kind, params)
     info = ref.info
     if info.bivariate:

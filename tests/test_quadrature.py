@@ -409,6 +409,19 @@ class TestGuards:
         assert report.detail.startswith(
             "NoConvergence: 4.1: tanh-sinh did not reach")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"rtol": 0.0}, {"rtol": -1.0}, {"rtol": math.nan}, {"rtol": math.inf},
+        {"rtol": True}, {"rtol": "1e-10"}, {"rtol": None}, {"rtol": 1e-10j},
+        {"start_level": -1}, {"start_level": 3.0}, {"start_level": True},
+        {"max_level": -2}, {"max_level": "12"}, {"max_level": False},
+        {"start_level": 7, "max_level": 6},
+    ])
+    def test_bad_spec_is_refused_when_built(self, kwargs):
+        # refused before any level runs, not after all of them as an error
+        # report, and not as a TypeError from inside the refinement
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            QuadratureSpec(**kwargs)
+
     def test_cross_check_reports_series_no_convergence(self, config):
         # this close to |x| = 1 the Phi1 target series needs more terms than
         # its budget allows; that too is an error report, not an exception

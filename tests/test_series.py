@@ -655,6 +655,41 @@ def per_term_sum(ref, x, y, tol=1e-12, max_diagonal=400):
             f"(last diagonal magnitude {last_mag:.3e})")
 
 
+def assert_matches_per_term_sum(ref, x, y, tol=1e-12, max_diagonal=400):
+    """eval_double_series against per_term_sum: the same value and
+    est_error bits and diagonal count, or the same refusal text."""
+    want = per_term_sum(ref, x, y, tol, max_diagonal)
+    if isinstance(want, str):
+        with pytest.raises(NoConvergence) as info:
+            eval_double_series(ref, x, y, tol, max_diagonal)
+        assert str(info.value) == f"{ref.kind} at ({x}, {y}): {want}"
+        return want
+    value, diag = eval_double_series(ref, x, y, tol, max_diagonal)
+    assert (value.hex(), diag.est_error.hex(), diag.diagonals) == (
+        want[0].hex(), want[2].hex(), want[1])
+    return want
+
+
+@st.composite
+def _diagonal_points(draw):
+    """A kind with random rational parameters at a point of the panel's
+    interior (|x| <= 0.6, |y| <= 2) or cancelling (y in [-40, -10], and x
+    too for the entire kinds) ranges, all on the diagonal route."""
+    kind = draw(st.sampled_from(BIVARIATE_KINDS))
+    params = {}
+    for slot in series.KINDS[kind].slots:
+        q = draw(st.integers(1, 12))
+        params[slot] = F(draw(st.integers(1, 2 * q)), q)
+    ref = FunctionRef(kind, params)
+    x = draw(st.floats(-0.6, 0.6))
+    y = draw(st.floats(-2.0, 2.0))
+    if draw(st.booleans()):
+        y = draw(st.floats(-40.0, -10.0))
+        if not ref.info.x_restricted:
+            x = draw(st.floats(-40.0, -10.0))
+    return ref, x, y
+
+
 # (kind, x, y, fewest and most diagonals the point stops within): one band,
 # two bands, and several, some of them cancelling
 BAND_POINTS = [
@@ -685,6 +720,43 @@ class TestDiagonalBands:
         assert lo <= diag.diagonals <= hi
         assert (value.hex(), diag.est_error.hex(), diag.diagonals) == (
             want_value.hex(), want_error.hex(), want_diagonals)
+
+    @given(point=_diagonal_points(),
+           tol=st.sampled_from((1e-8, 1e-12, 1e-15)),
+           max_diagonal=st.integers(0, 120))
+    @settings(deadline=None, max_examples=60)
+    def test_any_point_matches_per_term_sum(self, point, tol, max_diagonal):
+        assert_matches_per_term_sum(*point, tol, max_diagonal)
+
+    @pytest.mark.parametrize("kind, x, y", [
+        ("Phi2", -10.0, -12.0), ("Psi2", -33.3, -37.3)])
+    def test_a_threshold_inside_the_bracket(self, kind, x, y):
+        # tol puts the threshold tol |total| of diagonal k, past the first
+        # band, within a few roundings of its exact sum of |t|.  The band's
+        # sum s is within (k + 1) u of that, and the bracket s (1 +- g),
+        # g >= 2 (k + 3) u, holds the threshold: math.fsum decides there.
+        # Before k the sum stops at no tol this small.
+        ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
+        p = {k: float(v) for k, v in ref.params.items()}
+        k = per_term_sum(ref, x, y)[1] - 2
+        assert k > series.BAND
+        total = 1.0
+        for terms in per_term_diagonals(ref.info, p, x, y, k):
+            total += math.fsum(terms)
+        mag = math.fsum(abs(t) for t in terms)
+        tol = mag / abs(total)
+        for t in (math.nextafter(tol, 0.0), tol, math.nextafter(tol, 1.0)):
+            assert abs(t * abs(total) / mag - 1) < 1e-15
+            assert assert_matches_per_term_sum(ref, x, y, t)[1] >= k
+
+    @pytest.mark.parametrize("tol, diagonals", [(1e-300, 128), (5e-324, 136)])
+    def test_subnormal_magnitudes(self, tol, diagonals):
+        # the last diagonals' sums of |t| fall below 2^-1000, where the
+        # bracket is not trusted and math.fsum decides
+        ref = FunctionRef("Phi2", {"beta1": F(1, 2), "beta2": F(1, 3),
+                                   "gamma": F(5, 4)})
+        want = assert_matches_per_term_sum(ref, 0.1, 0.2, tol)
+        assert want[1] == diagonals
 
     @pytest.mark.parametrize("kind, x, y", [
         ("Psi2", -33.3, -37.3), ("Xi1", -0.7, 1.9), ("Phi2", 1e-3, 250.0)])
@@ -750,9 +822,21 @@ class TestDiagonalBands:
                                match=f"overflowed at diagonal {diagonal}$"):
                 eval_double_series(ref, x, y)
 
+    @pytest.mark.parametrize("x, y, diagonal", [
+        (300.0, -300.0, 305), (700.0, -700.0, 198)])
+    def test_a_cancelling_diagonal_past_range_is_refused(self, x, y, diagonal):
+        # terms of both signs: their signed sum stays finite where the sum
+        # of |t| passes the float range; the band's sum there is trusted
+        # only up to 2^1000, and math.fsum's overflow is the refusal
+        ref = FunctionRef("Psi2", REFERENCE_PARAMS["Psi2"])
+        with pytest.raises(NoConvergence,
+                           match=f"overflowed at diagonal {diagonal}$"):
+            eval_double_series(ref, x, y)
+
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0.0}, {"tol": -1e-12}, {"tol": math.nan}, {"tol": math.inf},
         {"max_diagonal": 2.5}, {"max_diagonal": -3}, {"max_diagonal": True},
+        {"tol": True}, {"tol": "1e-12"}, {"tol": None}, {"tol": 1e-12 + 0j},
     ])
     def test_bad_summation_arguments_are_refused(self, kwargs):
         ref = FunctionRef("Phi1", REFERENCE_PARAMS["Phi1"])
