@@ -733,11 +733,11 @@ class TestDiagonalBands:
     def test_a_threshold_inside_the_bracket(self, kind, x, y):
         # tol puts the threshold tol |total| of diagonal k, past the first
         # band, within a few roundings of its exact sum of |t|.  The band's
-        # sum s is within (k + 1) u of that, and the bracket s (1 +- g),
+        # sum s is within about k u of that, and the bracket s (1 +- g),
         # g >= 2 (k + 3) u, holds the threshold: math.fsum decides there.
         # Before k the sum stops at no tol this small.
         ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
-        p = {k: float(v) for k, v in ref.params.items()}
+        p = {slot: float(v) for slot, v in ref.params.items()}
         k = per_term_sum(ref, x, y)[1] - 2
         assert k > series.BAND
         total = 1.0
