@@ -175,7 +175,7 @@ def _series_loop(steps: Iterator, tol: float, max_steps: int, what: str
     total, streak = 1.0, 0  # total is a node array from the first step on
     for step, size in islice(steps, max_steps):
         total += step
-        if np.max(size) < tol * max(1.0, np.max(np.abs(total))):
+        if size.max() < tol * max(1.0, total.max(), -total.min()):
             streak += 1
             if streak == 3:
                 return total
@@ -221,8 +221,8 @@ def phi1_arr(a: float, b: float, c: float, u: np.ndarray, v: np.ndarray,
     if np.max(np.abs(u)) >= 1.0:
         raise DomainError("Phi1 series argument reached |u| >= 1 at a node")
     p = {"alpha": a, "beta": b, "gamma": c}
-    sums = ((np.sum(d, axis=0), np.sum(np.abs(d), axis=0)) for d in
-            map(np.array, diagonal_terms(KINDS["Phi1"], p, u, v, 400)))
+    sums = ((np.sum(d, axis=0), np.sum(np.abs(d), axis=0))
+            for d in diagonal_terms(KINDS["Phi1"], p, u, v, 400))
     return _series_loop(sums, tol, 400, "Phi1 series")
 
 
@@ -301,14 +301,11 @@ def ray_coeffs(kind: str, params: dict, cx, cy, zmax: float) -> np.ndarray:
 
 
 def poly_arr(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] z^k.  A (K, rays) coeffs gives a (rays, len(z))
-    array: each ray's polynomial at every z."""
-    total = np.zeros(np.shape(coeffs)[1:] + z.shape)
-    pz = np.ones_like(z)
-    for g in coeffs:
-        total += np.multiply.outer(g, pz)
-        pz = pz * z
-    return total
+    """sum_k coeffs[k] z^k at the 1-D nodes z, as one matrix product of
+    the powers z^k (each a running product) with the coefficients.  A
+    (K, rays) coeffs gives a (rays, len(z)) array: each ray's polynomial
+    at every z."""
+    return (np.vander(z, len(coeffs), increasing=True) @ coeffs).T
 
 
 # --- the representation table ------------------------------------------------

@@ -633,18 +633,20 @@ def _float_params(ref: FunctionRef) -> dict[str, float]:
     return {k: to_float(v, f"parameter {k}") for k, v in ref.params.items()}
 
 
-def next_diagonal(
-    info: KindInfo, p: dict, terms: list, x, y
-) -> list:
-    """Terms t_{m,k-m}, m = 0..k, of diagonal k = len(terms), stepped from
-    the terms of diagonal k - 1: t_{0,k} in y from t_{0,k-1}, every other
-    t_{m,k-m} in x from t_{m-1,k-m}.  Each term is a node array, one entry
-    per ray (see `diagonal_terms`)."""
+def next_diagonal(info: KindInfo, p: dict, terms, x, y):
+    """Diagonal k = len(terms) as one (k+1,) + ray-shape array, row m
+    holding t_{m,k-m}: t_{0,k} stepped in y from t_{0,k-1}, every other
+    row in x from t_{m-1,k-m} by the term-by-term (t * ratio) * x, so
+    every term keeps its bits.  One entry per ray (see `diagonal_terms`)."""
+    import numpy as np
+
     k = len(terms)
-    ratio_x = info.ratio_x
-    return [terms[0] * info.ratio_y(p, 0, k - 1) * y] + [
-        t * ratio_x(p, m, k - 1 - m) * x for m, t in enumerate(terms)
-    ]
+    m = np.arange(k, dtype=float).reshape((k,) + (1,) * (terms.ndim - 1))
+    out = np.empty((k + 1,) + terms.shape[1:])
+    out[0] = terms[0] * info.ratio_y(p, 0, k - 1) * y
+    np.multiply(terms, info.ratio_x(p, m, k - 1 - m), out=out[1:])
+    out[1:] *= x
+    return out
 
 
 BAND = 32  # diagonals stepped per NumPy pass on the scalar route
@@ -711,13 +713,13 @@ def diagonal_terms(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
 
     Scalar (x, y) are stepped a band at a time (`_bands`); each diagonal
     is a list of floats.  Arrays, one ray per element, are stepped one
-    diagonal at a time by next_diagonal; each diagonal is a list of
-    arrays.  The shape of (x, y) alone picks the path.
+    diagonal at a time by next_diagonal, each diagonal one (k+1,) +
+    ray-shape array.  The shape of (x, y) alone picks the path.
     """
     import numpy as np
 
     if np.ndim(x) or np.ndim(y):
-        terms = [np.ones(np.broadcast(x, y).shape)]
+        terms = np.ones((1,) + np.broadcast(x, y).shape)
         for _ in range(count):
             terms = next_diagonal(info, p, terms, x, y)
             yield terms

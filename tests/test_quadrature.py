@@ -329,6 +329,70 @@ class TestGridContraction:
             ray_coeffs("Xi1", params, np.array([0.2, 1.0]), np.zeros(2), 1.0)
 
 
+class TestPolyArr:
+    @pytest.mark.parametrize("shape", [(1,), (12,), (1, 3), (30, 4)])
+    def test_within_its_rounding_bound(self, shape):
+        # each value within 2 K u sum_k |c_k| |z|^k of the exact polynomial
+        # of the same floats: z^k takes k - 1 roundings, its product with
+        # c_k one, and any order of the K-term sum K - 1
+        rng = np.random.default_rng(20)
+        coeffs = rng.standard_normal(shape)
+        z = np.array([0.0, 0.25, -0.6, 0.999, math.nextafter(1.0, 0.0),
+                      -math.nextafter(1.0, 0.0)])
+        got = poly_arr(coeffs, z)
+        cols = coeffs.reshape(len(coeffs), -1)
+        assert got.shape == coeffs.shape[1:] + z.shape
+        got = got.reshape(cols.shape[1], z.size)
+        K, u = len(coeffs), Fraction(1, 2 ** 53)
+        for j in range(cols.shape[1]):
+            for i, zi in enumerate(map(Fraction, z)):
+                terms = [Fraction(c) * zi ** k for k, c in enumerate(cols[:, j])]
+                bound = 2 * K * u * sum(map(abs, terms))
+                assert abs(Fraction(got[j, i]) - sum(terms)) <= bound, (j, i)
+        assert np.all(got[:, 0] == cols[0])  # z = 0: the constant term
+
+
+# eval_integral of every representation and of the corrected 4.14 at its
+# first default point, generic-A with the overrides: (value, final_level)
+PINNED_INTEGRALS = {
+    "4.1": ("0x1.2398546ac6f8bp+0", 4),
+    "4.2": ("0x1.242a8df31fdf6p+0", 4),
+    "4.3": ("0x1.28186aa329481p+0", 4),
+    "4.4": ("0x1.193cb79b8a794p+0", 4),
+    "4.5": ("0x1.37c5ce3de934ap+0", 4),
+    "4.6": ("0x1.0703019728160p+0", 4),
+    "4.7": ("0x1.0703019728160p+0", 4),
+    "4.8": ("0x1.0703019728161p+0", 4),
+    "4.9": ("0x1.0703019728166p+0", 4),
+    "4.10": ("0x1.06e46c72962dap+0", 4),
+    "4.11": ("0x1.06e46c72962dbp+0", 4),
+    "4.12": ("0x1.06e46c72962dbp+0", 4),
+    "4.13": ("0x1.06e46c72962ddp+0", 4),
+    "4.14": ("0x1.0803022688b89p+0", 4),
+    "4.15": ("0x1.05fa32dc76278p+0", 4),
+    "4.16": ("0x1.0582de4b7d5aap+0", 4),
+    "4.17": ("0x1.0582de4b7d5aep+0", 4),
+    "4.18": ("0x1.0c23923b3386cp+0", 4),
+    "4.19": ("0x1.0c23923b33868p+0", 4),
+    "4.20": ("0x1.0c23923b33868p+0", 4),
+    "4.14-corrected": ("0x1.06e46c72962ddp+0", 4),
+}
+
+
+class TestPinnedIntegrals:
+    @pytest.mark.parametrize("rep_id, builder", ALL_BUILDS, ids=ALL_BUILD_IDS)
+    def test_value_and_level_are_kept(self, rep_id, builder, config):
+        # a change to the kernels, the contraction or the series targets
+        # may move a value by rounding only, and no level
+        x, y = default_grid(rep_id)[0]
+        params = resolved_params("generic-A", rep_id, config)
+        value, diag = eval_integral(rep_id, params, x, y, builder=builder)
+        name = ALL_BUILD_IDS[ALL_BUILDS.index((rep_id, builder))]
+        want, level = PINNED_INTEGRALS[name]
+        assert abs(value - float.fromhex(want)) <= 1e-14 * abs(value)
+        assert diag["final_level"] == level
+
+
 class TestPhi1Nodes:
     @pytest.mark.parametrize("rep_id", ["4.6", "4.7"])
     def test_matches_per_node_double_series(self, rep_id, config,

@@ -628,11 +628,14 @@ class TestEvalDoubleSeries:
 
 
 def per_term_diagonals(info, p, x, y, count):
-    """Diagonals 1..count stepped term by term with next_diagonal, each
-    ordered by m: the diagonal route before it stepped bands."""
+    """Diagonals 1..count stepped term by term, each ordered by m: t_{0,k}
+    in y from t_{0,k-1}, every other t_{m,k-m} in x from t_{m-1,k-m},
+    with Python int indices.  The diagonal route before it stepped bands."""
     terms = [1.0]
-    for _ in range(count):
-        terms = series.next_diagonal(info, p, terms, x, y)
+    for k in range(1, count + 1):
+        terms = [terms[0] * info.ratio_y(p, 0, k - 1) * y] + [
+            t * info.ratio_x(p, m, k - 1 - m) * x
+            for m, t in enumerate(terms)]
         yield terms
 
 
@@ -858,6 +861,32 @@ class TestDiagonalBands:
             assert value == result.value == result[0]
             assert result[1]["diagonals"] == result.diagonals > 0
             assert result["est_error"] == result.est_error > 0
+
+    @pytest.mark.parametrize("kind, x, y", [
+        ("Xi1", np.linspace(-0.6, 0.6, 7), np.linspace(0.8, -0.8, 7)),
+        ("Phi1", np.linspace(-0.5, 0.4, 6), np.linspace(0.9, -0.3, 6)),
+        ("Phi1", np.linspace(-0.5, 0.4, 6).reshape(2, 3), 0.3),
+    ])
+    def test_node_arrays_have_the_per_ray_bits(self, kind, x, y):
+        # the rays of 4.16 (Xi1) or the per-node arguments of 4.6 and 4.7
+        # (Phi1), stepped as one array per diagonal, against each ray's
+        # own scalar term-by-term loop
+        p = {k: float(v) for k, v in REFERENCE_PARAMS[kind].items()}
+        info = series.KINDS[kind]
+        shape = np.broadcast(x, y).shape
+        xs, ys = np.broadcast_arrays(x, y)
+        rays = {j: list(per_term_diagonals(info, p, float(xs[j]),
+                                           float(ys[j]), 60))
+                for j in np.ndindex(shape)}
+        k = 0
+        for k, diagonal in enumerate(
+                series.diagonal_terms(info, p, x, y, 60), 1):
+            assert diagonal.shape == (k + 1,) + shape
+            for j, want in rays.items():
+                got = diagonal[(slice(None),) + j]
+                assert [t.hex() for t in got] == [
+                    t.hex() for t in want[k - 1]], (k, j)
+        assert k == 60
 
     def test_scalar_rays_match_the_per_term_steps(self):
         # a ray long enough for several bands
