@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import HumbertError, UnknownFormula
 from .profiles import load_config, profile_params, resolved_params
 from .quadrature import REP_IDS, REPS, QuadratureSpec, cross_check
 from .reports import sort_reports
-from .scalars import SYMBOLS, as_scalar, to_float
+from .scalars import SYMBOLS, as_scalar, check_tolerance, to_float
 from .series import BIVARIATE_KINDS, KINDS, FunctionRef, SINGLE_KINDS, \
     eval_double_series, eval_single_series
 
@@ -58,8 +57,11 @@ def _collect_params(args) -> dict:
 
 
 def _check_tol(tol: float | None) -> None:
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise HumbertError(f"--tol must be finite and positive, got {tol}")
+    try:
+        if tol is not None:
+            check_tolerance(tol, "--tol")
+    except ValueError as exc:  # exit 2, as every bad flag value does
+        raise HumbertError(str(exc)) from None
 
 
 def cmd_eval(args) -> int:

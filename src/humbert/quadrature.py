@@ -28,7 +28,7 @@ import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import count, islice
+from itertools import accumulate, chain, count, islice
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from .errors import (
 from .expressions import eval_affine
 from .reports import NumericResult, VerificationReport, _id_key
 from .scalars import check_count, check_tolerance, to_float
-from .series import KINDS, FunctionRef, diagonal_terms, eval_double_series
+from .series import (KINDS, FunctionRef, _absmax, diagonal_terms,
+                     eval_double_series, sum_series)
 
 T_MAX = 6.0
 
@@ -165,44 +166,14 @@ def _refine(level_value, spec: QuadratureSpec, prefix: str = ""
 
 # --- vectorized series over node arrays --------------------------------------
 
-def _series_loop(steps: Iterator, tol: float, max_steps: int, what: str
-                 ) -> np.ndarray:
-    """Sum 1 plus the increments of `steps` over a node array.  Each step
-    is a pair (increment, size): a single-variable kind's term and its
-    magnitude, or a bivariate kind's diagonal sum and the sum of its terms'
-    magnitudes.  The sum stops once three steps in a row have every size
-    below tol times max(1, the largest |sum|)."""
-    total, streak = 1.0, 0  # total is a node array from the first step on
-    for step, size in islice(steps, max_steps):
-        total += step
-        if size.max() < tol * max(1.0, total.max(), -total.min()):
-            streak += 1
-            if streak == 3:
-                return total
-        else:
-            streak = 0
-    raise NoConvergence(f"{what}: series did not settle in {max_steps} steps")
-
-
-def _terms(kind: str, params: dict, z: np.ndarray) -> Iterator:
-    """A single-variable kind's terms at the node array z, each stepped
-    from the last with the kind's float term ratio, with their sizes."""
-    ratio = KINDS[kind].ratio_x
-    term = np.ones_like(z)
-    for k in count():
-        term *= ratio(params, k, 0)  # in place: z may span a whole node grid
-        term *= z
-        yield term, np.abs(term)
-
-
 def kummer_arr(a: float, b: float, z: np.ndarray, tol: float) -> np.ndarray:
-    return _series_loop(_terms("Kummer1F1", {"alpha": a, "gamma": b}, z),
-                        tol, 500, "confluent series")
+    return sum_series(KINDS["Kummer1F1"], {"alpha": a, "gamma": b}, z, tol,
+                      500, "confluent series")[0]
 
 
 def bessel_arr(b: float, z: np.ndarray, tol: float) -> np.ndarray:
-    return _series_loop(_terms("Bessel0F1", {"gamma": b}, z), tol, 500,
-                        "limit-confluent series")
+    return sum_series(KINDS["Bessel0F1"], {"gamma": b}, z, tol, 500,
+                      "limit-confluent series")[0]
 
 
 def gauss_arr(a: float, b: float, c: float, z: np.ndarray, tol: float
@@ -210,20 +181,16 @@ def gauss_arr(a: float, b: float, c: float, z: np.ndarray, tol: float
     if np.max(np.abs(z)) >= 1.0:
         raise DomainError("Gauss series argument reached |z| >= 1 at a node")
     p = {"alpha": a, "beta": b, "gamma": c}
-    return _series_loop(_terms("Gauss2F1", p, z), tol, 800, "Gauss series")
+    return sum_series(KINDS["Gauss2F1"], p, z, tol, 800, "Gauss series")[0]
 
 
 def phi1_arr(a: float, b: float, c: float, u: np.ndarray, v: np.ndarray,
              tol: float) -> np.ndarray:
-    """First Humbert kind on per-node argument pairs (u, v), by diagonals
-    (`diagonal_terms`), each summed with np.sum and sized by its terms'
-    absolute sum: a signed diagonal sum can stop a cancelling series early."""
+    """Phi1 on per-node argument pairs (u, v), by diagonals."""
     if np.max(np.abs(u)) >= 1.0:
         raise DomainError("Phi1 series argument reached |u| >= 1 at a node")
     p = {"alpha": a, "beta": b, "gamma": c}
-    sums = ((np.sum(d, axis=0), np.sum(np.abs(d), axis=0))
-            for d in diagonal_terms(KINDS["Phi1"], p, u, v, 400))
-    return _series_loop(sums, tol, 400, "Phi1 series")
+    return sum_series(KINDS["Phi1"], p, u, tol, 400, "Phi1 series", v)[0]
 
 
 # --- power-series coefficients for coupling factors -------------------------
@@ -232,72 +199,57 @@ _COEFF_FLOOR = 1e-18
 _COEFF_CAP = 250
 
 
-def _adaptive(step, zmax: float, what: str) -> np.ndarray:
-    """Generate g_0, g_1, ... until |g_k| zmax^k is negligible three times."""
-    out = [1.0]
-    scale = max(1.0, abs(out[0]))
-    pz = 1.0
-    streak = 0
-    g = 1.0
-    for k in range(_COEFF_CAP):
-        g = step(g, k)
+def _adaptive(coeffs: Iterator, zmax: float, what: str) -> np.ndarray:
+    """Take g_0 = 1, g_1, ... from `coeffs` (floats, or one array per ray)
+    until three in a row have max |g_k| zmax^k below _COEFF_FLOOR times
+    the largest so far, at least 1."""
+    out, scale, pz, streak = [], 1.0, 1.0, 0
+    for g in islice(coeffs, _COEFF_CAP + 1):
         out.append(g)
+        size = _absmax(g) * pz
         pz *= zmax
-        if abs(g) * pz < _COEFF_FLOOR * scale:
+        if size < _COEFF_FLOOR * scale:
             streak += 1
             if streak == 3:
                 return np.array(out)
         else:
             streak = 0
-            scale = max(scale, abs(g) * pz)
+            scale = max(scale, size)
     raise NoConvergence(f"{what}: coupling series did not settle")
 
 
 def exp_coeffs(c: float, zmax: float) -> np.ndarray:
-    return _adaptive(lambda g, k: g * c / (k + 1.0), zmax, "exponential")
+    gs = accumulate(count(), lambda g, k: g * c / (k + 1.0), initial=1.0)
+    return _adaptive(gs, zmax, "exponential")
 
 
 def binom_coeffs(p: float, c: float, zmax: float) -> np.ndarray:
     """(1 - c z)^(-p) = sum_k (p)_k c^k / k! z^k; needs |c| zmax < 1."""
     if abs(c) * zmax >= 1.0:
         raise DomainError("binomial coupling outside its disk")
-    return _adaptive(lambda g, k: g * (p + k) * c / (k + 1.0), zmax, "binomial")
+    gs = accumulate(count(), lambda g, k: g * (p + k) * c / (k + 1.0),
+                    initial=1.0)
+    return _adaptive(gs, zmax, "binomial")
 
 
 def kummer_coeffs(a: float, b: float, c: float, zmax: float) -> np.ndarray:
     ratio, p = KINDS["Kummer1F1"].ratio_x, {"alpha": a, "gamma": b}
-    return _adaptive(lambda g, k: g * ratio(p, k, 0) * c, zmax,
-                     "confluent coupling")
+    gs = accumulate(count(), lambda g, k: g * ratio(p, k, 0) * c, initial=1.0)
+    return _adaptive(gs, zmax, "confluent coupling")
 
 
 def ray_coeffs(kind: str, params: dict, cx, cy, zmax: float) -> np.ndarray:
-    """Series in t of F(cx*t, cy*t) for a bivariate kind: the k-th
-    coefficient is the k-th diagonal sum of the double series.
-
-    Scalar cx, cy give one ray, its coefficients summed with math.fsum.
-    Arrays give one ray per element, stepped together: column j of the
-    (K, rays) result holds ray j's coefficients, each diagonal summed with
-    np.sum, and the series stops once every ray's has settled.
-    """
+    """Series in t of F(cx*t, cy*t) for a bivariate kind: coefficient k is
+    diagonal k's sum, by math.fsum for one ray (scalar cx, cy), else by
+    np.sum for one ray per element, column j of the (K, rays) result."""
     info = KINDS[kind]
     if info.x_restricted and np.max(np.abs(cx)) * zmax >= 1.0:
         raise DomainError(f"{kind} ray leaves the convergence region")
     shape = np.broadcast(cx, cy).shape
     diagonal_sum = partial(np.sum, axis=0) if shape else math.fsum
-    out = [np.ones(shape) if shape else 1.0]
-    pz = 1.0
-    streak = 0
-    for terms in diagonal_terms(info, params, cx, cy, _COEFF_CAP):
-        rk = diagonal_sum(terms)
-        out.append(rk)
-        pz *= zmax
-        if np.max(np.abs(rk)) * pz < _COEFF_FLOOR:
-            streak += 1
-            if streak == 3:
-                return np.array(out)
-        else:
-            streak = 0
-    raise NoConvergence(f"{kind} ray series did not settle")
+    sums = map(diagonal_sum, diagonal_terms(info, params, cx, cy, _COEFF_CAP))
+    return _adaptive(chain([np.ones(shape) if shape else 1.0], sums), zmax,
+                     f"{kind} ray")
 
 
 def poly_arr(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -788,9 +740,9 @@ def cross_check(
 
     Returns a numeric VerificationReport with the max relative error, the
     worst point and the highest tanh-sinh level any grid point needed.
-    grid None selects `default_grid`; an empty grid and constraint
-    violations raise; evaluation failures at some grid point produce an
-    error report.
+    grid None selects `default_grid`; an empty grid, a tol that is not
+    positive and finite, and constraint violations raise; evaluation
+    failures at some grid point produce an error report.
     """
     rep = REPS[rep_id]
     if grid is None:
@@ -799,6 +751,7 @@ def cross_check(
         raise HumbertError(f"empty grid for {rep_id}: cross_check needs "
                            f"at least one point")
     tol = tol if tol is not None else default_tolerance(rep_id)
+    check_tolerance(tol)
     spec = spec or QuadratureSpec()
     grid = tuple(map(tuple, grid))
     settings = _numeric_settings(grid, spec, variant)

@@ -54,7 +54,7 @@ def _ratio_bound(info: KindInfo, step: str) -> Callable:
 @functools.cache
 def ratio_bounds(info: KindInfo) -> tuple[Callable, Callable]:
     """The kind's bounds on its x and y term ratios over every later step,
-    compiled once; `series.eval_single_series` reads the x bound too."""
+    compiled once; `series.sum_series` reads them too."""
     return _ratio_bound(info, "m"), _ratio_bound(info, "n")
 
 

@@ -296,6 +296,7 @@ def _step_factors(num, den, step: str, factorial: bool = True,
     return factors(num), factors(den) + falling
 
 
+@cache
 def _step_roundings(info: KindInfo, step: str) -> int:
     """Roundings one recurrence step commits, at most: two additions per
     ratio factor, one product or quotient joining each, then the products
@@ -871,66 +872,107 @@ def _sum_by_diagonals(
             f"(last diagonal magnitude {math.fsum(map(abs, terms)):.3e})")
 
 
-def eval_single_series(
-    kind: str,
-    params: dict,
-    x: float,
-    tol: float = 1e-12,
-    max_terms: int = 500,
-) -> tuple[float, dict]:
-    """Sum a single-variable series by term recurrence.
-
-    Stops, after at least three consecutive terms each below tol times the
-    running |sum|, once `est_error` is within tol |value|.  `est_error`
-    adds the tail, geometric in the sup of the term ratio over every later
-    step (`rows.ratio_bounds`), and a first-order rounding bound: each
-    step commits at most c = `_step_roundings` roundings of u, so term m
-    is off by at most c m u of itself, and each addition by u of its
-    partial sum.  A sum whose rounding alone exceeds tol |value| / 2, as a
-    cancelling one's does, is refused, and so is one whose terms overflow.
-    """
+def eval_single_series(kind: str, params: dict, x: float, tol: float = 1e-12,
+                       max_terms: int = 500) -> tuple[float, dict]:
+    """Sum a single-variable series by term recurrence (`sum_series`):
+    accurate to its `est_error`, within tol |value|, or refused."""
     check_tolerance(tol)
     check_count(max_terms, "max_terms")
     ref = FunctionRef(kind, params)
-    info = ref.info
-    if info.bivariate:
+    if ref.info.bivariate:
         raise SignatureError(f"{kind} is bivariate; use eval_double_series")
     if not in_domain(ref, x, 0.0):
         raise DomainError(f"x = {x} outside the {kind} convergence region")
+    return sum_series(ref.info, _float_params(ref), x, tol, max_terms,
+                      f"{kind} at {x}")
+
+
+def _absmax(a) -> float:
+    """|a| of a float; of an array the largest |entry|, NaN if one is."""
+    return abs(a) if isinstance(a, float) else float(abs(a).max())
+
+
+def _single_steps(info: KindInfo, p: dict, x, count: int) -> Iterator:
+    """Terms t_1..t_count of a single-variable kind at x, a float or a node
+    array, each stepped t <- (t * ratio_x) * x in place, with |t|."""
+    import numpy as np
+
+    t = np.ones(np.shape(x)) if np.ndim(x) else 1.0
+    for m in range(count):
+        t *= info.ratio_x(p, m, 0)
+        t *= x
+        yield t, _absmax(t)
+
+
+def sum_series(info: KindInfo, p: dict, x, tol: float, max_terms: int,
+               what: str, y=None) -> tuple[float, dict]:
+    """Sum 1 + t_1 + t_2 + ... at the float parameters p: a single-variable
+    kind's terms at x, a float or a node array, or, with node arrays x and
+    y, a bivariate kind's diagonals (`next_diagonal`, each summed by
+    np.sum).  Returns (value, {terms, last_term, est_error}).
+
+    A step's size is |t|, or its diagonal's sum of |t|, and the scale |sum|;
+    on node arrays, the largest over the nodes and max(1, max |sum|).
+    After three steps in a row of size at most tol * scale, the sum stops
+    once `est_error` is: the tail, geometric from the last size in rho,
+    plus a first-order rounding bound.  rho bounds every later ratio of
+    sizes (`rows.ratio_bounds`): max|x| times the sup of the x ratio over
+    every later step or, past diagonal k, max|x| times the largest x bound
+    along it plus max|y| times the y bound at (0, k), as every term of
+    diagonal k + 1 but t_{0,k+1} is an x step.  Step k is off by c k u of
+    its size, c = `_step_roundings` (one more to sum a diagonal), and each
+    addition by u of its partial sum.  A sum whose rounding alone exceeds
+    tol * scale / 2, as a cancelling one's does, is refused, as is one
+    that overflows or needs more than `max_terms` steps (with the count
+    its tail bound needs); NoConvergence names `what`.
+    """
+    import numpy as np
     from .rows import ratio_bounds  # loaded on first use: see rows.py
 
-    p = _float_params(ref)
-    c = _step_roundings(info, "m")
-    bound_x = ratio_bounds(info)[0]
-    term = 1.0
-    total = 1.0
-    weight = partials = 0.0  # sum of m |term m|, sum of |partial sums|
-    small_streak = 0
-    for m in range(1, max_terms + 1):
-        term *= info.ratio_x(p, m - 1, 0) * x
-        total += term
-        if not math.isfinite(total):
-            raise NoConvergence(
-                f"{kind} at {x}: the terms overflowed at term {m}")
-        weight += m * abs(term)
-        partials += abs(total)
-        if abs(term) >= tol * max(abs(total), 1e-300):
-            small_streak = 0
-            continue
-        small_streak += 1
-        if small_streak < 3:
-            continue
-        rho = abs(x) * float(bound_x(p, m, 0))
-        tail = 0.0 if term == 0 else (
-            abs(term) * rho / (1.0 - rho) if rho < 1 else math.inf)
+    bound_x, bound_y = ratio_bounds(info)
+    if y is None:
+        c, unit = _step_roundings(info, "m"), "terms"
+        steps = _single_steps(info, p, x, max_terms)
+
+        def rho(k):
+            return _absmax(x) * float(bound_x(p, k, 0))
+    else:
+        c = max(_step_roundings(info, "m"), _step_roundings(info, "n")) + 1
+        unit = "diagonals"
+        steps = ((d.sum(axis=0), float(np.abs(d).sum(axis=0).max()))
+                 for d in diagonal_terms(info, p, x, y, max_terms))
+
+        def rho(k):
+            m = np.arange(k + 1.0)
+            return (_absmax(x) * float(bound_x(p, m, k - m).max())
+                    + _absmax(y) * float(bound_y(p, 0, k)))
+    total = scale = mag = 1.0
+    k = streak = 0
+    weight = partials = rounding = 0.0  # sums of k |step k| and |partials|
+    for k, (step, mag) in enumerate(steps, 1):
+        total += step
+        size = _absmax(total)
+        if not math.isfinite(size):
+            raise NoConvergence(f"{what}: the terms overflowed at term {k}")
+        scale = size if isinstance(total, float) else max(1.0, size)
+        weight += k * mag
+        partials += size
         rounding = _UNIT_ROUNDOFF * (c * weight + partials)
-        if tail + rounding <= tol * abs(total):
-            return total, {"terms": m, "last_term": abs(term),
+        streak = streak + 1 if mag <= tol * scale else 0
+        if streak < 3:
+            continue
+        r = rho(k)
+        tail = 0.0 if mag == 0 else mag * r / (1 - r) if r < 1 else math.inf
+        if tail + rounding <= tol * scale:
+            return total, {"terms": k, "last_term": mag,
                            "est_error": tail + rounding}
-        if tail <= tol * abs(total) / 2:
-            raise NoConvergence(
-                f"{kind} at {x}: rounding bound {rounding:.3e} exceeds "
-                f"tol |value| = {tol * abs(total):.3e}")
+        if rounding > tol * scale / 2:
+            raise NoConvergence(f"{what}: rounding bound {rounding:.3e} "
+                                f"exceeds tol |value| = {tol * scale:.3e}")
+    r, room = rho(k), tol * scale - rounding
+    need = f"the tail ratio bound is {r:.3g}"
+    if 0 < r < 1 and room > 0 and mag > 0:
+        more = math.log(room * (1 - r) / (mag * r)) / math.log(r)
+        need = f"the tail bound needs {k + max(1, math.ceil(more))} {unit}"
     raise NoConvergence(
-        f"{kind} at {x}: no convergence within {max_terms} terms"
-    )
+        f"{what}: no convergence within {max_terms} {unit}; {need}")

@@ -65,6 +65,15 @@ class TestEval:
         assert payload["value"] == pytest.approx(1.3498588075760032, rel=1e-11)
         assert "terms" in payload
 
+    def test_term_budget_refusal_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "gauss2f1", "--alpha", "1/2", "--beta", "1/3",
+            "--gamma", "5/4", "--x", "0.99",
+        )
+        assert (code, out) == (2, "")
+        assert ("NoConvergence: Gauss2F1 at 0.99: no convergence within 500 "
+                "terms; the tail bound needs 2139 terms") in err
+
     def test_domain_error_exit_2(self, capsys):
         code, out, err = run(
             capsys, "eval", "phi1", "--alpha", "1", "--beta", "1",
@@ -288,6 +297,8 @@ BAD_INPUTS = [
     # a cancelling single series is refused, not printed
     (("eval", "kummer1f1", "--alpha", "1/2", "--gamma", "5/4", "--x", "-50"),
      {}, "NoConvergence"),
+    (("integral-check", "4.1", "--tol", "0"), {}, "HumbertError"),
+    (("integral-check", "4.1", "--tol", "inf"), {}, "HumbertError"),
 ]
 
 # inputs every report of a run refuses: exit 2, error reports on stdout

@@ -427,7 +427,7 @@ class TestPhi1Nodes:
 
     def test_no_convergence_near_the_edge(self):
         # 0.995^400 leaves diagonals far above tol: 400 do not settle
-        with pytest.raises(NoConvergence, match="400 steps"):
+        with pytest.raises(NoConvergence, match="within 400 diagonals"):
             phi1_arr(0.5, 1 / 3, 1.25, np.array([0.995]), np.array([0.0]),
                      1e-11)
 
@@ -462,6 +462,12 @@ class TestGuards:
     def test_gauss_series_needs_open_disk(self):
         with pytest.raises(DomainError):
             gauss_arr(0.5, 0.5, 1.5, np.array([0.2, 1.0]), 1e-12)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, "1e-8"])
+    def test_cross_check_refuses_a_bad_tol(self, tol, config):
+        params = resolved_params("generic-A", "4.1", config)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            cross_check("4.1", params, tol=tol)
 
     def test_cross_check_reports_error_status(self, config):
         # an unreachable tolerance inside a single allowed level surfaces
