@@ -41,7 +41,7 @@ from .errors import (
 )
 from .expressions import eval_affine
 from .reports import NumericResult, VerificationReport, _id_key
-from .scalars import check_count, check_tolerance, to_float
+from .scalars import check_count, check_tolerance, is_real, to_float
 from .series import (KINDS, FunctionRef, _absmax, diagonal_terms,
                      eval_double_series, sum_series)
 
@@ -727,6 +727,25 @@ def _numeric_settings(grid: tuple, spec: QuadratureSpec, variant: str
     return {"grid": grid, "quad": spec.to_dict(), "variant": variant}
 
 
+def _check_grid(rep_id: str, grid) -> tuple:
+    """The caller's grid as a tuple of (x, y) float pairs, or HumbertError
+    naming the first point that is not a pair of real numbers (`is_real`)."""
+    try:
+        points = tuple(grid)
+    except TypeError:
+        raise HumbertError(f"grid {grid!r} for {rep_id} is not a sequence "
+                           f"of (x, y) points") from None
+    if not points:
+        raise HumbertError(f"empty grid for {rep_id}: cross_check needs "
+                           f"at least one point")
+    for pt in points:
+        if not (hasattr(pt, "__len__") and len(pt) == 2
+                and all(map(is_real, pt))):
+            raise HumbertError(f"bad grid point {pt!r} for {rep_id}: "
+                               f"expected a pair (x, y) of real numbers")
+    return tuple((float(x), float(y)) for x, y in points)
+
+
 def cross_check(
     rep_id: str,
     params: dict,
@@ -740,20 +759,16 @@ def cross_check(
 
     Returns a numeric VerificationReport with the max relative error, the
     worst point and the highest tanh-sinh level any grid point needed.
-    grid None selects `default_grid`; an empty grid, a tol that is not
-    positive and finite, and constraint violations raise; evaluation
-    failures at some grid point produce an error report.
+    grid None selects `default_grid`; a grid that is empty or not a
+    sequence of (x, y) pairs of real numbers, a tol that is not positive
+    and finite, and constraint violations raise; evaluation failures at
+    some grid point produce an error report.
     """
     rep = REPS[rep_id]
-    if grid is None:
-        grid = default_grid(rep_id)
-    elif len(grid) == 0:
-        raise HumbertError(f"empty grid for {rep_id}: cross_check needs "
-                           f"at least one point")
+    grid = default_grid(rep_id) if grid is None else _check_grid(rep_id, grid)
     tol = tol if tol is not None else default_tolerance(rep_id)
     check_tolerance(tol)
     spec = spec or QuadratureSpec()
-    grid = tuple(map(tuple, grid))
     settings = _numeric_settings(grid, spec, variant)
     start = time.perf_counter()
     worst = (0.0, None)

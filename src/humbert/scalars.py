@@ -71,13 +71,17 @@ def check_not_pole(a: Scalar, context: str = "parameter") -> None:
         raise PoleError(f"{context} = {a} is a non-positive integer")
 
 
+def is_real(v) -> bool:
+    """Whether v is a real number; a bool is not.  A float skips the Real
+    check, an ABC lookup that costs more than the rest."""
+    return isinstance(v, float) or (
+        isinstance(v, Real) and not isinstance(v, bool))
+
+
 def check_tolerance(tol, name: str = "tol") -> None:
     """Refuse, as ValueError, a tolerance that is not a positive, finite
-    real number: a bool, a string, None or a complex one too.  A float
-    skips the Real check, an ABC lookup that costs more than the rest."""
-    real = isinstance(tol, float) or (
-        isinstance(tol, Real) and not isinstance(tol, bool))
-    if not (real and 0 < tol < math.inf):
+    real number: a bool, a string, None or a complex one too."""
+    if not (is_real(tol) and 0 < tol < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 

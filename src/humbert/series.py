@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Iterator
@@ -656,8 +656,8 @@ BAND_TERMS = 4096  # cap on the terms of one band, and so on its transient
 
 def _band(info: KindInfo, p: dict, x: float, y: float, last, width: int):
     """Diagonals k0+1..k0+width stepped from `last`, the terms t_{k0-n,n}
-    of diagonal k0 by n, as a (width, k0+width+1) array: row j-1, column n
-    holds t_{k0+j-n,n} where k0+j-n >= 0.
+    of diagonal k0 by n, as a (width, k0+width+1) array and its mask of
+    terms: row j-1, column n holds t_{k0+j-n,n} where k0+j-n >= 0.
 
     Down every column one cumulative product of the interleaved factors t,
     ratio_x, x, ratio_x, x, ... performs next_diagonal's float operations,
@@ -679,11 +679,11 @@ def _band(info: KindInfo, p: dict, x: float, y: float, last, width: int):
     factors[1::2] = np.where(live, info.ratio_x(p, np.maximum(m, 0.0), n),
                              info.ratio_y(p, 0.0, n[k0:-1, None]))
     factors[2::2] = np.where(live, x, y)
-    return np.cumprod(factors, axis=0)[2::2]
+    return np.cumprod(factors, axis=0)[2::2], m >= -1
 
 
 def _bands(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
-    """Yield (k0, band) for diagonals 1..count at scalar (x, y): each
+    """Yield (k0, band, live) for diagonals 1..count at scalar (x, y): each
     `_band` steps BAND diagonals past k0, fewer once it would pass
     BAND_TERMS terms, and never past `count`."""
     import numpy as np
@@ -694,18 +694,10 @@ def _bands(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
         width = max(1, min(BAND, count - k, BAND_TERMS // (k + BAND + 1)))
         # terms past the float range are refused by the caller
         with np.errstate(over="ignore", invalid="ignore"):
-            band = _band(info, p, x, y, last, width)
-        yield k, band
+            band, live = _band(info, p, x, y, last, width)
+        yield k, band, live
         last = band[-1]
         k += width
-
-
-@lru_cache(maxsize=64)  # a budget fixes every band's shape
-def _live(width: int, n: int, k0: int):
-    """Which entries of a `_band` past diagonal k0 are terms."""
-    import numpy as np
-
-    return np.tri(width, n, k0 + 1, dtype=bool)
 
 
 def diagonal_terms(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
@@ -725,7 +717,7 @@ def diagonal_terms(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
             terms = next_diagonal(info, p, terms, x, y)
             yield terms
         return
-    for k, band in _bands(info, p, x, y, count):
+    for k, band, _ in _bands(info, p, x, y, count):
         for j in range(len(band)):
             yield band[j, :k + j + 2].tolist()
 
@@ -785,13 +777,12 @@ def eval_double_series(
     - The diagonal route (every kind, and the x-restricted kinds Phi1,
       Psi1, Xi1, Xi2 at |x| < ROW_ROUTE_X): terms along each diagonal
       m+n = k come from Pochhammer-ratio recurrence steps on the previous
-      diagonal, BAND diagonals per NumPy pass (`_bands`).  Summation (each
-      diagonal by math.fsum) stops once three consecutive diagonals each
-      contribute (in summed absolute value) less than tol times the
-      running |sum|; `est_error` is the last diagonal's magnitude.  Those
-      magnitudes are one NumPy sum per band, exact by math.fsum where its
-      rounding bracket holds the threshold, in the first band and for
-      `est_error`.  A diagonal past the float range is refused.
+      diagonal, BAND diagonals per NumPy pass (`_bands`).  Summation stops
+      once three consecutive diagonals each contribute (in summed absolute
+      value, one masked NumPy sum per band) less than tol times the
+      running |sum|.  math.fsum sums what is returned: each diagonal's
+      signed sum, and the last diagonal's magnitude, `est_error`.  A sum
+      that with a diagonal's magnitude passes the float range is refused.
     - The row route (x-restricted kinds at |x| >= ROW_ROUTE_X, where the
       x series converges slowly): every row, the series in y at a fixed
       power x^m, is stepped at once as one NumPy array (`rows.sum_by_rows`).
@@ -834,34 +825,19 @@ def _sum_by_diagonals(
     total = 1.0
     small_streak = 0
     terms = [1.0]
-    for k0, band in _bands(info, p, x, y, max_diagonal):
-        width, n = band.shape
-        # Each diagonal's sum s of |t| is within gamma_{n-1} of exact in
-        # any order, and g = 2 (n + 2) u covers the test's own roundings:
-        # math.fsum decides only inside s (1 +- g), for s outside
-        # [2^-1000, 2^1000], and in the first band, whose short diagonals
-        # it sums faster than the pass.
-        mags = [math.nan] * width
-        if k0:
-            with np.errstate(over="ignore"):
-                mags = np.abs(band).sum(
-                    axis=1, where=_live(width, n, k0)).tolist()
-        g = 2 * (n + 2) * _UNIT_ROUNDOFF
+    for k0, band, live in _bands(info, p, x, y, max_diagonal):
+        with np.errstate(over="ignore"):  # an infinite sum is refused below
+            mags = np.abs(band).sum(axis=1, where=live).tolist()
         for j, s in enumerate(mags):
             k = k0 + j + 1
             terms = band[j, :k + 1].tolist()
             try:
                 total += math.fsum(terms)
-                thr = tol * max(abs(total), 1e-300)
-                sure = 2.0 ** -1000 <= s <= 2.0 ** 1000  # NaN: not sure
-                small = sure and s * (1 + g) < thr
-                if not (small or sure and s * (1 - g) >= thr):  # in doubt
-                    small = math.fsum(map(abs, terms)) < thr
             except (OverflowError, ValueError):  # inf - inf, or past range
                 total = math.inf
-            if not math.isfinite(total):
+            if not math.isfinite(total + s):
                 return f"the terms overflowed at diagonal {k}"
-            if small:
+            if s < tol * max(abs(total), 1e-300):
                 small_streak += 1
                 if small_streak == 3:
                     last_mag = math.fsum(map(abs, terms))

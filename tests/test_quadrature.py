@@ -508,6 +508,35 @@ class TestGuards:
         with pytest.raises(HumbertError, match="empty grid for 4.1"):
             cross_check("4.1", params, grid=grid)
 
+    @pytest.mark.parametrize("grid, bad", [
+        ([(0.1,)], "bad grid point (0.1,)"),
+        ([(0.1, 0.2, 0.3)], "bad grid point (0.1, 0.2, 0.3)"),
+        (["ab"], "bad grid point 'ab'"),
+        ([(0.1, None)], "bad grid point (0.1, None)"),
+        ([(0.1, 0.2), (True, 0.2)], "bad grid point (True, 0.2)"),
+        ([0.1], "bad grid point 0.1"),
+        (5, "grid 5 "),
+    ])
+    def test_cross_check_refuses_a_malformed_grid(self, config, grid, bad,
+                                                  monkeypatch):
+        # refused before any point is evaluated, as a package error
+        params = resolved_params("generic-A", "4.1", config)
+        monkeypatch.setattr(quadrature, "series_value", None)
+        with pytest.raises(HumbertError) as info:
+            cross_check("4.1", params, grid=grid)
+        assert str(info.value).startswith(bad)
+        assert "for 4.1" in str(info.value)
+
+    def test_cross_check_takes_any_real_pairs_as_floats(self, config):
+        params = resolved_params("generic-A", "4.1", config)
+        want = cross_check("4.1", params, grid=((0.25, -0.5),))
+        for grid in ([[0.25, -0.5]], np.array([[0.25, -0.5]]),
+                     [(Fraction(1, 4), np.float64(-0.5))]):
+            got = cross_check("4.1", params, grid=grid)
+            assert got.settings["grid"] == ((0.25, -0.5),)
+            assert type(got.numeric.worst_point[0]) is float
+            assert got.numeric == want.numeric
+
     def test_cross_check_refuses_an_oversized_coupling_grid(self, config):
         # at y = -30 the 4.16 levels agree to three digits but never to
         # rtol; the level whose live-row x node grid passes the cell bound

@@ -646,8 +646,13 @@ def per_term_sum(ref, x, y, tol=1e-12, max_diagonal=400):
     total, streak, last_mag = 1.0, 0, 1.0
     for k, terms in enumerate(
             per_term_diagonals(ref.info, p, x, y, max_diagonal), 1):
-        total += math.fsum(terms)
-        last_mag = math.fsum(abs(t) for t in terms)
+        try:
+            total += math.fsum(terms)
+            last_mag = math.fsum(abs(t) for t in terms)
+        except (OverflowError, ValueError):  # past the float range
+            total = math.inf
+        if not math.isfinite(total + last_mag):
+            return f"the terms overflowed at diagonal {k}"
         if last_mag < tol * max(abs(total), 1e-300):
             streak += 1
             if streak == 3:
@@ -731,31 +736,10 @@ class TestDiagonalBands:
     def test_any_point_matches_per_term_sum(self, point, tol, max_diagonal):
         assert_matches_per_term_sum(*point, tol, max_diagonal)
 
-    @pytest.mark.parametrize("kind, x, y", [
-        ("Phi2", -10.0, -12.0), ("Psi2", -33.3, -37.3)])
-    def test_a_threshold_inside_the_bracket(self, kind, x, y):
-        # tol puts the threshold tol |total| of diagonal k, past the first
-        # band, within a few roundings of its exact sum of |t|.  The band's
-        # sum s is within about k u of that, and the bracket s (1 +- g),
-        # g >= 2 (k + 3) u, holds the threshold: math.fsum decides there.
-        # Before k the sum stops at no tol this small.
-        ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
-        p = {slot: float(v) for slot, v in ref.params.items()}
-        k = per_term_sum(ref, x, y)[1] - 2
-        assert k > series.BAND
-        total = 1.0
-        for terms in per_term_diagonals(ref.info, p, x, y, k):
-            total += math.fsum(terms)
-        mag = math.fsum(abs(t) for t in terms)
-        tol = mag / abs(total)
-        for t in (math.nextafter(tol, 0.0), tol, math.nextafter(tol, 1.0)):
-            assert abs(t * abs(total) / mag - 1) < 1e-15
-            assert assert_matches_per_term_sum(ref, x, y, t)[1] >= k
-
     @pytest.mark.parametrize("tol, diagonals", [(1e-300, 128), (5e-324, 136)])
     def test_subnormal_magnitudes(self, tol, diagonals):
         # the last diagonals' sums of |t| fall below 2^-1000, where the
-        # bracket is not trusted and math.fsum decides
+        # band's sums of subnormal terms still decide as math.fsum does
         ref = FunctionRef("Phi2", {"beta1": F(1, 2), "beta2": F(1, 3),
                                    "gamma": F(5, 4)})
         want = assert_matches_per_term_sum(ref, 0.1, 0.2, tol)
@@ -764,13 +748,28 @@ class TestDiagonalBands:
     @pytest.mark.parametrize("kind, x, y", [
         ("Psi2", -33.3, -37.3), ("Xi1", -0.7, 1.9), ("Phi2", 1e-3, 250.0)])
     def test_every_term_has_the_per_term_bits(self, kind, x, y):
+        # 150 diagonals: the first band, later ones and, from k0 = 96, bands
+        # narrowed by BAND_TERMS; each band's mask picks out exactly the
+        # k + 1 terms of each of its diagonals
         ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
         p = {k: float(v) for k, v in ref.params.items()}
+        want = list(per_term_diagonals(ref.info, p, x, y, 150))
         banded = series.diagonal_terms(ref.info, p, x, y, 150)
-        for k, (got, want) in enumerate(zip(
-                banded, per_term_diagonals(ref.info, p, x, y, 150)), 1):
-            assert [t.hex() for t in got] == [t.hex() for t in want[::-1]], k
+        for k, got in enumerate(banded, 1):
+            assert [t.hex() for t in got] == [
+                t.hex() for t in want[k - 1][::-1]], k
         assert k == 150
+        widths = []
+        for k0, band, live in series._bands(ref.info, p, x, y, 150):
+            widths.append(len(band))
+            assert live.shape == band.shape
+            for j in range(len(band)):
+                got = band[j][live[j]]
+                assert len(got) == k0 + j + 2
+                assert [t.hex() for t in got] == [
+                    t.hex() for t in want[k0 + j][::-1]], k0 + j + 1
+        assert widths[:4] == [series.BAND] * 3 + [31]
+        assert sum(widths) == 150
 
     @pytest.mark.parametrize("budget", [0, 1, 31, 32, 33, 40])
     def test_budget_is_kept(self, budget, monkeypatch):
@@ -825,12 +824,29 @@ class TestDiagonalBands:
                                match=f"overflowed at diagonal {diagonal}$"):
                 eval_double_series(ref, x, y)
 
+    @pytest.mark.parametrize("kind, x, y, diagonal", [
+        ("Phi2", 1e20, 1e20, 17),
+        ("Psi2", 1e20, -1e20, 16),
+        ("Phi3", -1e20, 3.0, 17),
+        # the total stays finite, but not the total plus the sum of |t|
+        ("Psi2", 3.5098484907865077e+24, 0.0, 13),
+    ])
+    def test_a_first_band_overflow_is_refused_as_term_by_term(
+            self, kind, x, y, diagonal):
+        # the first band's sums of |t| come from the band's NumPy pass, as
+        # every later band's do, and refuse at the term-by-term diagonal
+        ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = assert_matches_per_term_sum(ref, x, y)
+        assert want == f"the terms overflowed at diagonal {diagonal}"
+        assert diagonal <= series.BAND
+
     @pytest.mark.parametrize("x, y, diagonal", [
         (300.0, -300.0, 305), (700.0, -700.0, 198)])
     def test_a_cancelling_diagonal_past_range_is_refused(self, x, y, diagonal):
-        # terms of both signs: their signed sum stays finite where the sum
-        # of |t| passes the float range; the band's sum there is trusted
-        # only up to 2^1000, and math.fsum's overflow is the refusal
+        # terms of both signs: their signed sum stays finite where the
+        # band's sum of |t| passes the float range, and that is the refusal
         ref = FunctionRef("Psi2", REFERENCE_PARAMS["Psi2"])
         with pytest.raises(NoConvergence,
                            match=f"overflowed at diagonal {diagonal}$"):
