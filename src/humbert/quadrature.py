@@ -55,7 +55,9 @@ class QuadratureSpec:
 
     The default starts at level 3 because every representation converges
     between levels 3 and 4, and level 4 is already at round-off.  Each
-    level doubles the nodes per axis, so a higher start only adds work.
+    step evaluates one level and reads the level below from its even
+    nodes, so the first step evaluates level start_level + 1.  Each level
+    doubles the nodes per axis, so a higher start only adds work.
     A level that is not a non-negative int, a start_level past max_level,
     or an rtol that is not a positive finite real is refused with
     ValueError when the spec is built.
@@ -140,24 +142,23 @@ def integrate_beta_kernel(
                    spec or QuadratureSpec())
 
 
-def _refine(level_value, spec: QuadratureSpec, prefix: str = ""
+def _refine(level_pair, spec: QuadratureSpec, prefix: str = ""
             ) -> tuple[float, dict]:
-    """Evaluate level_value(level) from spec.start_level up, one level at a
-    time, until two successive values agree within spec.rtol."""
-    prev = None
+    """Evaluate level_pair(level), the values (coarse, fine) at level - 1
+    and level from one evaluation, for each level past spec.start_level in
+    turn, until the two agree within spec.rtol.  The first pair compared
+    is (start_level, start_level + 1)."""
     history = []
-    for level in range(spec.start_level, spec.max_level + 1):
-        current = level_value(level)
-        if prev is not None:
-            err = abs(current - prev) / max(abs(current), 1e-300)
-            history.append(err)
-            if err <= spec.rtol:
-                return current, {
-                    "final_level": level,
-                    "est_error": err,
-                    "history": history,
-                }
-        prev = current
+    for level in range(spec.start_level + 1, spec.max_level + 1):
+        coarse, fine = level_pair(level)
+        err = abs(fine - coarse) / max(abs(fine), 1e-300)
+        history.append(err)
+        if err <= spec.rtol:
+            return fine, {
+                "final_level": level,
+                "est_error": err,
+                "history": history,
+            }
     raise NoConvergence(
         f"{prefix}tanh-sinh did not reach rtol {spec.rtol} "
         f"by level {spec.max_level}"
@@ -600,16 +601,20 @@ def _moments(w: np.ndarray, bases: list, sizes: tuple) -> np.ndarray:
 _GRID_CELLS = 1 << 22
 
 
-def _level(exps, integrand: Integrand, level: int) -> float:
+def _level(exps, integrand: Integrand, level: int) -> tuple[float, float]:
     """One tanh-sinh level of an integral whose axes carry the Beta kernels
-    `exps`, triples (a, b, log-norm), times `integrand`.  One axis is a
-    weighted sum.  Two contract the couplings' moments, or the node grid."""
+    `exps`, triples (a, b, log-norm), times `integrand`, as the pair
+    (coarse, fine): `fine` is the value at `level` and `coarse` the value
+    at level - 1, read from the same evaluation.  Level - 1's nodes are
+    this level's even-indexed nodes, bit for bit, with twice the weight.
+    One axis is a weighted sum.  Two contract the couplings' moments, or
+    the node grid."""
     nodes = _nodes(level)
     w1 = _axis_weights(nodes, *exps[0])
     if integrand.factor is not None:
         w1 = w1 * integrand.factor(nodes.xi, nodes.omx)
     if len(exps) == 1:
-        return float(np.sum(w1))
+        return float(np.sum(2.0 * w1[::2])), float(np.sum(w1))
     w2 = _axis_weights(nodes, *exps[1])
     if integrand.grid is not None:
         # the coupling on the grid of live rows (weight not underflowed)
@@ -620,16 +625,25 @@ def _level(exps, integrand: Integrand, level: int) -> float:
                 f"grid, over the {_GRID_CELLS}-cell bound")
         coupling = integrand.grid(nodes.xi[live], nodes.omx[live],
                                   nodes.xi, nodes.omx)
-        return float(w1[live] @ (coupling @ w2))
+        even = live % 2 == 0
+        coarse = (2.0 * w1[live[even]]) @ (coupling[even][:, ::2]
+                                           @ (2.0 * w2[::2]))
+        return float(coarse), float(w1[live] @ (coupling @ w2))
     # sum_k prod_j g_j[k_j] A[k] B[k], with A and B the moment tensors of
     # the couplings' xi- and eta-sides
     gs, ufns, vfns = zip(*integrand.couplings)
     sizes = tuple(len(g) for g in gs)
-    total = (_moments(w1, [u(nodes.xi, nodes.omx) for u in ufns], sizes)
-             * _moments(w2, [v(nodes.xi, nodes.omx) for v in vfns], sizes))
-    for g in reversed(gs):
-        total = total @ g
-    return float(total)
+    us = [u(nodes.xi, nodes.omx) for u in ufns]
+    vs = [v(nodes.xi, nodes.omx) for v in vfns]
+
+    def contract(step: slice, scale: float) -> float:
+        total = (_moments(scale * w1[step], [u[step] for u in us], sizes)
+                 * _moments(scale * w2[step], [v[step] for v in vs], sizes))
+        for g in reversed(gs):
+            total = total @ g
+        return float(total)
+
+    return contract(np.s_[::2], 2.0), contract(np.s_[:], 1.0)
 
 
 def _kernel(rep: IntegralRep, env: dict) -> list:
@@ -774,7 +788,8 @@ def cross_check(
     worst = (0.0, None)
     quad_level = 0
     try:
-        for pt in grid:
+        # the shared settings' grid, so that the worst point is its tuple
+        for pt in settings["grid"]:
             gx, gy = pt
             target = series_value(rep, params, gx, gy)
             value, diag = eval_integral(rep, params, gx, gy, spec, builder)

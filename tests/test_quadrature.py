@@ -143,6 +143,16 @@ class TestCrossCheckSweep:
         assert sorted(numeric) == ["max_rel_error", "quad_level",
                                    "tolerance", "worst_point"]
 
+    def test_equal_caller_grids_share_the_worst_point(self, config):
+        # a caller's grid is rebuilt as a tuple, but the report keeps the
+        # shared settings' point, not a fresh pair per call
+        params = resolved_params("generic-A", "4.15", config)
+        reports = [cross_check("4.15", params, grid=[[0.1, 0.2], [0.3, 0.35]])
+                   for _ in range(2)]
+        first, again = (r.numeric["worst_point"] for r in reports)
+        assert first is again
+        assert any(first is pt for pt in reports[0].settings["grid"])
+
     def test_profile_b_same_adjudication(self, config):
         for rep_id in ("4.6", "4.10", "4.14", "4.16"):
             params = resolved_params("generic-B", rep_id, config)
@@ -238,6 +248,48 @@ class TestRefinementBehavior:
         assert report.numeric["quad_level"] == diag["final_level"]
 
 
+class TestNestedLevels:
+    # level L's nodes are level L + 1's even-indexed nodes, which lets one
+    # evaluation at level L + 1 give both values a refinement step compares
+    KERNELS = [(0.5, 0.75, 0.3), (1.0, 1.0, 0.0), (2.5, 0.25, 0.1),
+               (0.01, 3.0, -1.0), (600.0, 2.5, 15.7)]
+
+    @pytest.mark.parametrize("level", range(9))
+    def test_even_nodes_are_the_level_below(self, level):
+        coarse, fine = _nodes(level), _nodes(level + 1)
+        for name in ("xi", "omx", "log_xi", "log_omx", "logw"):
+            assert np.array_equal(getattr(fine, name)[::2],
+                                  getattr(coarse, name)), name
+        assert fine.h == 0.5 * coarse.h
+
+    @pytest.mark.parametrize("level", range(9))
+    def test_even_weights_are_half_the_level_below(self, level):
+        # bit for bit while the weight is a normal float; a subnormal one
+        # is rounded twice on the coarse side, and may differ by one unit
+        tiny, unit = np.finfo(float).tiny, math.ldexp(1.0, -1074)
+        for kernel in self.KERNELS:
+            half = 0.5 * _axis_weights(_nodes(level), *kernel)
+            even = _axis_weights(_nodes(level + 1), *kernel)[::2]
+            normal = half >= tiny
+            assert np.array_equal(even[normal], half[normal]), kernel
+            assert np.all(np.abs(even - half) <= unit), kernel
+
+    def test_one_evaluation_per_refinement_step(self, config, monkeypatch):
+        # a point that stops at level 4 evaluates level 4 only
+        levels = []
+        real_nodes = quadrature._nodes
+
+        def record(level):
+            levels.append(level)
+            return real_nodes(level)
+
+        monkeypatch.setattr(quadrature, "_nodes", record)
+        params = resolved_params("generic-A", "4.2", config)
+        _, diag = eval_integral("4.2", params, 0.3, 0.2)
+        assert diag["final_level"] == 4
+        assert levels == [4]
+
+
 # every power-series representation, and the corrected 4.14
 PS_BUILDS = [(r, REPS[r].build) for r in REP_IDS if REPS[r].style == "ps"]
 PS_BUILDS.append(ALL_BUILDS[-1])
@@ -250,22 +302,25 @@ class TestTensorContraction:
     )
     def test_matches_full_node_grid(self, rep_id, build, config):
         # the moment contraction must equal the integrand summed over the
-        # full tensor grid of one level, each coupling series in Horner form
+        # full tensor grid of one level, each coupling series in Horner form;
+        # level 4's pair holds level 3's value and its own
         params = {k: float(v) for k, v in
                   resolved_params("generic-A", rep_id, config).items()}
         exps = _kernel(REPS[rep_id], params)
         integrand = build(params, 0.3, 0.2, 1e-12)
-        nodes = _nodes(3)
-        w1 = _axis_weights(nodes, *exps[0])
-        if integrand.factor is not None:
-            w1 = w1 * integrand.factor(nodes.xi, nodes.omx)
-        grid = np.outer(w1, _axis_weights(nodes, *exps[1]))
-        for g, ufn, vfn in integrand.couplings:
-            z = np.outer(ufn(nodes.xi, nodes.omx), vfn(nodes.xi, nodes.omx))
-            grid = grid * np.polyval(g[::-1], z)
-        want = float(grid.sum())
-        got = _level(exps, integrand, 3)
-        assert abs(got - want) <= 1e-12 * abs(want)
+        got = _level(exps, integrand, 4)
+        for level, value in zip((3, 4), got):
+            nodes = _nodes(level)
+            w1 = _axis_weights(nodes, *exps[0])
+            if integrand.factor is not None:
+                w1 = w1 * integrand.factor(nodes.xi, nodes.omx)
+            grid = np.outer(w1, _axis_weights(nodes, *exps[1]))
+            for g, ufn, vfn in integrand.couplings:
+                z = np.outer(ufn(nodes.xi, nodes.omx),
+                             vfn(nodes.xi, nodes.omx))
+                grid = grid * np.polyval(g[::-1], z)
+            want = float(grid.sum())
+            assert abs(value - want) <= 1e-12 * abs(want), level
 
 
 def _row_410(p, x, y, xi_i, omx_i, eta, ome):
@@ -287,23 +342,25 @@ class TestGridContraction:
                                              ("4.16", _row_416)])
     def test_matches_per_row_sum(self, rep_id, row, config):
         # the full-grid coupling, contracted once, must equal the sum of
-        # one row at a time, each row's coupling computed on its own
+        # one row at a time, each row's coupling computed on its own; level
+        # 4's pair holds level 3's value and its own
         params = {k: float(v) for k, v in
                   resolved_params("generic-A", rep_id, config).items()}
         x, y = 0.3, 0.2
         exps = _kernel(REPS[rep_id], params)
         integrand = REPS[rep_id].build(params, x, y, 1e-11)
-        nodes = _nodes(3)
-        w1 = _axis_weights(nodes, *exps[0])
-        w1 = w1 * integrand.factor(nodes.xi, nodes.omx)
-        w2 = _axis_weights(nodes, *exps[1])
-        want = math.fsum(
-            w1[i] * math.fsum(w2 * row(params, x, y, nodes.xi[i],
-                                       nodes.omx[i], nodes.xi, nodes.omx))
-            for i in np.flatnonzero(w1)
-        )
-        got = _level(exps, integrand, 3)
-        assert abs(got - want) <= 1e-13 * abs(want)
+        got = _level(exps, integrand, 4)
+        for level, value in zip((3, 4), got):
+            nodes = _nodes(level)
+            w1 = _axis_weights(nodes, *exps[0])
+            w1 = w1 * integrand.factor(nodes.xi, nodes.omx)
+            w2 = _axis_weights(nodes, *exps[1])
+            want = math.fsum(
+                w1[i] * math.fsum(w2 * row(params, x, y, nodes.xi[i],
+                                           nodes.omx[i], nodes.xi, nodes.omx))
+                for i in np.flatnonzero(w1)
+            )
+            assert abs(value - want) <= 1e-13 * abs(want), level
 
     @pytest.mark.parametrize("kind, params", [
         ("Xi1", {"alpha1": 0.5, "alpha2": 0.75, "beta": 1 / 3,
@@ -397,8 +454,9 @@ class TestPhi1Nodes:
     @pytest.mark.parametrize("rep_id", ["4.6", "4.7"])
     def test_matches_per_node_double_series(self, rep_id, config,
                                             monkeypatch):
-        # the node arguments the integrand passes at levels 3 and 4 over
-        # the default grid, summed again one node at a time
+        # the node arguments the integrand passes over the default grid,
+        # summed again one node at a time: one level-4 call per point, whose
+        # even nodes also give level 3
         calls = []
 
         def record(*args):
@@ -410,7 +468,7 @@ class TestPhi1Nodes:
         for x, y in default_grid(rep_id):
             _, diag = eval_integral(rep_id, params, x, y)
             assert diag["final_level"] == 4
-        assert len(calls) == 2 * len(default_grid(rep_id))
+        assert len(calls) == len(default_grid(rep_id))
         for a, b, c, u, v, tol in calls:
             ref = FunctionRef("Phi1", {"alpha": a, "beta": b, "gamma": c})
             want = np.array([eval_double_series(ref, ui, vi, tol=1e-13)[0]
