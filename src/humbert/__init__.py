@@ -13,6 +13,11 @@ Three layers:
   verifier (`verify_formula`, `verify_operator_identity`, `verify_all`);
 * Euler-type integral representations cross-checked against the series by
   tanh-sinh quadrature (`eval_integral`, `cross_check`).
+
+The numeric layer (`quadrature`, `rows` and NumPy) loads on first use: at
+the first float evaluation, or the first access to one of `quadrature`'s
+names from this package (the module `__getattr__` below).  The exact layer
+never loads it, so `import humbert` and `humbert verify` run without NumPy.
 """
 
 from .catalog import (
@@ -48,14 +53,6 @@ from .operators import (
     apply_nabla_delta,
 )
 from .profiles import load_config, profile_params, resolved_params
-from .quadrature import (
-    REP_IDS,
-    REPS,
-    IntegralRep,
-    QuadratureSpec,
-    cross_check,
-    eval_integral,
-)
 from .reports import VerificationReport, sort_reports
 from .series import (
     BIVARIATE_KINDS,
@@ -118,3 +115,13 @@ __all__ = [
     "verify_operator_identity",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """The numeric layer's names, from `quadrature` on first access."""
+    if name in {"REP_IDS", "REPS", "IntegralRep", "QuadratureSpec",
+                "cross_check", "eval_integral"}:
+        from . import quadrature
+
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

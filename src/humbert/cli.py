@@ -12,13 +12,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import catalog as _catalog
 from . import identities as _identities
 from .errors import HumbertError, UnknownFormula
 from .profiles import load_config, profile_params, resolved_params
-from .quadrature import REP_IDS, REPS, QuadratureSpec, cross_check
 from .reports import sort_reports
 from .scalars import SYMBOLS, as_scalar, check_tolerance, to_float
 from .series import BIVARIATE_KINDS, KINDS, FunctionRef, SINGLE_KINDS, \
@@ -128,12 +125,16 @@ def _parse_grid(text: str | None):
             raise ValueError
     except ValueError:
         raise HumbertError(f"bad grid spec {text!r}; expected e.g. 3x3")
+    import numpy as np
+
     xs = np.linspace(0.05, 0.35, nx)
     ys = np.linspace(0.05, 0.35, ny)
     return tuple((float(gx), float(gy)) for gx in xs for gy in ys)
 
 
 def cmd_integral_check(args) -> int:
+    from .quadrature import REP_IDS, REPS, QuadratureSpec, cross_check
+
     rep_ids = REP_IDS if args.rep == "all" else (args.rep,)
     reports = []
     _check_tol(args.tol)

@@ -2,10 +2,8 @@
 near the edge of the x disk, every row of the (m, n) term table stepped at
 once as one NumPy array.
 
-`series` imports this module on the first row-route call, not at package
-import: importing NumPy from `series`, earlier in `import humbert` than
-`quadrature` imports it, measured about 8% more set-up time (perfbench
-setup_s, with modules compiled from source).
+Part of the numeric layer, which loads on first use (see the package
+docstring): `series` imports this module on the first row-route call.
 """
 
 from __future__ import annotations

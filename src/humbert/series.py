@@ -667,7 +667,7 @@ def _band(info: KindInfo, p: dict, x: float, y: float, last, width: int):
     m = 0, so that its product reaches t_{0,n} as next_diagonal steps it,
     and then steps in x.
     """
-    import numpy as np  # loaded on first use, as rows.py is
+    import numpy as np  # numeric layer: see humbert.__init__
 
     k0 = len(last) - 1
     n = np.arange(k0 + width + 1.0)
@@ -804,7 +804,7 @@ def eval_double_series(
         raise DomainError(f"({x}, {y}) outside the {ref.kind} convergence region")
     p = _float_params(ref)
     if info.x_restricted and abs(x) >= ROW_ROUTE_X:
-        from .rows import sum_by_rows  # loaded on first use: see rows.py
+        from .rows import sum_by_rows  # numeric layer: see humbert.__init__
 
         out = sum_by_rows(info, p, x, y, tol,
                           max_diagonal * (max_diagonal + 1) // 2)
@@ -903,7 +903,7 @@ def sum_series(info: KindInfo, p: dict, x, tol: float, max_terms: int,
     its tail bound needs); NoConvergence names `what`.
     """
     import numpy as np
-    from .rows import ratio_bounds  # loaded on first use: see rows.py
+    from .rows import ratio_bounds  # numeric layer: see humbert.__init__
 
     bound_x, bound_y = ratio_bounds(info)
     if y is None:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import humbert
 from humbert.catalog import DATA_DIR, load_catalog, save_catalog
 from humbert.cli import main
 from humbert.profiles import load_config
@@ -408,3 +413,40 @@ class TestBadInputs:
         assert reports and all(r["status"] == "error" and r["detail"] == detail
                                for r in reports)
         assert "Traceback" not in err
+
+
+# Run in a fresh interpreter: the exact layer's imports and calls, then the
+# package's names, resolved only once the numeric layer is seen to be absent.
+EXACT_ONLY = """
+import sys
+import humbert
+from humbert import cli
+
+config = humbert.load_config()
+humbert.load_catalog()
+params = humbert.profile_params("generic-A", config)
+humbert.verify_all(params, 2)
+humbert.verify_all_identities(params, 2)
+assert cli.main(["verify", "all", "--n", "2"]) == 0
+loaded = {"numpy", "humbert.quadrature", "humbert.rows"} & set(sys.modules)
+assert not loaded, loaded
+
+for name in humbert.__all__:
+    getattr(humbert, name)
+assert humbert.cross_check is humbert.quadrature.cross_check
+try:
+    humbert.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("humbert.no_such_name resolved")
+"""
+
+
+def test_exact_layer_loads_no_numeric_layer():
+    src = str(Path(humbert.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", EXACT_ONLY],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -7,9 +7,17 @@ which group moved and why.
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
-from humbert.profiles import resolved_params
+from humbert.catalog import load_errata, verify_all
+from humbert.errors import HumbertError
+from humbert.identities import verify_all_identities
+from humbert.profiles import profile_params, resolved_params
 from humbert.quadrature import CORRECTED_BUILDERS, REP_IDS, cross_check
+from humbert.series import (BIVARIATE_KINDS, KINDS, ROW_ROUTE_X, SINGLE_KINDS,
+                            FunctionRef, eval_double_series,
+                            eval_single_series)
 
 
 def _digest(reports) -> str:
@@ -39,3 +47,69 @@ def test_numeric_reports_are_kept(config):
                               variant="corrected")
 
     assert _digest(reports()) == NUMERIC_DIGEST
+
+
+# every formula and identity report, errata included, at N = 8 and then
+# N = 12, for generic-A and then generic-B
+EXACT_DIGEST = (
+    "a6a142180bdb4205fdaffb61a0af51ebc4feb8b5bb89b1c3ca5cec609e68655a")
+
+
+def test_exact_reports_are_kept(config):
+    def reports():
+        errata = load_errata(config.get("errata"))
+        for profile in ("generic-A", "generic-B"):
+            params = profile_params(profile, config)
+            for degree in (8, 12):
+                yield from verify_all(params, degree, errata=errata)
+                yield from verify_all_identities(params, degree)
+
+    assert _digest(reports()) == EXACT_DIGEST
+
+
+FLOAT_POINTS = 40
+
+
+def _float_points(rng: random.Random):
+    """(kind, params, x, y): FLOAT_POINTS per bivariate kind, half of an
+    x-restricted kind's on the row route (ROW_ROUTE_X <= |x| < 1), then a
+    few per single-variable kind (y None)."""
+    def params(kind):
+        return {s: Fraction(rng.randrange(1, 32), rng.randrange(2, 17))
+                for s in KINDS[kind].slots}
+
+    for kind in BIVARIATE_KINDS:
+        for i in range(FLOAT_POINTS):
+            if not KINDS[kind].x_restricted:
+                x = rng.uniform(-4.0, 4.0)
+            elif i % 2:
+                x = rng.choice((-1.0, 1.0)) * rng.uniform(ROW_ROUTE_X, 0.99)
+            else:
+                x = rng.uniform(-ROW_ROUTE_X, ROW_ROUTE_X)
+            yield kind, params(kind), x, rng.uniform(-2.0, 2.0)
+    for kind in SINGLE_KINDS:
+        reach = 0.95 if KINDS[kind].x_restricted else 20.0
+        for _ in range(4):
+            yield kind, params(kind), rng.uniform(-reach, reach), None
+
+
+FLOAT_DIGEST = (
+    "0e98cbd20deeadbd40e6dafef15925e834c1c0de330917c377a1cf1f2c6e2ca5")
+
+
+def test_float_values_are_kept():
+    """The value and est_error bits of every point, or its refusal's type and
+    message, in draw order."""
+    h = hashlib.sha256()
+    for kind, params, x, y in _float_points(random.Random(0)):
+        try:
+            if y is None:
+                value, diag = eval_single_series(kind, params, x)
+            else:
+                value, diag = eval_double_series(FunctionRef(kind, params),
+                                                 x, y)
+            line = f"{value.hex()} {diag['est_error'].hex()}"
+        except HumbertError as exc:
+            line = f"{type(exc).__name__}: {exc}"
+        h.update(f"{kind} {params} {x.hex()} {y} {line}\n".encode())
+    assert h.hexdigest() == FLOAT_DIGEST
