@@ -13,7 +13,7 @@ import time
 
 from humbert import cross_check
 from humbert.profiles import load_config, resolved_params
-from humbert.quadrature import CORRECTED_BUILDERS, REP_IDS
+from humbert.quadrature import CORRECTED, REP_IDS
 
 
 def main() -> None:
@@ -33,16 +33,15 @@ def main() -> None:
 
     print("\ndiagnosis of the two failures:")
     params = resolved_params("generic-A", "4.14", config)
-    healed = cross_check("4.14", params,
-                         builder=CORRECTED_BUILDERS["4.14"],
-                         variant="corrected")
-    print(f"  4.14 with corrected inner denominator: {healed.status} "
+    healed = cross_check(CORRECTED["4.14"], params)
+    print(f"  {healed.target} {healed.settings['variant']}, inner denominator "
+          f"gamma - eps1 - eps2: {healed.status} "
           f"(err {healed.numeric['max_rel_error']:.1e}) — the inner "
           "factor needs the reduced parameter, not the full one")
 
     params = resolved_params("generic-A", "4.15", config)
     params["eps"] = params["gamma2"]
-    closed = cross_check("4.15", params, variant="collapse")
+    closed = cross_check("4.15", params)
     print(f"  4.15 with eps set to gamma2: {closed.status} "
           f"(err {closed.numeric['max_rel_error']:.1e}) — the printed "
           "confluent correction factor only closes at that coincidence")

@@ -206,27 +206,26 @@ def _convolution_plan(e: dict, env: dict, indices: str, weight: str):
     return {slot: base for slot, (base, _) in slots.items()}, kernel, cell
 
 
-def _outer_terms(e: dict, env: dict, degree: int, outer_bound: int):
-    """(i, j, signed weight, si, sj) of every term that reaches the
-    triangle, in the outer loop's order.  The sum's num / den factors are
-    a signature in (i, j), read as (m, n), over their params' base values,
-    each evaluated once, and stepped with its pole rule (step_signature)."""
+def _outer_terms(e: dict, env: dict, degree: int):
+    """(i, j, signed weight, si, sj) of every nonzero term, in the outer
+    loop's order; a valid sum shifts term (i, j) to degree i + j.  The
+    sum's num / den factors are a signature in (i, j), read as (m, n),
+    over their params' base values, each evaluated once, and stepped with
+    its pole rule (step_signature)."""
     sign, weight = e.get("sign", "+1"), e.get("weight", "xy")
     num, den = ([(f["param"], f["index"].replace("i", "m").replace("j", "n"))
                  for f in e.get(key, ())] for key in ("num", "den"))
     p = {param: eval_affine(param, env) for param, _ in num + den}
     bivariate = e.get("indices", "ij") == "ij"
-    pairs = ((i, j) for i in range(outer_bound + 1)
-             for j in range(outer_bound + 1 - i if bivariate else 1))
-    for (i, j), a in zip(pairs, step_signature(num, den, p, outer_bound,
+    pairs = ((i, j) for i in range(degree + 1)
+             for j in range(degree + 1 - i if bivariate else 1))
+    for (i, j), a in zip(pairs, step_signature(num, den, p, degree,
                                                bivariate=bivariate)):
-        si, sj = _sum_shift(weight, i, j)
-        if a and si + sj <= degree:
-            yield i, j, _sign_value(sign, i, j) * a, si, sj
+        if a:
+            yield i, j, _sign_value(sign, i, j) * a, *_sum_shift(weight, i, j)
 
 
-def _assemble_sum(e: dict, env: dict, degree: int, outer_bound: int
-                  ) -> TruncatedBiseries:
+def _assemble_sum(e: dict, env: dict, degree: int) -> TruncatedBiseries:
     """The sum's triangle, by one convolution where _convolution_plan
     splits the inner signature, else by one inner triangle per term.
 
@@ -238,7 +237,7 @@ def _assemble_sum(e: dict, env: dict, degree: int, outer_bound: int
     """
     plan = _convolution_plan(e, env, e.get("indices", "ij"),
                              e.get("weight", "xy"))
-    terms = _outer_terms(e, env, degree, outer_bound)
+    terms = _outer_terms(e, env, degree)
     if plan is None:
         def inner_terms():
             for i, j, a, si, sj in terms:
@@ -287,38 +286,31 @@ def _convolve(degree: int, weights: list, kernel: list, cell: list
          for c, v in zip(cells, row)] for cells, row in zip(cell, acc)])
 
 
-def assemble_expression(
-    e: dict, params: dict, degree: int, outer_bound: int | None = None
-) -> TruncatedBiseries:
+def assemble_expression(e: dict, params: dict, degree: int
+                        ) -> TruncatedBiseries:
     """Build the exact degree-`degree` triangle of a declarative expression.
 
     The degree must be a non-negative int, and the expression is validated
     first (`expression_symbols`), so a node outside its schema raises
-    SignatureError instead of assembling as some other formula.  For sums
-    the outer summation runs to `outer_bound` (default: `degree`), also a
-    non-negative int; terms beyond the degree bound cannot touch the
-    triangle because of the monomial weight, so any outer_bound >= degree
-    yields the same triangle.
+    SignatureError instead of assembling as some other formula.  A sum's
+    outer summation runs to the degree: its monomial weight pushes every
+    later term out of the triangle.
     """
-    if outer_bound is None:
-        outer_bound = degree
-    for name, value in (("degree", degree), ("outer_bound", outer_bound)):
-        if type(value) is not int or value < 0:
-            raise SignatureError(
-                f"{name} must be a non-negative int, not {value!r}")
+    if type(degree) is not int or degree < 0:
+        raise SignatureError(
+            f"degree must be a non-negative int, not {degree!r}")
     expression_symbols(e)
     env = {k: as_scalar(v) for k, v in params.items()}
-    return _assemble(e, env, degree, outer_bound)
+    return _assemble(e, env, degree)
 
 
-def _assemble(e: dict, env: dict, degree: int, outer_bound: int
-              ) -> TruncatedBiseries:
+def _assemble(e: dict, env: dict, degree: int) -> TruncatedBiseries:
     etype = e["type"]
     if etype == "function":
         return _assemble_function_term(e, env, degree)
     if etype == "sum":
-        return _assemble_sum(e, env, degree, outer_bound)
-    series = _assemble(e["operand"], env, degree, outer_bound)
+        return _assemble_sum(e, env, degree)
+    series = _assemble(e["operand"], env, degree)
     for step in e["ops"]:
         # read the module globals per call, so that a wrapped apply_H or
         # apply_H_bar (a tracer's, a test's) sees every step
@@ -396,11 +388,11 @@ def expression_symbols(e: dict) -> set[str]:
     (required with a kind) and `prefactor` must be objects, its transforms
     named in series.X_TRANSFORMS / Y_TRANSFORMS, and an `axis` x or y on a
     single-variable kind; a sum's `sign`, `indices` and `weight` are one of
-    SIGNS, INDICES and WEIGHTS, its `inner` such a function without a type,
-    and its `num` / `den` lists of {param, index} objects with an index in
-    INDEX_EXPRS and a param free of i and j; an ops node needs a list of
-    {op, axis, a, b} steps (op H or Hbar, axis in AXES, string a and b) and
-    an operand object."""
+    SIGNS, INDICES and WEIGHTS, with weight xy on a sum over ij, its
+    `inner` such a function without a type, and its `num` / `den` lists of
+    {param, index} objects with an index in INDEX_EXPRS and a param free of
+    i and j; an ops node needs a list of {op, axis, a, b} steps (op H or
+    Hbar, axis in AXES, string a and b) and an operand object."""
     if not isinstance(e, dict):
         raise SignatureError(f"an expression must be an object, not {e!r}")
     out: set[str] = set()
@@ -417,6 +409,10 @@ def expression_symbols(e: dict) -> set[str]:
             if e.get(key, default) not in allowed:
                 raise SignatureError(f"sum {key} must be one of {allowed}, "
                                      f"not {e[key]!r}")
+        if e.get("indices", "ij") == "ij" and e.get("weight", "xy") != "xy":
+            # x^i or y^i leaves the j-sum without a degree bound
+            raise SignatureError(f"a sum over ij needs weight 'xy', "
+                                 f"not {e['weight']!r}")
         for key in ("num", "den"):
             factors = e.get(key, [])
             if not isinstance(factors, list) or not all(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import accumulate, chain, count, islice
 
@@ -42,8 +42,8 @@ from .errors import (
 from .expressions import eval_affine
 from .reports import NumericResult, VerificationReport, _id_key
 from .scalars import check_count, check_tolerance, is_real, to_float
-from .series import (KINDS, FunctionRef, _absmax, diagonal_terms,
-                     eval_double_series, sum_series)
+from .series import (KINDS, FunctionRef, _absmax, _single_steps,
+                     diagonal_terms, eval_double_series, sum_series)
 
 T_MAX = 6.0
 
@@ -125,21 +125,15 @@ def _axis_weights(nodes: _Nodes, a: float, b: float, log_norm: float
                             + (b - 1.0) * nodes.log_omx)
 
 
-def integrate_beta_kernel(
-    factor, a: float, b: float, spec: QuadratureSpec | None = None
-) -> tuple[float, dict]:
-    """Integrate factor(xi) * xi^(a-1) * (1-xi)^(b-1) over (0, 1), not
-    normalised: with factor None the value is the Beta function B(a, b).
-
-    `factor` maps (xi, omx) node arrays to an array, or is None for the
-    plain Beta integrand.
-    """
+def integrate_beta_kernel(a: float, b: float) -> tuple[float, dict]:
+    """The Beta function B(a, b), as the tanh-sinh integral of
+    xi^(a-1) * (1-xi)^(b-1) over (0, 1), not normalised."""
     if a <= 0 or b <= 0:
         raise ConstraintViolation(
             f"endpoint exponents must be positive, got ({a}, {b})"
         )
-    return _refine(partial(_level, ((a, b, 0.0),), Integrand(factor)),
-                   spec or QuadratureSpec())
+    return _refine(partial(_level, ((a, b, 0.0),), Integrand()),
+                   QuadratureSpec())
 
 
 def _refine(level_pair, spec: QuadratureSpec, prefix: str = ""
@@ -234,9 +228,11 @@ def binom_coeffs(p: float, c: float, zmax: float) -> np.ndarray:
 
 
 def kummer_coeffs(a: float, b: float, c: float, zmax: float) -> np.ndarray:
-    ratio, p = KINDS["Kummer1F1"].ratio_x, {"alpha": a, "gamma": b}
-    gs = accumulate(count(), lambda g, k: g * ratio(p, k, 0) * c, initial=1.0)
-    return _adaptive(gs, zmax, "confluent coupling")
+    """1F1(a; b; c z) = sum_k g_k z^k, g_k the Kummer1F1 terms at c."""
+    steps = _single_steps(KINDS["Kummer1F1"], {"alpha": a, "gamma": b}, c,
+                          _COEFF_CAP)
+    return _adaptive(chain([1.0], (g for g, _ in steps)), zmax,
+                     "confluent coupling")
 
 
 def ray_coeffs(kind: str, params: dict, cx, cy, zmax: float) -> np.ndarray:
@@ -289,6 +285,7 @@ class IntegralRep:
     of the representation's validity (every exponent > 0) and of its
     prefactor (the product of Gamma(a+b) / (Gamma(a) Gamma(b)) over the
     axes).  `build(params, x, y, tol)` returns the rest as an Integrand.
+    `variant` is "as-printed", or "corrected" for a repair (`CORRECTED`).
     """
 
     id: str
@@ -297,6 +294,7 @@ class IntegralRep:
     style: str  # "1d" | "ps" (power-series couplings) | "rw" (node grid)
     build: Callable = field(compare=False)
     notes: str = ""
+    variant: str = "as-printed"
 
     @property
     def dim(self) -> int:
@@ -569,13 +567,14 @@ REPS: dict[str, IntegralRep] = {rep.id: rep for rep in (
 
 REP_IDS = tuple(sorted(REPS, key=_id_key))
 
-# Corrected variants adjudicated by the cross-check suite; these sit outside
-# the as-printed table and carry the diagnosis in code form.
-CORRECTED_BUILDERS = {
-    # inner bivariate factor needs the reduced denominator parameter
-    "4.14": lambda p, x, y, tol: _b414(
-        p, x, y, tol, p["gamma"] - p["eps1"] - p["eps2"]
-    ),
+# Corrected representations adjudicated by the cross-check suite; these sit
+# outside the as-printed table and carry the diagnosis in code form.
+CORRECTED: dict[str, IntegralRep] = {
+    "4.14": replace(
+        REPS["4.14"], variant="corrected",
+        build=lambda p, x, y, tol: _b414(
+            p, x, y, tol, p["gamma"] - p["eps1"] - p["eps2"]),
+        notes="inner factor with the reduced denominator gamma - eps1 - eps2"),
 }
 
 
@@ -680,15 +679,12 @@ def eval_integral(
     x: float,
     y: float,
     spec: QuadratureSpec | None = None,
-    builder=None,
 ) -> tuple[float, dict]:
-    """The tanh-sinh value of one representation at (x, y), its kernel
-    normalised.
+    """The tanh-sinh value of one representation, an IntegralRep or an id
+    in REPS, at (x, y), its kernel normalised.
 
     Refines level by level until the successive relative change is within
     spec.rtol.  A non-finite x or y, or x >= 1, is a DomainError.
-    `builder` swaps in an alternative integrand (the corrected variants)
-    while keeping the rep's kernel.
     """
     if isinstance(rep, str):
         rep = REPS[rep]
@@ -699,7 +695,7 @@ def eval_integral(
         raise DomainError(f"{rep.id}: needs finite x and y, got ({x}, {y})")
     if x >= 1.0:
         raise DomainError(f"{rep.id}: integrand needs x < 1, got {x}")
-    integrand = (builder or rep.build)(env, x, y, spec.rtol * 0.1)
+    integrand = rep.build(env, x, y, spec.rtol * 0.1)
     return _refine(partial(_level, exps, integrand), spec, f"{rep.id}: ")
 
 
@@ -761,29 +757,30 @@ def _check_grid(rep_id: str, grid) -> tuple:
 
 
 def cross_check(
-    rep_id: str,
+    rep: IntegralRep | str,
     params: dict,
     grid: tuple | None = None,
     tol: float | None = None,
     spec: QuadratureSpec | None = None,
-    builder=None,
-    variant: str = "as-printed",
 ):
-    """Compare one representation against its series target on a grid.
+    """Compare one representation, an IntegralRep or an id in REPS, against
+    its series target on a grid.
 
     Returns a numeric VerificationReport with the max relative error, the
-    worst point and the highest tanh-sinh level any grid point needed.
+    worst point and the highest tanh-sinh level any grid point needed; its
+    target and settings variant are the representation's id and variant.
     grid None selects `default_grid`; a grid that is empty or not a
     sequence of (x, y) pairs of real numbers, a tol that is not positive
     and finite, and constraint violations raise; evaluation failures at
     some grid point produce an error report.
     """
-    rep = REPS[rep_id]
-    grid = default_grid(rep_id) if grid is None else _check_grid(rep_id, grid)
-    tol = tol if tol is not None else default_tolerance(rep_id)
+    if isinstance(rep, str):
+        rep = REPS[rep]
+    grid = default_grid(rep.id) if grid is None else _check_grid(rep.id, grid)
+    tol = tol if tol is not None else default_tolerance(rep.id)
     check_tolerance(tol)
     spec = spec or QuadratureSpec()
-    settings = _numeric_settings(grid, spec, variant)
+    settings = _numeric_settings(grid, spec, rep.variant)
     start = time.perf_counter()
     worst = (0.0, None)
     quad_level = 0
@@ -792,21 +789,21 @@ def cross_check(
         for pt in settings["grid"]:
             gx, gy = pt
             target = series_value(rep, params, gx, gy)
-            value, diag = eval_integral(rep, params, gx, gy, spec, builder)
+            value, diag = eval_integral(rep, params, gx, gy, spec)
             quad_level = max(quad_level, diag["final_level"])
             rel = abs(value - target) / max(abs(target), 1e-300)
             if rel > worst[0]:
                 worst = (rel, pt)
     except (DomainError, NoConvergence) as exc:
         return VerificationReport(
-            target=rep_id, mode="numeric", status="error",
+            target=rep.id, mode="numeric", status="error",
             settings=settings, duration=time.perf_counter() - start,
             detail=f"{type(exc).__name__}: {exc}",
         )
     duration = time.perf_counter() - start
     status = "pass" if worst[0] <= tol else "fail"
     return VerificationReport(
-        target=rep_id, mode="numeric", status=status,
+        target=rep.id, mode="numeric", status=status,
         settings=settings, duration=duration,
         numeric=NumericResult(worst[0], worst[1], tol, quad_level),
     )

@@ -30,7 +30,7 @@ SYMBOLS = (
 
 
 def as_scalar(value) -> Scalar:
-    """Coerce ints, floats, Fractions, and "p/q" strings to a Scalar."""
+    """Coerce ints, finite floats, Fractions, "p/q" strings to a Scalar."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -38,6 +38,8 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise SignatureError(f"not a finite parameter value: {value!r}")
         return value
     if isinstance(value, str):
         try:
@@ -48,11 +50,14 @@ def as_scalar(value) -> Scalar:
 
 
 def to_float(a: Scalar, name: str) -> float:
-    """The double nearest a; a value beyond double range is a DomainError."""
+    """The double nearest a; a NaN, ±inf or past double range: DomainError."""
     try:
-        return float(a)
+        value = float(a)
     except OverflowError:
         raise DomainError(f"{name} is beyond double range") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{name} is not finite: {value!r}")
+    return value
 
 
 def is_exact(a: Scalar) -> bool:

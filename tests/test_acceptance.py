@@ -229,7 +229,7 @@ def test_criterion_7_quadrature_sanity(capsys, config):
     beta_worst = 0.0
     for a in (0.25, 0.5, 1.0, 1.5, 2.5):
         for b in (0.25, 0.5, 1.0, 1.5, 2.5):
-            value, _ = integrate_beta_kernel(None, a, b)
+            value, _ = integrate_beta_kernel(a, b)
             exact = math.exp(
                 math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
             )

@@ -19,7 +19,8 @@ from humbert.catalog import (
 )
 from humbert.errors import SignatureError, UnknownFormula
 from humbert.expressions import assemble_expression
-from humbert.identities import verify_all_identities, verify_operator_identity
+from humbert.identities import (IDENTITIES, verify_all_identities,
+                                verify_operator_identity)
 
 from conftest import collapse_substitutions
 
@@ -30,6 +31,21 @@ EXPECTED_IDS = tuple(f"2.{k}" for k in range(36, 71))
 @pytest.fixture(scope="module")
 def catalog():
     return load_catalog()
+
+
+def _plus_one_mutants(entry):
+    """Every one-slot "+1" edit of a sum-type rhs, the benchmark's mutant
+    family: an outer num or den factor's param, or an inner slot."""
+    rhs = entry["rhs"]
+    for key in ("num", "den"):
+        for k in range(len(rhs.get(key, []))):
+            mutant = copy.deepcopy(entry)
+            mutant["rhs"][key][k]["param"] += " + 1"
+            yield mutant
+    for slot in rhs["inner"]["params"]:
+        mutant = copy.deepcopy(entry)
+        mutant["rhs"]["inner"]["params"][slot] += " + 1"
+        yield mutant
 
 
 class TestCatalogShape:
@@ -54,6 +70,16 @@ class TestCatalogShape:
                 entry["rhs"]
             )
             assert entry["symbols"] == sorted(computed), entry["id"]
+
+    def test_shipped_entries_and_mutants_validate(self, catalog):
+        # a sum over ij must take weight xy; no shipped formula or
+        # identity, and no "+1" mutant of a sum, is of another shape
+        entries = catalog + list(IDENTITIES.values())
+        sums = [e for e in entries if e["rhs"]["type"] == "sum"]
+        mutants = [m for e in sums for m in _plus_one_mutants(e)]
+        assert (len(entries), len(sums), len(mutants)) == (70, 33, 220)
+        for entry in entries + mutants:
+            validate_entry(entry)
 
     @pytest.mark.parametrize("name", ["decompositions", "identities"])
     def test_json_round_trip_is_byte_identical(self, name, tmp_path):
@@ -177,6 +203,10 @@ class TestVerification:
         ("2.37", "rhs", {"sign": "(-1)^j"}, "sum sign must be one of"),
         ("2.37", "rhs", {"indices": "j"}, "sum indices must be one of"),
         ("2.37", "rhs", {"weight": "yx"}, "sum weight must be one of"),
+        ("2.37", "rhs", {"weight": "x"},
+         "a sum over ij needs weight 'xy', not 'x'"),
+        ("2.37", "rhs", {"weight": "y", "indices": None},
+         "a sum over ij needs weight 'xy', not 'y'"),
         ("2.37", "rhs", {"num": [{"param": "alpha - eps", "index": "j+i"}]},
          "sum num index must be one of"),
         ("2.37", "rhs", {"den": [{"param": "gamma + i", "index": "i+j"}]},
@@ -184,7 +214,8 @@ class TestVerification:
     ], ids=["prefactor-key", "function-key", "axis-z", "axis-on-bivariate",
             "sum-key", "x-transform-name", "y-transform-name",
             "axis-y-on-bivariate", "axis-z-on-single", "unknown-kind",
-            "sum-sign", "sum-indices", "sum-weight", "sum-factor-index",
+            "sum-sign", "sum-indices", "sum-weight", "sum-ij-weight-x",
+            "sum-ij-weight-y", "sum-factor-index",
             "sum-factor-param-index"])
     def test_node_outside_its_schema_is_refused(
             self, catalog, profile_a, formula_id, side, edit, detail):
@@ -214,10 +245,11 @@ class TestCollapseSuite:
             lhs = assemble_expression(entry["lhs"], collapsed_params, 8)
             rhs = assemble_expression(entry["rhs"], collapsed_params, 8)
             assert lhs == rhs, f"{entry['id']}: collapse left a residue"
-            # the sum truly degenerates: its (0, 0) term already equals it
+            # the sum truly degenerates: its (0, 0) term, the inner
+            # function at i = j = 0, already equals it
             leading = assemble_expression(
-                entry["rhs"], collapsed_params, 8, outer_bound=0
-            )
+                {"type": "function", **entry["rhs"]["inner"]},
+                {**collapsed_params, "i": 0, "j": 0}, 8)
             assert leading == rhs, f"{entry['id']}: tail terms survived"
             checked.append(entry["id"])
         assert len(checked) >= 20, checked

@@ -146,30 +146,6 @@ class TestSumAssembly:
         )
         assert got == want
 
-    def test_outer_bound_invariance(self, profile_a):
-        sum_expr = {
-            "type": "sum",
-            "indices": "ij",
-            "sign": "(-1)^(i+j)",
-            "num": [{"param": "eps - alpha", "index": "i+j"}],
-            "den": [{"param": "eps", "index": "i+j"}],
-            "weight": "xy",
-            "inner": self._inner(),
-        }
-        at_n = assemble_expression(sum_expr, profile_a, degree=4)
-        padded = assemble_expression(
-            sum_expr, profile_a, degree=4, outer_bound=7
-        )
-        assert at_n == padded
-
-    @pytest.mark.parametrize("outer_bound", [-1, 1.5, True])
-    def test_bad_outer_bound_is_refused(self, profile_a, outer_bound):
-        # -1 used to return the zero triangle, 1.5 a bare TypeError
-        rhs = next(e["rhs"] for e in load_catalog() if e["id"] == "2.36")
-        with pytest.raises(SignatureError,
-                           match="outer_bound must be a non-negative int"):
-            assemble_expression(rhs, profile_a, 4, outer_bound=outer_bound)
-
     def test_weight_x_shifts_only_first_slot(self, profile_a):
         sum_expr = {
             "type": "sum",
@@ -323,16 +299,13 @@ class TestCatalogSums:
     @pytest.mark.parametrize("kind", SUMS_BY_INNER_KIND)
     def test_reduced_degree_assembly(self, kind, profile_a, profile_b):
         # every sum whose inner kind is `kind`, on both generic profiles:
-        # the convolution must give the triangle of the full-degree route,
-        # and a padded outer bound must not change it
+        # the convolution must give the triangle of the full-degree route
         degree = 6
         for entry in SUMS_BY_INNER_KIND[kind]:
             for params in (profile_a, profile_b):
                 got = assemble_expression(entry["rhs"], params, degree)
                 assert got == _sum_at_full_degree(
                     entry["rhs"], params, degree), entry["id"]
-                assert got == assemble_expression(
-                    entry["rhs"], params, degree, outer_bound=degree + 3)
 
     def test_shipped_sums_take_the_convolution(self, profile_a, profile_b):
         # a silent fall back to the per-term loop would hide the speedup

@@ -14,7 +14,7 @@ from humbert.catalog import load_errata, verify_all
 from humbert.errors import HumbertError
 from humbert.identities import verify_all_identities
 from humbert.profiles import profile_params, resolved_params
-from humbert.quadrature import CORRECTED_BUILDERS, REP_IDS, cross_check
+from humbert.quadrature import CORRECTED, REP_IDS, cross_check
 from humbert.series import (BIVARIATE_KINDS, KINDS, ROW_ROUTE_X, SINGLE_KINDS,
                             FunctionRef, eval_double_series,
                             eval_single_series)
@@ -42,9 +42,8 @@ def test_numeric_reports_are_kept(config):
             for rep_id in REP_IDS:
                 yield cross_check(rep_id,
                                   resolved_params(profile, rep_id, config))
-            yield cross_check("4.14", resolved_params(profile, "4.14", config),
-                              builder=CORRECTED_BUILDERS["4.14"],
-                              variant="corrected")
+            yield cross_check(CORRECTED["4.14"],
+                              resolved_params(profile, "4.14", config))
 
     assert _digest(reports()) == NUMERIC_DIGEST
 

@@ -14,7 +14,7 @@ from humbert.errors import (
 )
 from humbert.profiles import resolved_params
 from humbert.quadrature import (
-    CORRECTED_BUILDERS,
+    CORRECTED,
     REP_IDS,
     REPS,
     QuadratureSpec,
@@ -42,7 +42,7 @@ class TestBetaSuite:
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 1.5, 2.5])
     @pytest.mark.parametrize("b", [0.25, 0.5, 1.0, 1.5, 2.5])
     def test_beta_to_1e12(self, a, b):
-        value, diag = integrate_beta_kernel(None, a, b)
+        value, diag = integrate_beta_kernel(a, b)
         exact = math.exp(
             math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
         )
@@ -51,23 +51,22 @@ class TestBetaSuite:
 
     def test_rejects_nonintegrable_endpoint(self):
         with pytest.raises(ConstraintViolation):
-            integrate_beta_kernel(None, 0.0, 1.0)
+            integrate_beta_kernel(0.0, 1.0)
 
 
 # every representation as printed, and the corrected 4.14
-ALL_BUILDS = [(r, None) for r in REP_IDS]
-ALL_BUILDS.append(("4.14", CORRECTED_BUILDERS["4.14"]))
-ALL_BUILD_IDS = REP_IDS + ("4.14-corrected",)
+ALL_REPS = [REPS[r] for r in REP_IDS] + [CORRECTED["4.14"]]
+ALL_REP_IDS = REP_IDS + ("4.14-corrected",)
 
 
 class TestSpotOracles:
     @pytest.mark.parametrize("profile", ["generic-A", "generic-B"])
-    @pytest.mark.parametrize("rep_id, builder", ALL_BUILDS, ids=ALL_BUILD_IDS)
-    def test_normalization_at_origin(self, rep_id, builder, profile, config):
+    @pytest.mark.parametrize("rep", ALL_REPS, ids=ALL_REP_IDS)
+    def test_normalization_at_origin(self, rep, profile, config):
         # at (0, 0) every integrand reduces to its Beta kernel, so the
         # prefactor derived from the kernel must normalise it to 1
-        params = resolved_params(profile, rep_id, config)
-        value, _ = eval_integral(rep_id, params, 0.0, 0.0, builder=builder)
+        params = resolved_params(profile, rep.id, config)
+        value, _ = eval_integral(rep, params, 0.0, 0.0)
         assert abs(value - 1.0) < 1e-13
 
     def test_reduces_to_gauss_on_axis(self):
@@ -163,19 +162,22 @@ class TestCrossCheckSweep:
 
 class TestDiagnosedCorrections:
     def test_corrected_inner_denominator_heals_4_14(self, config):
+        # the report names the representation that ran: its id and its
+        # variant come from the corrected rep, not from the caller
         params = resolved_params("generic-A", "4.14", config)
-        report = cross_check(
-            "4.14", params, builder=CORRECTED_BUILDERS["4.14"],
-            variant="corrected",
-        )
+        report = cross_check(CORRECTED["4.14"], params)
+        assert report.target == "4.14"
+        assert report.settings["variant"] == "corrected"
         assert report.status == "pass", report.to_json()
         assert report.numeric["max_rel_error"] < 1e-10
+        assert CORRECTED["4.14"].kernel == REPS["4.14"].kernel
 
     def test_4_15_closes_exactly_when_eps_is_gamma2(self, config):
         params = resolved_params("generic-A", "4.15", config)
         params["eps"] = params["gamma2"]
-        report = cross_check("4.15", params, variant="collapse")
+        report = cross_check("4.15", params)
         assert report.status == "pass", report.to_json()
+        assert report.settings["variant"] == "as-printed"
 
     def test_4_15_fails_for_generic_eps_on_y_axis_only(self, config):
         # the defect is in the second variable: the x-axis restriction
@@ -291,23 +293,21 @@ class TestNestedLevels:
 
 
 # every power-series representation, and the corrected 4.14
-PS_BUILDS = [(r, REPS[r].build) for r in REP_IDS if REPS[r].style == "ps"]
-PS_BUILDS.append(ALL_BUILDS[-1])
+PS_REPS = [(rep, name) for rep, name in zip(ALL_REPS, ALL_REP_IDS)
+           if rep.style == "ps"]
 
 
 class TestTensorContraction:
-    @pytest.mark.parametrize(
-        "rep_id, build", PS_BUILDS,
-        ids=[r for r, _ in PS_BUILDS[:-1]] + ["4.14-corrected"],
-    )
-    def test_matches_full_node_grid(self, rep_id, build, config):
+    @pytest.mark.parametrize("rep", [rep for rep, _ in PS_REPS],
+                             ids=[name for _, name in PS_REPS])
+    def test_matches_full_node_grid(self, rep, config):
         # the moment contraction must equal the integrand summed over the
         # full tensor grid of one level, each coupling series in Horner form;
         # level 4's pair holds level 3's value and its own
         params = {k: float(v) for k, v in
-                  resolved_params("generic-A", rep_id, config).items()}
-        exps = _kernel(REPS[rep_id], params)
-        integrand = build(params, 0.3, 0.2, 1e-12)
+                  resolved_params("generic-A", rep.id, config).items()}
+        exps = _kernel(rep, params)
+        integrand = rep.build(params, 0.3, 0.2, 1e-12)
         got = _level(exps, integrand, 4)
         for level, value in zip((3, 4), got):
             nodes = _nodes(level)
@@ -437,14 +437,14 @@ PINNED_INTEGRALS = {
 
 
 class TestPinnedIntegrals:
-    @pytest.mark.parametrize("rep_id, builder", ALL_BUILDS, ids=ALL_BUILD_IDS)
-    def test_value_and_level_are_kept(self, rep_id, builder, config):
+    @pytest.mark.parametrize("rep, name", zip(ALL_REPS, ALL_REP_IDS),
+                             ids=ALL_REP_IDS)
+    def test_value_and_level_are_kept(self, rep, name, config):
         # a change to the kernels, the contraction or the series targets
         # may move a value by rounding only, and no level
-        x, y = default_grid(rep_id)[0]
-        params = resolved_params("generic-A", rep_id, config)
-        value, diag = eval_integral(rep_id, params, x, y, builder=builder)
-        name = ALL_BUILD_IDS[ALL_BUILDS.index((rep_id, builder))]
+        x, y = default_grid(rep.id)[0]
+        params = resolved_params("generic-A", rep.id, config)
+        value, diag = eval_integral(rep, params, x, y)
         want, level = PINNED_INTEGRALS[name]
         assert abs(value - float.fromhex(want)) <= 1e-14 * abs(value)
         assert diag["final_level"] == level
@@ -516,6 +516,17 @@ class TestGuards:
         for pt in [(v, 0.1) for v in bad] + [(0.1, v) for v in bad]:
             with pytest.raises(DomainError, match="needs finite x and y"):
                 eval_integral(rep_id, params, *pt)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_refused(self, value, monkeypatch):
+        # refused before any level runs: a NaN alpha used to pass the
+        # kernel's exponent test and refine to level 12
+        levels = []
+        monkeypatch.setattr(quadrature, "_nodes", levels.append)
+        params = {"alpha": value, "beta": 1 / 3, "gamma": 1.25}
+        with pytest.raises(DomainError, match="parameter alpha is not finite"):
+            eval_integral("4.1", params, 0.3, 0.2)
+        assert levels == []
 
     def test_gauss_series_needs_open_disk(self):
         with pytest.raises(DomainError):

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from humbert.errors import PoleError, SignatureError
+from humbert.errors import DomainError, PoleError, SignatureError
 from humbert.scalars import (
     as_scalar,
     check_not_pole,
@@ -13,6 +14,7 @@ from humbert.scalars import (
     is_nonpositive_integer,
     pochhammer,
     pochhammer_ratio_step,
+    to_float,
 )
 
 F = Fraction
@@ -39,6 +41,18 @@ class TestAsScalar:
     def test_garbage_rejected(self):
         with pytest.raises(SignatureError):
             as_scalar("not a number")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, value):
+        with pytest.raises(SignatureError, match="not a finite parameter"):
+            as_scalar(value)
+
+
+class TestToFloat:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_is_domain_error(self, value):
+        with pytest.raises(DomainError, match="p is not finite"):
+            to_float(value, "p")
 
 
 class TestPochhammer:

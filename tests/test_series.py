@@ -153,6 +153,24 @@ class TestFunctionRef:
         assert ref.params["alpha"] == F(1, 3)
 
 
+class TestNonFiniteParameters:
+    # refused before any summation: an infinite gamma used to give 1F1 = 1
+    # with est_error 3.3e-16, and a NaN alpha a Phi1 refusal that blamed
+    # overflowing terms
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_single_series_refuses(self, value):
+        with pytest.raises(SignatureError, match="not a finite parameter"):
+            eval_single_series("Kummer1F1", {"alpha": 1.0, "gamma": value},
+                               0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_double_series_refuses(self, value):
+        with pytest.raises(SignatureError, match="not a finite parameter"):
+            eval_double_series(FunctionRef(
+                "Phi1", {"alpha": value, "beta": 0.5, "gamma": 1.25}),
+                0.3, 0.2)
+
+
 def coefficient(ref, m, n):
     """c_{m,n} of the kind's triangle of degree m + n."""
     return truncated_series(ref, m + n).coeff(m, n)
