@@ -15,6 +15,7 @@ from humbert.errors import HumbertError
 from humbert.identities import verify_all_identities
 from humbert.profiles import profile_params, resolved_params
 from humbert.quadrature import CORRECTED, REP_IDS, cross_check
+from humbert.scalars import SYMBOLS
 from humbert.series import (BIVARIATE_KINDS, KINDS, ROW_ROUTE_X, SINGLE_KINDS,
                             FunctionRef, eval_double_series,
                             eval_single_series)
@@ -64,6 +65,24 @@ def test_exact_reports_are_kept(config):
                 yield from verify_all_identities(params, degree)
 
     assert _digest(reports()) == EXACT_DIGEST
+
+
+# every formula and identity report at N = 4 on generic-A with one symbol
+# moved, in turn, to each of DEGENERATE_VALUES: the pole and vanishing paths
+DEGENERATE_VALUES = (0, -1, -2, 1, 2)
+DEGENERATE_DIGEST = (
+    "53190d9c64a5e3e0c89d7e9b6891e4afdad247c8bad2f13f9d2b593e93d7fffb")
+
+
+def test_degenerate_reports_are_kept(profile_a):
+    def reports():
+        for sym in SYMBOLS:
+            for value in DEGENERATE_VALUES:
+                params = {**profile_a, sym: Fraction(value)}
+                yield from verify_all(params, 4)
+                yield from verify_all_identities(params, 4)
+
+    assert _digest(reports()) == DEGENERATE_DIGEST
 
 
 FLOAT_POINTS = 40
