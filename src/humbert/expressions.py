@@ -17,7 +17,6 @@ and integer constants, e.g. "eps - alpha", "gamma + i + j", "1 - beta".
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -27,8 +26,8 @@ from .operators import AXES, apply_H, apply_H_bar
 from .scalars import (
     SYMBOLS,
     Scalar,
+    as_exact,
     as_scalar,
-    is_exact,
     is_nonpositive_integer,
 )
 from .series import (
@@ -166,17 +165,15 @@ def _convolution_plan(e: dict, env: dict, indices: str, weight: str):
     values by slot and the (num, den) signatures, over the inner kind's
     slots, of the kernel's unshifted and the cell's aligned factors.
 
-    Only exact parameters and a plain bivariate inner kind qualify, and no
-    inner base value may be a non-positive integer (1/(b)_s would divide
-    by zero); an inner term the per-term loop would reject (wrong slots or
-    unbound symbols) also goes there, so its error is raised as before.
+    Only a plain bivariate inner kind qualifies, and no inner base value
+    may be a non-positive integer (1/(b)_s would divide by zero); an inner
+    term the per-term loop would reject (wrong slots or unbound symbols)
+    also goes there, so its error is raised as before.
     """
     inner = e["inner"]
     info, params = KINDS.get(inner["kind"]), inner["params"]
     if not (set(inner) <= {"kind", "params"} and info is not None
-            and info.bivariate):
-        return None
-    if set(params) != set(info.slots) or not all(map(is_exact, env.values())):
+            and info.bivariate and set(params) == set(info.slots)):
         return None
     units = [(1, 0), (0, 1)] if indices == "ij" else [(1, 0)]
     env0 = {**env, "i": Fraction(0), "j": Fraction(0)}
@@ -260,47 +257,26 @@ def _assemble_sum(e: dict, env: dict, degree: int) -> TruncatedBiseries:
     cell = _triangle_rows(
         step_signature(c_num, c_den, p, degree, factorial=False), degree)
     weights = [(a / cell[si][sj], si, sj) for _, _, a, si, sj in terms]
-    return _convolve(degree, weights, kernel, cell)
-
-
-def _convolve(degree: int, weights: list, kernel: list, cell: list
-              ) -> TruncatedBiseries:
-    """Triangle of cell[M][N] times the sum of a * kernel[M - si][N - sj]
-    over weights (a, si, sj), exactly.  Weights and kernel are first put
-    over one integer denominator each, so every mul-add is an integer one
-    and each cell, scaled by its cell factor, is reduced once."""
-    da = math.lcm(*(a.denominator for a, _, _ in weights))
-    db = math.lcm(*(c.denominator for row in kernel for c in row))
-    ints = [[c.numerator * (db // c.denominator) for c in row]
-            for row in kernel]
-    acc = [[0] * (degree + 1 - m) for m in range(degree + 1)]
-    for a, si, sj in weights:
-        a = a.numerator * (da // a.denominator)
-        top = degree - si - sj
-        for m in range(top + 1):
-            dst, stop = acc[m + si], sj + top + 1 - m
-            dst[sj:stop] = [u + a * v for u, v in zip(dst[sj:stop], ints[m])]
-    den = da * db
-    return TruncatedBiseries(degree, [
-        [Fraction(c.numerator * v, c.denominator * den) if v else Fraction(0)
-         for c, v in zip(cells, row)] for cells, row in zip(cell, acc)])
+    return TruncatedBiseries.convolution(degree, weights, kernel, cell)
 
 
 def assemble_expression(e: dict, params: dict, degree: int
                         ) -> TruncatedBiseries:
     """Build the exact degree-`degree` triangle of a declarative expression.
 
-    The degree must be a non-negative int, and the expression is validated
-    first (`expression_symbols`), so a node outside its schema raises
-    SignatureError instead of assembling as some other formula.  A sum's
-    outer summation runs to the degree: its monomial weight pushes every
-    later term out of the triangle.
+    Every parameter must be an exact rational (`as_exact`), the degree a
+    non-negative int, and the expression is validated first
+    (`expression_symbols`), so a node outside its schema raises
+    SignatureError instead of assembling as some other formula; each
+    refusal is a SignatureError, in that order.  A sum's outer summation
+    runs to the degree: its monomial weight pushes every later term out of
+    the triangle.
     """
+    env = {k: as_exact(v, f"parameter {k!r}") for k, v in params.items()}
     if type(degree) is not int or degree < 0:
         raise SignatureError(
             f"degree must be a non-negative int, not {degree!r}")
     expression_symbols(e)
-    env = {k: as_scalar(v) for k, v in params.items()}
     return _assemble(e, env, degree)
 
 

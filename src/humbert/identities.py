@@ -17,7 +17,7 @@ from .catalog import DATA_DIR, _verify_entry, load_catalog, verify_all
 from .errors import UnknownIdentity
 from .operators import delta_pochhammer_action
 from .reports import VerificationReport
-from .scalars import as_scalar, format_scalar, pochhammer
+from .scalars import as_exact, pochhammer
 from .series import FunctionRef, TruncatedBiseries, truncated_series
 
 # id -> catalog entry, in 2.1 ... 2.35 order
@@ -52,8 +52,12 @@ def check_phi1_shift(params: dict, degree: int, i: int, j: int
     (-1)^(i+j) (eps)_{i+j} (beta)_i / (gamma)_{i+j} x^i y^j times the
     triangle of Phi1(eps+i+j, beta+i; gamma+i+j), slot by slot.  Returns the
     first mismatch or None.
+
+    This is API, not a test helper: lowering actions as parameter shifts
+    are the mechanism the decomposition formulas are derived from, and
+    this checks it at any parameters and degree, apart from the catalog.
     """
-    env = {k: as_scalar(v) for k, v in params.items()}
+    env = {k: as_exact(v, f"parameter {k!r}") for k, v in params.items()}
     eps, beta, gamma = env["eps"], env["beta"], env["gamma"]
     base = truncated_series(
         FunctionRef("Phi1", {"alpha": eps, "beta": beta, "gamma": gamma}), degree
@@ -75,7 +79,7 @@ def check_phi1_shift(params: dict, degree: int, i: int, j: int
     if mismatch is None:
         return None
     m, n, a, b = mismatch
-    return m, n, format_scalar(a), format_scalar(b)
+    return m, n, str(a), str(b)
 
 
 def check_phi1_reconstruction(params: dict, degree: int
@@ -86,8 +90,11 @@ def check_phi1_reconstruction(params: dict, degree: int
     the (i, j) lowering action on the Phi1(eps, beta; gamma) triangle must
     equal the Phi1(alpha, beta; gamma) triangle exactly; the sum is finite
     because slots with m < i or n < j are annihilated.
+
+    This is API for the reason check_phi1_shift is: it checks the
+    expansion step of that derivation, apart from the catalog's sums.
     """
-    env = {k: as_scalar(v) for k, v in params.items()}
+    env = {k: as_exact(v, f"parameter {k!r}") for k, v in params.items()}
     alpha, eps = env["alpha"], env["eps"]
     base = truncated_series(
         FunctionRef("Phi1", {"alpha": eps, "beta": env["beta"],
@@ -112,4 +119,4 @@ def check_phi1_reconstruction(params: dict, degree: int
     if mismatch is None:
         return None
     m, n, a, b = mismatch
-    return m, n, format_scalar(a), format_scalar(b)
+    return m, n, str(a), str(b)

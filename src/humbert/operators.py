@@ -4,7 +4,9 @@ Every operator here is diagonal on the monomial basis: it multiplies the
 coefficient of x^m y^n by a rational eigenvalue depending only on (m, n).
 Each also admits a finite-sum form (the sums truncate because (-m)_k
 vanishes for k > m), kept as an independent cross-validation route; the two
-routes must agree exactly and are never merged.
+routes must agree exactly and are never merged.  Operator parameters are
+exact rationals: each action coerces its a, b, h and g by `as_exact`,
+which refuses a float.
 """
 
 from __future__ import annotations
@@ -14,44 +16,34 @@ from fractions import Fraction
 
 from .errors import PoleError
 from .scalars import (
-    FLOAT_POLE_TOL,
-    Scalar,
+    as_exact,
     pochhammer,
     pochhammer_ratio_step,
     pochhammer_table,
 )
-from .series import TruncatedBiseries
+from .series import ONE, ZERO, TruncatedBiseries
 
 AXES = ("xy", "x", "y")
 
 
-def _is_zero(v: Scalar) -> bool:
-    if isinstance(v, Fraction):
-        return v == 0
-    return abs(v) <= FLOAT_POLE_TOL
-
-
-def _safe_div(num: Scalar, den: Scalar, context: str) -> Scalar:
-    if _is_zero(den):
-        if _is_zero(num):
-            return num * 0
+def _safe_div(num: Fraction, den: Fraction, context: str) -> Fraction:
+    if den:
+        return num / den
+    if num:
         raise PoleError(f"{context}: denominator Pochhammer vanishes")
-    return num / den
+    return num
 
 
-def _ratio_prefix(a: Scalar, b: Scalar, count: int, context: str) -> list[Scalar]:
+def _ratio_prefix(a: Fraction, b: Fraction, count: int, context: str
+                  ) -> list[Fraction]:
     """lam[d] = (a)_d / (b)_d for d = 0..count, via composed ratio steps."""
-    lams: list[Scalar] = [_one_like(a)]
+    lams = [ONE]
     for k in range(count):
         try:
             lams.append(lams[-1] * pochhammer_ratio_step(a, b, k))
         except PoleError as exc:
             raise PoleError(f"{context}: {exc}") from exc
     return lams
-
-
-def _one_like(a: Scalar) -> Scalar:
-    return Fraction(1) if isinstance(a, Fraction) else 1.0
 
 
 def _index(axis: str, m: int, n: int) -> int:
@@ -94,7 +86,7 @@ def _h_sum_multiplier(a, b, m, n, axis, inverse):
         1 - a - _index(axis, m, n) if inverse else b, top)
     falling_m = pochhammer_table(Fraction(-m), k1_max)
     falling_n = pochhammer_table(Fraction(-n), k2_max)
-    total = _one_like(a) * 0
+    total = ZERO
     for k1 in range(k1_max + 1):
         for k2 in range(k2_max + 1):
             num = diff[k1 + k2] * falling_m[k1] * falling_n[k2]
@@ -107,6 +99,7 @@ def _apply_h(s, a, b, mode, axis, inverse):
     """apply_H, or apply_H_bar if `inverse`."""
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}")
+    a, b = as_exact(a, "a"), as_exact(b, "b")
     if mode == "closed_form":
         lams = (_ratio_prefix(b, a, s.degree, f"H_bar({a}, {b})") if inverse
                 else _ratio_prefix(a, b, s.degree, f"H({a}, {b})"))
@@ -119,8 +112,8 @@ def _apply_h(s, a, b, mode, axis, inverse):
 
 def apply_H(
     s: TruncatedBiseries,
-    a: Scalar,
-    b: Scalar,
+    a: Fraction,
+    b: Fraction,
     mode: str = "closed_form",
     axis: str = "xy",
 ) -> TruncatedBiseries:
@@ -132,8 +125,8 @@ def apply_H(
 
 def apply_H_bar(
     s: TruncatedBiseries,
-    a: Scalar,
-    b: Scalar,
+    a: Fraction,
+    b: Fraction,
     mode: str = "closed_form",
     axis: str = "xy",
 ) -> TruncatedBiseries:
@@ -147,6 +140,7 @@ def apply_H_bar(
 def _apply_nabla(s, h, inverse):
     """Scale the (m, n) coefficient by (h)_{m+n} / ((h)_m (h)_n), or by its
     reciprocal for the inverse; both fix the pure-axis slots."""
+    h = as_exact(h, "h")
     poch = pochhammer_table(h, s.degree)
     context = f"delta_op({h})" if inverse else f"nabla({h})"
 
@@ -158,22 +152,22 @@ def _apply_nabla(s, h, inverse):
     return s.map_indexed(scale)
 
 
-def apply_nabla(s: TruncatedBiseries, h: Scalar) -> TruncatedBiseries:
+def apply_nabla(s: TruncatedBiseries, h: Fraction) -> TruncatedBiseries:
     return _apply_nabla(s, h, inverse=False)
 
 
-def apply_delta_op(s: TruncatedBiseries, h: Scalar) -> TruncatedBiseries:
+def apply_delta_op(s: TruncatedBiseries, h: Fraction) -> TruncatedBiseries:
     return _apply_nabla(s, h, inverse=True)
 
 
-def nabla_delta_ksum(h: Scalar, g: Scalar, m: int, n: int) -> Scalar:
+def nabla_delta_ksum(h: Fraction, g: Fraction, m: int, n: int) -> Fraction:
     """Finite-sum eigenvalue of the composite nabla(h) delta(g) on (m, n).
 
     Sum over k <= min(m, n) of (h-g)_k (-m)_k (-n)_k /
     ((h)_k (1-g-m-n)_k k!); equals
-    (h)_{m+n} (g)_m (g)_n / ((h)_m (h)_n (g)_{m+n}).
+    (h)_{m+n} (g)_m (g)_n / ((h)_m (h)_n (g)_{m+n}), at exact h and g.
     """
-    total = _one_like(h) * 0
+    total = ZERO
     for k in range(min(m, n) + 1):
         num = (
             pochhammer(h - g, k)
@@ -190,12 +184,13 @@ def nabla_delta_ksum(h: Scalar, g: Scalar, m: int, n: int) -> Scalar:
 
 
 def apply_nabla_delta(
-    s: TruncatedBiseries, h: Scalar, g: Scalar, mode: str = "closed_form"
+    s: TruncatedBiseries, h: Fraction, g: Fraction, mode: str = "closed_form"
 ) -> TruncatedBiseries:
     """The composite nabla(h) followed by delta(g), in one action.
 
     mode "k_sum" evaluates the single-sum form as an independent route.
     """
+    h, g = as_exact(h, "h"), as_exact(g, "g")
     if mode == "closed_form":
         return apply_delta_op(apply_nabla(s, h), g)
     if mode == "k_sum":

@@ -38,6 +38,7 @@ from .errors import (
     HumbertError,
     NoConvergence,
     SignatureError,
+    UnknownFormula,
 )
 from .expressions import eval_affine
 from .reports import NumericResult, VerificationReport, _id_key
@@ -127,7 +128,12 @@ def _axis_weights(nodes: _Nodes, a: float, b: float, log_norm: float
 
 def integrate_beta_kernel(a: float, b: float) -> tuple[float, dict]:
     """The Beta function B(a, b), as the tanh-sinh integral of
-    xi^(a-1) * (1-xi)^(b-1) over (0, 1), not normalised."""
+    xi^(a-1) * (1-xi)^(b-1) over (0, 1), not normalised.
+
+    This is API: B(a, b) has a closed form, so this checks the rule every
+    representation integrates with (nodes, endpoint weights in log space
+    and level refinement) against an exact value, apart from any series.
+    """
     if a <= 0 or b <= 0:
         raise ConstraintViolation(
             f"endpoint exponents must be positive, got ({a}, {b})"
@@ -673,6 +679,16 @@ class _Symbols(dict):
         raise SignatureError(f"integrand symbol {sym!r} is unbound")
 
 
+def _lookup(rep: IntegralRep | str) -> IntegralRep:
+    """The rep itself, or the one with that id in REPS (UnknownFormula if
+    there is none)."""
+    if not isinstance(rep, str):
+        return rep
+    if rep not in REPS:
+        raise UnknownFormula(f"unknown representation id {rep!r}")
+    return REPS[rep]
+
+
 def eval_integral(
     rep: IntegralRep | str,
     params: dict,
@@ -681,13 +697,12 @@ def eval_integral(
     spec: QuadratureSpec | None = None,
 ) -> tuple[float, dict]:
     """The tanh-sinh value of one representation, an IntegralRep or an id
-    in REPS, at (x, y), its kernel normalised.
+    in REPS (`_lookup`), at (x, y), its kernel normalised.
 
     Refines level by level until the successive relative change is within
     spec.rtol.  A non-finite x or y, or x >= 1, is a DomainError.
     """
-    if isinstance(rep, str):
-        rep = REPS[rep]
+    rep = _lookup(rep)
     spec = spec or QuadratureSpec()
     env = _Symbols({k: to_float(v, f"parameter {k}") for k, v in params.items()})
     exps = _kernel(rep, env)
@@ -763,8 +778,8 @@ def cross_check(
     tol: float | None = None,
     spec: QuadratureSpec | None = None,
 ):
-    """Compare one representation, an IntegralRep or an id in REPS, against
-    its series target on a grid.
+    """Compare one representation, an IntegralRep or an id in REPS
+    (`_lookup`), against its series target on a grid.
 
     Returns a numeric VerificationReport with the max relative error, the
     worst point and the highest tanh-sinh level any grid point needed; its
@@ -774,8 +789,7 @@ def cross_check(
     and finite, and constraint violations raise; evaluation failures at
     some grid point produce an error report.
     """
-    if isinstance(rep, str):
-        rep = REPS[rep]
+    rep = _lookup(rep)
     grid = default_grid(rep.id) if grid is None else _check_grid(rep.id, grid)
     tol = tol if tol is not None else default_tolerance(rep.id)
     check_tolerance(tol)

@@ -1,9 +1,10 @@
 """Number tower and Pochhammer primitives shared by every other module.
 
-Scalars live in one of two fields: exact rationals (``fractions.Fraction``,
-always in canonical reduced form) or IEEE double floats.  All verification
-paths run in the exact field; float values appear only in numerical
-evaluation and quadrature.
+The exact layer computes in the rationals alone: every parameter that
+enters it is coerced by `as_exact`, which refuses a float, and its values
+are ``fractions.Fraction``s in canonical reduced form.  IEEE double floats
+appear only in numerical evaluation and quadrature (`as_scalar` keeps
+them, `to_float` makes them).
 """
 
 from __future__ import annotations
@@ -60,8 +61,13 @@ def to_float(a: Scalar, name: str) -> float:
     return value
 
 
-def is_exact(a: Scalar) -> bool:
-    return isinstance(a, Fraction)
+def as_exact(value, name: str) -> Fraction:
+    """Coerce a parameter of the exact layer (as_scalar) to a Fraction; a
+    float is refused with a SignatureError that names it."""
+    exact = as_scalar(value)
+    if not isinstance(exact, Fraction):
+        raise SignatureError(f"{name} = {value!r} is not an exact rational")
+    return exact
 
 
 def is_nonpositive_integer(a: Scalar) -> bool:
@@ -97,27 +103,24 @@ def check_count(count, name: str) -> None:
         raise ValueError(f"{name} must be a non-negative int, got {count!r}")
 
 
-def pochhammer(a: Scalar, n: int) -> Scalar:
-    """Rising factorial a(a+1)...(a+n-1), computed as an explicit product.
-
-    Exact for Fraction input, float for float input; returns 1 for n = 0.
-    Never evaluated through the Gamma function, so it is total and pole-free
-    for every finite a.
+def pochhammer(a: Fraction, n: int) -> Fraction:
+    """Rising factorial a(a+1)...(a+n-1), computed as an explicit product;
+    1 for n = 0.  Never evaluated through the Gamma function, so it is
+    total and pole-free for every a.
     """
     if n < 0:
         raise ValueError(f"pochhammer needs n >= 0, got {n}")
-    one = Fraction(1) if isinstance(a, Fraction) else 1.0
-    result = one
+    result = Fraction(1)
     for k in range(n):
         result *= a + k
     return result
 
 
-def pochhammer_table(a: Scalar, n: int) -> list[Scalar]:
+def pochhammer_table(a: Fraction, n: int) -> list[Fraction]:
     """Prefix table [(a)_0, (a)_1, ..., (a)_n] in n multiplications.
 
-    Entry k equals pochhammer(a, k) exactly, in the same field: each entry
-    is the previous one times a + k, the product pochhammer forms.
+    Entry k equals pochhammer(a, k): each entry is the previous one times
+    a + k, the product pochhammer forms.
     """
     if n < 0:
         raise ValueError(f"pochhammer_table needs n >= 0, got {n}")
@@ -127,7 +130,7 @@ def pochhammer_table(a: Scalar, n: int) -> list[Scalar]:
     return table
 
 
-def pochhammer_ratio_step(a: Scalar, b: Scalar, k: int) -> Scalar:
+def pochhammer_ratio_step(a: Fraction, b: Fraction, k: int) -> Fraction:
     """Multiplicative step (a+k)/(b+k) of the ratio pochhammer(a,n)/pochhammer(b,n).
 
     Composing steps k = 0..n-1 reproduces the full ratio without forming
@@ -136,16 +139,6 @@ def pochhammer_ratio_step(a: Scalar, b: Scalar, k: int) -> Scalar:
     if k < 0:
         raise ValueError(f"ratio step needs k >= 0, got {k}")
     den = b + k
-    if isinstance(den, Fraction):
-        if den == 0:
-            raise PoleError(f"ratio step denominator b + k = {b} + {k} = 0")
-    elif abs(den) <= FLOAT_POLE_TOL:
-        raise PoleError(f"ratio step denominator b + k = {den} within pole guard")
+    if den == 0:
+        raise PoleError(f"ratio step denominator b + k = {b} + {k} = 0")
     return (a + k) / den
-
-
-def format_scalar(a: Scalar) -> str:
-    """Canonical string form: "p/q" (or "p") for exact values, repr for floats."""
-    if isinstance(a, Fraction):
-        return str(a)
-    return repr(a)

@@ -1,8 +1,8 @@
 """Truncated bivariate power series and the supported hypergeometric kinds.
 
 The exact side of the package works on dense triangular truncations: a
-series of total degree bound N stores the (N+1)(N+2)/2 coefficients c_{m,n}
-with m+n <= N and nothing else.  The numeric side sums the defining double
+series of total degree bound N stores the (N+1)(N+2)/2 rational
+coefficients c_{m,n} with m+n <= N and nothing else.  The numeric side sums the defining double
 series with a term recurrence: in diagonal order, or, near the edge of the
 x disk, row by row as one NumPy array recurrence.
 """
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedTransform,
 )
 from .scalars import (
-    Scalar, as_scalar, check_count, check_not_pole, check_tolerance,
+    as_exact, as_scalar, check_count, check_not_pole, check_tolerance,
     pochhammer, pochhammer_table, to_float,
 )
 
@@ -42,14 +42,15 @@ def graded_indices(degree: int) -> Iterator[tuple[int, int]]:
 class TruncatedBiseries:
     """Dense triangular truncation of a power series in (x, y).
 
-    Coefficients are exact Fractions or floats; arithmetic never reads or
-    writes outside the triangle m+n <= degree, and products are truncated
-    back to the same bound.  Instances are immutable.
+    Coefficients are exact Fractions; arithmetic never reads or writes
+    outside the triangle m+n <= degree, and products are truncated back to
+    the same bound, by the one exact convolution (`convolution`).
+    Instances are immutable.
     """
 
     __slots__ = ("degree", "_rows")
 
-    def __init__(self, degree: int, rows: list[list[Scalar]] | None = None):
+    def __init__(self, degree: int, rows: list[list[Fraction]] | None = None):
         if degree < 0:
             raise ValueError("degree bound must be non-negative")
         self.degree = degree
@@ -65,15 +66,6 @@ class TruncatedBiseries:
         self._rows = tuple([tuple(row) for row in rows])
 
     @classmethod
-    def from_function(
-        cls, degree: int, rule: Callable[[int, int], Scalar]
-    ) -> "TruncatedBiseries":
-        return cls(
-            degree,
-            [[rule(m, n) for n in range(degree + 1 - m)] for m in range(degree + 1)],
-        )
-
-    @classmethod
     def zero(cls, degree: int) -> "TruncatedBiseries":
         return cls(degree)
 
@@ -83,7 +75,7 @@ class TruncatedBiseries:
 
     @classmethod
     def monomial(
-        cls, degree: int, m: int, n: int, coeff: Scalar = ONE
+        cls, degree: int, m: int, n: int, coeff: Fraction = ONE
     ) -> "TruncatedBiseries":
         if m < 0 or n < 0 or m + n > degree:
             raise ValueError(f"monomial x^{m} y^{n} outside degree-{degree} triangle")
@@ -95,7 +87,7 @@ class TruncatedBiseries:
     def shifted_sum(
         cls,
         degree: int,
-        terms: Iterable[tuple[Scalar, int, int, "TruncatedBiseries"]],
+        terms: Iterable[tuple[Fraction, int, int, "TruncatedBiseries"]],
     ) -> "TruncatedBiseries":
         """Sum of c * x^i y^j * s over terms (c, i, j, s), truncated to degree.
 
@@ -113,13 +105,40 @@ class TruncatedBiseries:
                         dst[n + j] += c * v
         return cls(degree, rows)
 
-    def coeff(self, m: int, n: int) -> Scalar:
+    @classmethod
+    def convolution(cls, degree: int, weights: list, kernel,
+                    cell=None) -> "TruncatedBiseries":
+        """The sum of a x^si y^sj K over weights (a, si, sj), K the triangle
+        whose rows are `kernel`, each cell (M, N) times cell[M][N] (1 if
+        `cell` is None), exactly: the one exact convolution.  Weights and
+        kernel are first put over one integer denominator each, so every
+        mul-add is an integer one and each cell, scaled by its cell
+        factor, is reduced once."""
+        da = math.lcm(*(a.denominator for a, _, _ in weights))
+        db = math.lcm(*(c.denominator for row in kernel for c in row))
+        ints = [[c.numerator * (db // c.denominator) for c in row]
+                for row in kernel]
+        acc = [[0] * (degree + 1 - m) for m in range(degree + 1)]
+        for a, si, sj in weights:
+            a = a.numerator * (da // a.denominator)
+            top = degree - si - sj
+            for m in range(top + 1):
+                dst, stop = acc[m + si], sj + top + 1 - m
+                dst[sj:stop] = [u + a * v
+                                for u, v in zip(dst[sj:stop], ints[m])]
+        den = da * db
+        cell = cell or [[ONE] * (degree + 1 - m) for m in range(degree + 1)]
+        return cls(degree, [
+            [Fraction(c.numerator * v, c.denominator * den) if v else ZERO
+             for c, v in zip(cells, row)] for cells, row in zip(cell, acc)])
+
+    def coeff(self, m: int, n: int) -> Fraction:
         if m < 0 or n < 0 or m + n > self.degree:
             raise IndexError(f"(m, n) = ({m}, {n}) outside degree-{self.degree} triangle")
         return self._rows[m][n]
 
     def map_indexed(
-        self, fn: Callable[[int, int, Scalar], Scalar]
+        self, fn: Callable[[int, int, Fraction], Fraction]
     ) -> "TruncatedBiseries":
         """New series with coefficients fn(m, n, c_{m,n}); the workhorse of
         the diagonal operator actions."""
@@ -151,30 +170,22 @@ class TruncatedBiseries:
             ],
         )
 
-    def scale(self, factor: Scalar) -> "TruncatedBiseries":
+    def scale(self, factor: Fraction) -> "TruncatedBiseries":
+        """Every coefficient times an exact factor (`as_exact`)."""
+        factor = as_exact(factor, "factor")
         return TruncatedBiseries(
             self.degree, [[factor * c for c in row] for row in self._rows]
         )
 
     def __mul__(self, other) -> "TruncatedBiseries":
+        """The truncated product with a triangle of the same degree, or the
+        triangle scaled by an exact factor."""
         if not isinstance(other, TruncatedBiseries):
-            return self.scale(as_scalar(other))
+            return self.scale(other)
         self._check_degree(other)
-        N = self.degree
-        rows = [[ZERO] * (N + 1 - m) for m in range(N + 1)]
-        for m1 in range(N + 1):
-            row1 = self._rows[m1]
-            for n1 in range(N + 1 - m1):
-                c1 = row1[n1]
-                if not c1:
-                    continue
-                for m2 in range(N + 1 - m1 - n1):
-                    row2 = other._rows[m2]
-                    for n2 in range(N + 1 - m1 - n1 - m2):
-                        c2 = row2[n2]
-                        if c2:
-                            rows[m1 + m2][n1 + n2] += c1 * c2
-        return TruncatedBiseries(N, rows)
+        return self.convolution(
+            self.degree, [(c, m, n) for m, row in enumerate(self._rows)
+                          for n, c in enumerate(row) if c], other._rows)
 
     __rmul__ = __mul__
 
@@ -200,7 +211,7 @@ class TruncatedBiseries:
 
     def first_mismatch(
         self, other: "TruncatedBiseries"
-    ) -> tuple[int, int, Scalar, Scalar] | None:
+    ) -> tuple[int, int, Fraction, Fraction] | None:
         """First differing (m, n, this, that) by total degree then x-power."""
         self._check_degree(other)
         for m, n in graded_indices(self.degree):
@@ -209,11 +220,11 @@ class TruncatedBiseries:
                 return m, n, a, b
         return None
 
-    def evaluate(self, x: Scalar, y: Scalar) -> Scalar:
+    def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
         """Value of the truncation at (x, y), by Horner in x then y."""
-        acc: Scalar = ZERO
+        acc: Fraction = ZERO
         for m in range(self.degree, -1, -1):
-            row_val: Scalar = ZERO
+            row_val: Fraction = ZERO
             for n in range(self.degree - m, -1, -1):
                 row_val = row_val * y + self._rows[m][n]
             acc = acc * x + row_val
@@ -321,10 +332,10 @@ def _term_ratio(num, den, step: str) -> Callable:
 def _exact_steps(num, den, factorial: bool) -> tuple[Callable, Callable]:
     """The unit steps in m and in n of the signature (num, den), each
     compiled once per signature as a function of (p, q, m, n) that returns
-    the (numerator, denominator) pair of the term ratio, for slot values
-    p[key] / q.  Each factor (p[key] + q*index) is q times the slot's, so
-    the side with fewer such factors takes the powers of q that balance
-    them; with q = 1 the pair is the one the slot values give directly."""
+    the integer (numerator, denominator) pair of the term ratio, for slot
+    values p[key] / q over one common denominator q.  Each factor
+    (p[key] + q*index) is q times the slot's, so the side with fewer such
+    factors takes the powers of q that balance them."""
     def compiled(step):
         a, b = _step_factors(num, den, step, factorial, "q*")
         power = sum(step in index for _, index in den) - \
@@ -337,9 +348,9 @@ def _exact_steps(num, den, factorial: bool) -> tuple[Callable, Callable]:
     return compiled("m"), compiled("n")
 
 
-def step_signature(num, den, p: dict, degree: int, first: Scalar = ONE,
+def step_signature(num, den, p: dict, degree: int, first: Fraction = ONE,
                    bivariate: bool = True, factorial: bool = True
-                   ) -> Iterator[Scalar]:
+                   ) -> Iterator[Fraction]:
     """Yield c_{m,n}, m + n <= degree, of the Pochhammer signature
     (num, den) at the key values p, over m! n! with `factorial`, from
     c_{0,0} = `first`, in row order; column 0 only if not `bivariate`.
@@ -351,41 +362,32 @@ def step_signature(num, den, p: dict, degree: int, first: Scalar = ONE,
     and otherwise raises PoleError at its (m, n), so that a caller reading
     the terms in order meets the first pole in that order.
 
-    When `first` and every value of p are Fractions, p is put over one
-    common denominator q, the ratio's numerator and denominator are
-    integers, and each cell is one Fraction built from them, reduced once;
-    any other field steps with q = 1 and its own arithmetic.
+    `first` and the values of p are Fractions.  p is put over one common
+    denominator q, so the ratio's numerator and denominator are integers,
+    and each cell is one Fraction built from them, reduced once.
     """
     step_m, step_n = _exact_steps(tuple(num), tuple(den), factorial)
-    q, times = 1, _times
-    if isinstance(first, Fraction) and all(
-            isinstance(v, Fraction) for v in p.values()):
-        q = math.lcm(*(v.denominator for v in p.values()))
-        p = {k: v.numerator * (q // v.denominator) for k, v in p.items()}
-        times = _times_exact
+    q = math.lcm(*(v.denominator for v in p.values()))
+    p = {k: v.numerator * (q // v.denominator) for k, v in p.items()}
     c0 = first
     for m in range(degree + 1):
         if m:
             a, d = step_m(p, q, m - 1, 0)
-            c0 = times(c0, a, d) if d else _vanishing(c0, a, m, 0)
+            c0 = _times(c0, a, d) if d else _vanishing(c0, a, m, 0)
         yield c0
         if bivariate:
             c = c0
             for n in range(degree - m):
                 a, d = step_n(p, q, m, n)
-                c = times(c, a, d) if d else _vanishing(c, a, m, n + 1)
+                c = _times(c, a, d) if d else _vanishing(c, a, m, n + 1)
                 yield c
 
 
-def _times(c: Scalar, a: Scalar, d: Scalar) -> Scalar:
-    return c * a / d
-
-
-def _times_exact(c: Fraction, a: int, d: int) -> Fraction:
+def _times(c: Fraction, a: int, d: int) -> Fraction:
     return Fraction(c.numerator * a, c.denominator * d)
 
 
-def _vanishing(c: Scalar, a: Scalar, m: int, n: int) -> Scalar:
+def _vanishing(c: Fraction, a: int, m: int, n: int) -> Fraction:
     """The term at (m, n) stepped from c by a ratio a / 0."""
     if c and a:
         raise PoleError(
@@ -393,7 +395,8 @@ def _vanishing(c: Scalar, a: Scalar, m: int, n: int) -> Scalar:
     return c * a
 
 
-def _triangle_rows(terms: Iterator[Scalar], degree: int) -> list[list[Scalar]]:
+def _triangle_rows(terms: Iterator[Fraction], degree: int
+                   ) -> list[list[Fraction]]:
     """Split the row-order terms of a degree-`degree` triangle into rows."""
     return [list(islice(terms, degree + 1 - m)) for m in range(degree + 1)]
 
@@ -530,20 +533,21 @@ def in_domain(ref: FunctionRef, x: float, y: float) -> bool:
     return True
 
 
-def _kind_terms(ref: FunctionRef, degree: int) -> Iterator[Scalar]:
-    """The kind's coefficients, stepped in row order by step_signature.
-
-    c_{0,0} is the product of every slot's (a)_0: 1 in the parameters'
-    field, a Fraction when all are exact and a float otherwise.
+def _kind_terms(ref: FunctionRef, degree: int) -> Iterator[Fraction]:
+    """The kind's coefficients, stepped in row order by step_signature at
+    its slot values, each coerced by `as_exact` (a float is refused).
+    c_{0,0} is the product of every slot's (a)_0.
     """
-    info, p = ref.info, ref.params
+    info = ref.info
+    p = {slot: as_exact(v, f"{ref.kind} parameter {slot}")
+         for slot, v in ref.params.items()}
     first = math.prod([pochhammer(a, 0) for a in p.values()], start=ONE)
     return step_signature(info.num, info.den, p, degree, first, info.bivariate)
 
 
 def truncated_series(ref: FunctionRef, degree: int) -> TruncatedBiseries:
-    """Triangle of the kind's series to total degree <= degree, exact for
-    exact parameters.
+    """Exact triangle of the kind's series to total degree <= degree; a
+    float parameter is refused (SignatureError).
 
     Every cell is stepped from its neighbour with the kind's term ratios
     (`step_signature`): down column 0 in m, then along each row in n.  No
@@ -587,21 +591,24 @@ PREFACTORS = ("pow_one_minus_x", "exp_y")
 
 def substitute_args(
     s: TruncatedBiseries, tx: str, ty: str,
-    pow_one_minus_x: Scalar = 0, exp_y: Scalar = 0,
+    pow_one_minus_x: Fraction = ZERO, exp_y: Fraction = ZERO,
 ) -> TruncatedBiseries:
     """(1-x)^p e^(c y) s(X, Y) for the named transforms X of x and Y of y,
     with p = pow_one_minus_x and c = exp_y, exactly, in O(N^3).
 
     With X = sx x (1-x)^-mu and Y = sy y (1-x)^-nu, the term c_{m,n} x^m y^n
     becomes sx^m sy^n c_{m,n} x^m y^n (1-x)^-e, e = mu m + nu n - p, so it
-    spreads down its column with the binomial weights (e)_k / k!; then each
-    row is convolved once with the series c^k / k! of e^(c y).
+    spreads down its column with the binomial weights (e)_k / k!; then the
+    rows are convolved with the series c^k / k! of e^(c y), in integers
+    (`TruncatedBiseries.convolution`).  p and c are coerced by `as_exact`,
+    which refuses a float.
     """
     if tx not in X_TRANSFORMS:
         raise UnsupportedTransform(f"x-transform {tx!r} not in {tuple(X_TRANSFORMS)}")
     if ty not in Y_TRANSFORMS:
         raise UnsupportedTransform(f"y-transform {ty!r} not in {tuple(Y_TRANSFORMS)}")
-    p, c = as_scalar(pow_one_minus_x), as_scalar(exp_y)
+    p = as_exact(pow_one_minus_x, "pow_one_minus_x")
+    c = as_exact(exp_y, "exp_y")
     if tx == ty == "identity" and not p and not c:
         return s
     (sx, mu), (sy, nu) = X_TRANSFORMS[tx], Y_TRANSFORMS[ty]
@@ -622,9 +629,9 @@ def substitute_args(
                 if w:
                     rows[m + k][n] += w * v
     if c:
-        exp = [c ** k / math.factorial(k) for k in range(N + 1)]
-        rows = [[sum((row[n - k] * exp[k] for k in range(n + 1)), ZERO)
-                 for n in range(len(row))] for row in rows]
+        return TruncatedBiseries.convolution(
+            N, [(c ** k / math.factorial(k), 0, k) for k in range(N + 1)],
+            rows)
     return TruncatedBiseries(N, rows)
 
 

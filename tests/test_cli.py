@@ -193,7 +193,7 @@ class TestIntegralCheck:
     def test_unknown_rep_exit_2(self, capsys):
         code, _, err = run(capsys, "integral-check", "4.99")
         assert code == 2
-        assert "UnknownFormula" in err
+        assert "UnknownFormula: unknown representation id '4.99'" in err
 
     def test_bad_grid_exit_2(self, capsys):
         code, _, err = run(capsys, "integral-check", "4.1", "--grid", "x")

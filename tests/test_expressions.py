@@ -375,6 +375,19 @@ class TestCatalogSums:
             _sum_at_full_degree(rhs, profile_a, 5)
 
 
+class TestExactParameters:
+    def test_float_parameter_is_refused_first(self, profile_a):
+        # every parameter is coerced before the degree and the schema are
+        # checked, so the float is named even where both are bad too
+        params = {**profile_a, "beta": 0.5}
+        rhs = load_catalog()[0]["rhs"]
+        for expr, degree in ((rhs, 4), ({"type": "bogus"}, -1)):
+            with pytest.raises(SignatureError) as raised:
+                assemble_expression(expr, params, degree)
+            assert str(raised.value) == \
+                "parameter 'beta' = 0.5 is not an exact rational"
+
+
 class TestExpressionSymbols:
     def test_collects_from_all_fields(self):
         expr = {

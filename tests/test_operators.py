@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from humbert.errors import PoleError
+from humbert.errors import PoleError, SignatureError
 from humbert.operators import (
     apply_H,
     apply_H_bar,
@@ -23,18 +23,22 @@ PHI1 = FunctionRef("Phi1", {"alpha": F(1, 2), "beta": F(1, 3), "gamma": F(5, 4)}
 
 
 def random_triangle(degree, rng):
-    return TruncatedBiseries.from_function(
-        degree,
-        lambda m, n: F(rng.randint(-20, 20), rng.randint(1, 9)),
-    )
+    return TruncatedBiseries(degree, [
+        [F(rng.randint(-20, 20), rng.randint(1, 9))
+         for _ in range(degree + 1 - m)] for m in range(degree + 1)])
+
+
+def ones(degree):
+    return TruncatedBiseries(
+        degree, [[F(1)] * (degree + 1 - m) for m in range(degree + 1)])
 
 
 def x_derivative(s):
     """Formal d/dx on a triangle (degree bound kept, top row zero-filled)."""
-    return TruncatedBiseries.from_function(
-        s.degree,
-        lambda m, n: (m + 1) * s.coeff(m + 1, n) if m + n + 1 <= s.degree else F(0),
-    )
+    N = s.degree
+    return TruncatedBiseries(N, [
+        [(m + 1) * s.coeff(m + 1, n) for n in range(N - m)] + [F(0)]
+        for m in range(N)] + [[F(0)]])
 
 
 class TestDeltaPochhammerAction:
@@ -81,7 +85,7 @@ class TestApplyH:
     def test_modes_agree_exhaustively(self):
         # all slots m+n <= 12, twenty random rational parameter pairs
         rng = random.Random(20260819)
-        s = TruncatedBiseries.from_function(12, lambda m, n: F(1))
+        s = ones(12)
         for _ in range(20):
             a = F(rng.randint(-9, 9), rng.randint(1, 7))
             b = F(rng.randint(1, 9), rng.randint(1, 7))  # keep b off poles
@@ -93,9 +97,8 @@ class TestApplyH:
         # on a pure-x series the x-axis operator equals the full one
         rng = random.Random(7)
         a, b = F(2, 5), F(9, 4)
-        pure_x = TruncatedBiseries.from_function(
-            6, lambda m, n: F(rng.randint(-5, 5)) if n == 0 else F(0)
-        )
+        pure_x = TruncatedBiseries(
+            6, [[F(rng.randint(-5, 5))] + [F(0)] * (6 - m) for m in range(7)])
         assert apply_H(pure_x, a, b, axis="x") == apply_H(pure_x, a, b, axis="xy")
         out = apply_H(pure_x, a, b, axis="x", mode="double_sum")
         assert out == apply_H(pure_x, a, b, axis="x")
@@ -120,8 +123,8 @@ class TestArgumentChecks:
             apply(TruncatedBiseries.one(3), F(1, 3), F(5, 2), mode=mode,
                   axis="z")
 
-    # h = -2 + 1e-13: (h)_6 clears the float pole guard while (h)_3 (h)_3
-    # falls under it, so nabla(h) itself meets a vanishing denominator
+    # in args4, h = -2 zeroes nabla's cells from m+n = 3 on, where its 0/0
+    # cells stay 0, and delta(-3) then meets a pole of its own
     @pytest.mark.parametrize("apply, args, mode, text", [
         (apply_H, (F(1, 2), F(-2)), "closed_form",
          "H(1/2, -2): ratio step denominator b + k = -2 + 2 = 0"),
@@ -131,18 +134,36 @@ class TestArgumentChecks:
          "H_bar(-3, 1/2): ratio step denominator b + k = -3 + 3 = 0"),
         (apply_H_bar, (F(-3), F(1, 2)), "double_sum",
          "H finite sum: denominator Pochhammer vanishes"),
-        (apply_nabla_delta, (-2 + 1e-13, 0.5), "closed_form",
-         "nabla(-1.9999999999999): denominator Pochhammer vanishes"),
+        (apply_nabla_delta, (F(-2), F(-3)), "closed_form",
+         "delta_op(-3): denominator Pochhammer vanishes"),
         (apply_nabla_delta, (F(1, 2), F(-2)), "closed_form",
          "delta_op(-2): denominator Pochhammer vanishes"),
         (apply_nabla_delta, (F(1, 2), F(-2)), "k_sum",
          "nabla-delta finite sum: denominator Pochhammer vanishes"),
     ])
     def test_pole_texts(self, apply, args, mode, text):
-        s = TruncatedBiseries.from_function(8, lambda m, n: F(1))
         with pytest.raises(PoleError) as raised:
-            apply(s, *args, mode=mode)
+            apply(ones(8), *args, mode=mode)
         assert str(raised.value) == text
+
+    # each action coerces its parameters exactly, so a float is refused
+    # by name before any cell is scaled, on every route
+    @pytest.mark.parametrize("apply, args, mode, text", [
+        (apply_H, (0.5, F(2)), "closed_form", "a = 0.5"),
+        (apply_H, (F(1, 2), 2.0), "double_sum", "b = 2.0"),
+        (apply_H_bar, (0.25, F(2)), "closed_form", "a = 0.25"),
+        (apply_H_bar, (F(1, 2), 1.5), "double_sum", "b = 1.5"),
+        (apply_nabla, (0.5,), None, "h = 0.5"),
+        (apply_delta_op, (0.5,), None, "h = 0.5"),
+        (apply_nabla_delta, (0.5, F(1, 3)), "closed_form", "h = 0.5"),
+        (apply_nabla_delta, (F(1, 2), 0.75), "closed_form", "g = 0.75"),
+        (apply_nabla_delta, (F(1, 2), 0.75), "k_sum", "g = 0.75"),
+    ])
+    def test_float_parameters_are_refused(self, apply, args, mode, text):
+        kwargs = {} if mode is None else {"mode": mode}
+        with pytest.raises(SignatureError) as raised:
+            apply(ones(4), *args, **kwargs)
+        assert str(raised.value) == f"{text} is not an exact rational"
 
 
 class TestApplyHBar:
@@ -181,8 +202,7 @@ class TestApplyHBar:
 class TestNablaDelta:
     def test_pure_axis_slots_fixed(self):
         h = F(4, 9)
-        s = TruncatedBiseries.from_function(5, lambda m, n: F(1))
-        out = apply_nabla(s, h)
+        out = apply_nabla(ones(5), h)
         for k in range(6):
             assert out.coeff(k, 0) == 1
             assert out.coeff(0, k) == 1

@@ -11,6 +11,7 @@ from humbert.errors import (
     HumbertError,
     NoConvergence,
     SignatureError,
+    UnknownFormula,
 )
 from humbert.profiles import resolved_params
 from humbert.quadrature import (
@@ -501,6 +502,13 @@ class TestGuards:
         # 4.1's kernel binds alpha and gamma; its integrand also reads beta
         with pytest.raises(SignatureError, match="'beta'"):
             eval_integral("4.1", {"alpha": 0.5, "gamma": 1.25}, 0.1, 0.1)
+
+    def test_unknown_id_is_refused_by_name(self):
+        for call in (lambda: eval_integral("4.99", {}, 0.1, 0.1),
+                     lambda: cross_check("4.99", {})):
+            with pytest.raises(UnknownFormula) as raised:
+                call()
+            assert str(raised.value) == "unknown representation id '4.99'"
 
     def test_domain_guard_on_x(self):
         params = {"alpha": 0.5, "beta": 1 / 3, "gamma": 1.25}

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from humbert.errors import DomainError, PoleError, SignatureError
 from humbert.scalars import (
+    as_exact,
     as_scalar,
     check_not_pole,
-    format_scalar,
-    is_exact,
     is_nonpositive_integer,
     pochhammer,
     pochhammer_ratio_step,
@@ -22,7 +21,7 @@ F = Fraction
 
 class TestAsScalar:
     def test_int_becomes_fraction(self):
-        assert as_scalar(3) == F(3) and is_exact(as_scalar(3))
+        assert as_scalar(3) == F(3) and type(as_scalar(3)) is F
 
     def test_fraction_passthrough(self):
         assert as_scalar(F(2, 7)) == F(2, 7)
@@ -32,7 +31,7 @@ class TestAsScalar:
 
     def test_float_stays_float(self):
         v = as_scalar(0.25)
-        assert v == 0.25 and not is_exact(v)
+        assert v == 0.25 and type(v) is float
 
     def test_bool_rejected(self):
         with pytest.raises(SignatureError):
@@ -46,6 +45,27 @@ class TestAsScalar:
     def test_non_finite_float_rejected(self, value):
         with pytest.raises(SignatureError, match="not a finite parameter"):
             as_scalar(value)
+
+
+class TestAsExact:
+    @pytest.mark.parametrize("value, want", [
+        (3, F(3)), (F(2, 7), F(2, 7)), ("5/12", F(5, 12))])
+    def test_exact_values_become_fractions(self, value, want):
+        got = as_exact(value, "alpha")
+        assert got == want and type(got) is F
+
+    @pytest.mark.parametrize("value", [0.25, 1.0, -2.0])
+    def test_float_is_refused_by_name(self, value):
+        with pytest.raises(SignatureError) as raised:
+            as_exact(value, "parameter 'alpha'")
+        assert str(raised.value) == \
+            f"parameter 'alpha' = {value!r} is not an exact rational"
+
+    def test_as_scalar_refusals_stand(self):
+        with pytest.raises(SignatureError, match="not a finite parameter"):
+            as_exact(math.nan, "alpha")
+        with pytest.raises(SignatureError, match="not a numeric parameter"):
+            as_exact(True, "alpha")
 
 
 class TestToFloat:
@@ -101,10 +121,6 @@ class TestRatioStep:
         with pytest.raises(PoleError):
             pochhammer_ratio_step(F(1), F(-2), 2)
 
-    def test_near_pole_float(self):
-        with pytest.raises(PoleError):
-            pochhammer_ratio_step(1.0, -2.0 + 1e-14, 2)
-
 
 class TestPoleGuard:
     def test_nonpositive_integers(self):
@@ -122,9 +138,3 @@ class TestPoleGuard:
     def test_check_raises_with_context(self):
         with pytest.raises(PoleError, match="gamma"):
             check_not_pole(F(-1), "Phi1 parameter gamma")
-
-
-def test_format_scalar():
-    assert format_scalar(F(3, 4)) == "3/4"
-    assert format_scalar(F(5)) == "5"
-    assert format_scalar(0.5) == "0.5"

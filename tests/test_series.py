@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 import warnings
@@ -58,9 +57,9 @@ def _triangle_of_degree(d):
         min_size=count,
         max_size=count,
     ).map(
-        lambda cs: TruncatedBiseries.from_function(
-            d, lambda m, n: cs[(m + n) * (m + n + 1) // 2 + m]
-        )
+        lambda cs: TruncatedBiseries(d, [
+            [cs[(m + n) * (m + n + 1) // 2 + m] for n in range(d + 1 - m)]
+            for m in range(d + 1)])
     )
 
 
@@ -129,6 +128,35 @@ class TestTriangleStorage:
     @settings(deadline=None, max_examples=40)
     def test_one_is_identity(self, s):
         assert s * TruncatedBiseries.one(s.degree) == s
+
+    def test_product_matches_the_fraction_oracle(self):
+        # two degree-8 triangles, their cells over distinct denominators
+        # with every fifth cell 0, against a product summed cell by cell in
+        # Fractions
+        N = 8
+
+        def triangle(dens, shift):
+            return TruncatedBiseries(N, [
+                [F((3 * m - 2 * n + shift) % 11 - 5, dens[(m + n) % 4])
+                 if (m + 2 * n) % 5 else F(0) for n in range(N + 1 - m)]
+                for m in range(N + 1)])
+
+        s, t = triangle((2, 3, 5, 7), 1), triangle((4, 9, 11, 13), 4)
+        want = [[F(0)] * (N + 1 - m) for m in range(N + 1)]
+        for m1, n1 in graded_indices(N):
+            for m2, n2 in graded_indices(N - m1 - n1):
+                want[m1 + m2][n1 + n2] += s.coeff(m1, n1) * t.coeff(m2, n2)
+        assert s * t == TruncatedBiseries(N, want)
+        assert all(type(c) is F for row in (s * t)._rows for c in row)
+
+    def test_scalar_factors_are_exact(self):
+        s = poly(2, [(0, 0, 1), (1, 1, F(2, 3))])
+        assert s * F(3, 2) == poly(2, [(0, 0, F(3, 2)), (1, 1, 1)])
+        assert 2 * s == s.scale(2) == poly(2, [(0, 0, 2), (1, 1, F(4, 3))])
+        for factor in (s.scale, s.__mul__, s.__rmul__):
+            with pytest.raises(SignatureError) as raised:
+                factor(0.5)
+            assert str(raised.value) == "factor = 0.5 is not an exact rational"
 
 
 class TestFunctionRef:
@@ -307,20 +335,6 @@ class TestSignatures:
 
 
 class TestTruncatedSeries:
-    def test_float_parameters_track_the_exact_triangle(self):
-        # the float triangle steps the same ratios in doubles; against the
-        # exact triangle of the same (binary) parameter values it may only
-        # drift by the rounding of its steps
-        params = {"alpha": 0.37, "beta": 1.21, "gamma1": 0.83, "gamma2": 1.64}
-        N = 24
-        got = truncated_series(FunctionRef("Psi1", params), N)
-        exact = truncated_series(
-            FunctionRef("Psi1", {k: F(v) for k, v in params.items()}), N)
-        for m, n in graded_indices(N):
-            assert isinstance(got.coeff(m, n), float)
-            assert got.coeff(m, n) == pytest.approx(
-                float(exact.coeff(m, n)), rel=1e-13), (m, n)
-
     def test_matches_rule_everywhere(self):
         for kind, params in REFERENCE_PARAMS.items():
             ref = FunctionRef(kind, params)
@@ -386,22 +400,25 @@ class TestTruncatedSeries:
                 assert got == (top and top / bottom), (m, n)
         assert next(terms, None) is None
 
-    def test_float_and_mixed_triangles_keep_their_bits(self):
-        # SHA-256 of the cells' float.hex(), in row order, pinned so that
-        # stating the exact steps over a common denominator cannot move a
-        # bit of the float (q = 1) steps
-        def digest(params):
-            s = truncated_series(FunctionRef("Psi1", params), 12)
-            text = " ".join(s.coeff(m, n).hex() for m in range(13)
-                            for n in range(13 - m))
-            return hashlib.sha256(text.encode()).hexdigest()
-
-        assert digest({"alpha": 0.37, "beta": 1.21, "gamma1": 0.83,
-                       "gamma2": 1.64}) == \
-            "12c6259c277d583875d7cc97e16110d92d30c75f9a9e76f7f270fe12794733b8"
-        assert digest({"alpha": F(1, 3), "beta": 1.21, "gamma1": F(5, 7),
-                       "gamma2": 1.64}) == \
-            "78f05e2e91a26d40c6a970ca98af7ff759e58a10548da9295da952b88a7e371b"
+    @pytest.mark.parametrize("kind, params, axis, text", [
+        ("Phi1", {"alpha": 0.5, "beta": F(1, 3), "gamma": F(5, 4)}, None,
+         "Phi1 parameter alpha = 0.5"),
+        ("Psi2", {"alpha": F(1, 2), "gamma1": F(6, 5), "gamma2": 1.25}, None,
+         "Psi2 parameter gamma2 = 1.25"),
+        ("Kummer1F1", {"alpha": F(1, 2), "gamma": 1.25}, "x",
+         "Kummer1F1 parameter gamma = 1.25"),
+        ("Bessel0F1", {"gamma": 0.75}, "y",
+         "Bessel0F1 parameter gamma = 0.75"),
+    ])
+    def test_float_parameters_are_refused(self, kind, params, axis, text):
+        # the float series take float parameters; the triangles do not
+        ref = FunctionRef(kind, params)
+        with pytest.raises(SignatureError) as raised:
+            if axis is None:
+                truncated_series(ref, 4)
+            else:
+                single_series_on_axis(ref, 4, axis)
+        assert str(raised.value) == f"{text} is not an exact rational"
 
     def test_single_kind_on_y_axis(self):
         ref = FunctionRef("Bessel0F1", {"gamma": F(5, 4)})
@@ -425,8 +442,9 @@ def compose_oracle(s, tx, ty):
         "negate": lambda m, n: -F(m == 0 and n == 1),
         "scale_by_geometric": lambda m, n: F(n == 1),  # y (1 + x + ...)
     }
-    sx = TruncatedBiseries.from_function(N, x_images[tx])
-    sy = TruncatedBiseries.from_function(N, y_images[ty])
+    sx, sy = (TruncatedBiseries(N, [[image(m, n) for n in range(N + 1 - m)]
+                                    for m in range(N + 1)])
+              for image in (x_images[tx], y_images[ty]))
     acc = TruncatedBiseries.zero(N)
     for m in range(N, -1, -1):
         row = TruncatedBiseries.zero(N)
@@ -439,10 +457,11 @@ def compose_oracle(s, tx, ty):
 def prefactor_oracle(N, p=F(0), c=F(0)):
     """(1-x)^p e^(c y) as the product of its two series, each coefficient a
     direct pochhammer product or power."""
-    binomial = TruncatedBiseries.from_function(
-        N, lambda m, n: P(-p, m) / fact(m) if n == 0 else F(0))
-    exp = TruncatedBiseries.from_function(
-        N, lambda m, n: c ** n / fact(n) if m == 0 else F(0))
+    binomial = TruncatedBiseries(
+        N, [[P(-p, m) / fact(m)] + [F(0)] * (N - m) for m in range(N + 1)])
+    exp = TruncatedBiseries(
+        N, [[c ** n / fact(n) for n in range(N + 1)]]
+        + [[F(0)] * (N + 1 - m) for m in range(1, N + 1)])
     return binomial * exp
 
 
@@ -507,21 +526,12 @@ class TestSubstitution:
         if tx == ty == "identity" and pre == "none":
             assert got is s
 
-    def test_float_parameters_match_the_oracle(self):
-        from humbert.expressions import assemble_expression
-
-        params = {"alpha": 0.37, "beta": 1.21, "gamma1": 0.83, "gamma2": 1.64}
-        term = {"type": "function", "kind": "Psi1",
-                "params": {k: k for k in params},
-                "transform_x": "moebius_x", "transform_y": "scale_by_geometric",
-                "prefactor": {"pow_one_minus_x": "-beta", "exp_y": "alpha"}}
-        N = 8
-        got = assemble_expression(term, params, N)
-        want = compose_oracle(truncated_series(FunctionRef("Psi1", params), N),
-                              "moebius_x", "scale_by_geometric") \
-            * prefactor_oracle(N, -params["beta"], params["alpha"])
-        for m, n in graded_indices(N):
-            assert got.coeff(m, n) == pytest.approx(want.coeff(m, n), rel=1e-13)
+    @pytest.mark.parametrize("key", series.PREFACTORS)
+    def test_float_prefactors_are_refused(self, key):
+        with pytest.raises(SignatureError) as raised:
+            substitute_args(TruncatedBiseries.one(3), "identity", "identity",
+                            **{key: 0.5})
+        assert str(raised.value) == f"{key} = 0.5 is not an exact rational"
 
     def test_negate_is_involutive(self):
         ref = FunctionRef("Phi2", REFERENCE_PARAMS["Phi2"])
