@@ -80,8 +80,7 @@ def cmd_eval(args) -> int:
         }
     else:
         if args.y is not None and to_float(as_scalar(args.y), "y") != 0.0:
-            print(f"{kind} takes a single argument; drop --y", file=sys.stderr)
-            return 2
+            raise HumbertError(f"{kind} takes a single argument; drop --y")
         value, diag = eval_single_series(kind, params, x, tol=args.tol)
         payload = {
             "value": value,

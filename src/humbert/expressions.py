@@ -9,7 +9,9 @@ assembles any of them into an exact truncated triangle, so there is a
 single code path to trust and entries stay diffable.  A sum is
 assembled as one exact convolution of stepped Pochhammer signatures where
 its inner signature factors that way (see _convolution_plan), and term by
-term otherwise.
+term otherwise; both are one call of the integer accumulation
+`TruncatedBiseries.shifted_sum`, which also applies a function node's
+prefactors.
 
 Parameter expressions use a tiny affine language: sums of signed symbols
 and integer constants, e.g. "eps - alpha", "gamma + i + j", "1 - beta".
@@ -223,14 +225,15 @@ def _outer_terms(e: dict, env: dict, degree: int):
 
 
 def _assemble_sum(e: dict, env: dict, degree: int) -> TruncatedBiseries:
-    """The sum's triangle, by one convolution where _convolution_plan
-    splits the inner signature, else by one inner triangle per term.
+    """The sum's triangle, by one `TruncatedBiseries.shifted_sum`: a
+    convolution with one shared kernel where _convolution_plan splits the
+    inner signature, else with one inner triangle per term.
 
     Convolution: rhs(M, N) = C(M, N) * sum over terms of
     A(i, j) * B(M - si, N - sj), with A the outer weight over the aligned
-    C(si, sj), B the unshifted factors over m! n!, and C the aligned
-    (b)_idx(M, N): B and C are signatures too, stepped as the outer
-    weight is.
+    C(si, sj), B the unshifted factors over m! n! (every term's K), and C
+    the aligned (b)_idx(M, N) (the cell factor): B and C are signatures
+    too, stepped as the outer weight is.
     """
     plan = _convolution_plan(e, env, e.get("indices", "ij"),
                              e.get("weight", "xy"))
@@ -253,11 +256,13 @@ def _assemble_sum(e: dict, env: dict, degree: int) -> TruncatedBiseries:
         return TruncatedBiseries.shifted_sum(degree, inner_terms())
 
     p, (b_num, b_den), (c_num, c_den) = plan
-    kernel = _triangle_rows(step_signature(b_num, b_den, p, degree), degree)
+    kernel = TruncatedBiseries(degree, _triangle_rows(
+        step_signature(b_num, b_den, p, degree), degree))
     cell = _triangle_rows(
         step_signature(c_num, c_den, p, degree, factorial=False), degree)
-    weights = [(a / cell[si][sj], si, sj) for _, _, a, si, sj in terms]
-    return TruncatedBiseries.convolution(degree, weights, kernel, cell)
+    return TruncatedBiseries.shifted_sum(
+        degree, [(a / cell[si][sj], si, sj, kernel)
+                 for _, _, a, si, sj in terms], cell)
 
 
 def assemble_expression(e: dict, params: dict, degree: int

@@ -74,7 +74,8 @@ def check_phi1_shift(params: dict, degree: int, i: int, j: int
         "Phi1",
         {"alpha": eps + i + j, "beta": beta + i, "gamma": gamma + i + j},
     )
-    rhs = truncated_series(shifted_ref, degree).shifted(i, j).scale(factor)
+    rhs = TruncatedBiseries.shifted_sum(
+        degree, [(factor, i, j, truncated_series(shifted_ref, degree))])
     mismatch = lhs.first_mismatch(rhs)
     if mismatch is None:
         return None
@@ -100,7 +101,7 @@ def check_phi1_reconstruction(params: dict, degree: int
         FunctionRef("Phi1", {"alpha": eps, "beta": env["beta"],
                              "gamma": env["gamma"]}), degree
     )
-    total = TruncatedBiseries.zero(degree)
+    terms = []
     for i in range(degree + 1):
         acted_x = delta_pochhammer_action(base, "x", i)
         for j in range(degree + 1 - i):
@@ -108,9 +109,10 @@ def check_phi1_reconstruction(params: dict, degree: int
                 pochhammer(eps, i + j)
                 * math.factorial(i) * math.factorial(j)
             )
-            if weight == 0:
-                continue
-            total = total + delta_pochhammer_action(acted_x, "y", j).scale(weight)
+            if weight:
+                terms.append(
+                    (weight, 0, 0, delta_pochhammer_action(acted_x, "y", j)))
+    total = TruncatedBiseries.shifted_sum(degree, terms)
     target = truncated_series(
         FunctionRef("Phi1", {"alpha": alpha, "beta": env["beta"],
                              "gamma": env["gamma"]}), degree

@@ -67,8 +67,8 @@ def delta_pochhammer_action(
         raise ValueError("k must be non-negative")
     table = [pochhammer(Fraction(-i), k) for i in range(s.degree + 1)]
     if which == "x":
-        return s.map_indexed(lambda m, n, c: c * table[m])
-    return s.map_indexed(lambda m, n, c: c * table[n])
+        return s.map_indexed(lambda m, n: table[m])
+    return s.map_indexed(lambda m, n: table[n])
 
 
 def _h_sum_multiplier(a, b, m, n, axis, inverse):
@@ -103,10 +103,10 @@ def _apply_h(s, a, b, mode, axis, inverse):
     if mode == "closed_form":
         lams = (_ratio_prefix(b, a, s.degree, f"H_bar({a}, {b})") if inverse
                 else _ratio_prefix(a, b, s.degree, f"H({a}, {b})"))
-        return s.map_indexed(lambda m, n, c: c * lams[_index(axis, m, n)])
+        return s.map_indexed(lambda m, n: lams[_index(axis, m, n)])
     if mode == "double_sum":
         return s.map_indexed(
-            lambda m, n, c: c * _h_sum_multiplier(a, b, m, n, axis, inverse))
+            lambda m, n: _h_sum_multiplier(a, b, m, n, axis, inverse))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -144,12 +144,12 @@ def _apply_nabla(s, h, inverse):
     poch = pochhammer_table(h, s.degree)
     context = f"delta_op({h})" if inverse else f"nabla({h})"
 
-    def scale(m, n, c):
+    def eigenvalue(m, n):
         joint, apart = poch[m + n], poch[m] * poch[n]
         num, den = (apart, joint) if inverse else (joint, apart)
-        return c * _safe_div(num, den, context)
+        return _safe_div(num, den, context)
 
-    return s.map_indexed(scale)
+    return s.map_indexed(eigenvalue)
 
 
 def apply_nabla(s: TruncatedBiseries, h: Fraction) -> TruncatedBiseries:
@@ -194,5 +194,5 @@ def apply_nabla_delta(
     if mode == "closed_form":
         return apply_delta_op(apply_nabla(s, h), g)
     if mode == "k_sum":
-        return s.map_indexed(lambda m, n, c: c * nabla_delta_ksum(h, g, m, n))
+        return s.map_indexed(lambda m, n: nabla_delta_ksum(h, g, m, n))
     raise ValueError(f"unknown mode {mode!r}")

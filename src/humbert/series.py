@@ -32,6 +32,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _integer_rows(rows) -> tuple[int, list[list[int]]]:
+    """(d, the rows' integer numerators over d), d the least common
+    denominator of every cell."""
+    d = math.lcm(*(c.denominator for row in rows for c in row))
+    return d, [[c.numerator * (d // c.denominator) for c in row]
+               for row in rows]
+
+
 def graded_indices(degree: int) -> Iterator[tuple[int, int]]:
     """Yield (m, n) with m+n <= degree, ordered by total degree then by m."""
     for k in range(degree + 1):
@@ -44,8 +52,9 @@ class TruncatedBiseries:
 
     Coefficients are exact Fractions; arithmetic never reads or writes
     outside the triangle m+n <= degree, and products are truncated back to
-    the same bound, by the one exact convolution (`convolution`).
-    Instances are immutable.
+    the same bound.  Every combination of cells (sums, differences,
+    scalings, shifts, products and eigenvalue actions) is one integer
+    accumulation, `shifted_sum`.  Instances are immutable.
     """
 
     __slots__ = ("degree", "_rows")
@@ -88,39 +97,30 @@ class TruncatedBiseries:
         cls,
         degree: int,
         terms: Iterable[tuple[Fraction, int, int, "TruncatedBiseries"]],
+        cell: list[list[Fraction]] | None = None,
     ) -> "TruncatedBiseries":
-        """Sum of c * x^i y^j * s over terms (c, i, j, s), truncated to degree.
+        """The sum of a x^si y^sj K over terms (a, si, sj, K), truncated to
+        degree, each cell (M, N) times cell[M][N] (1 if `cell` is None):
+        the one routine that combines the cells of triangles.  Each K needs
+        degree >= degree - si - sj.
 
-        Each s needs degree >= degree - i - j (i + j <= degree); the terms
-        accumulate in place into one triangle.
-        """
-        rows = [[ZERO] * (degree + 1 - m) for m in range(degree + 1)]
-        for c, i, j, s in terms:
-            top = degree - i - j
-            for m in range(top + 1):
-                src, dst = s._rows[m], rows[m + i]
-                for n in range(top + 1 - m):
-                    v = src[n]
-                    if v:
-                        dst[n + j] += c * v
-        return cls(degree, rows)
-
-    @classmethod
-    def convolution(cls, degree: int, weights: list, kernel,
-                    cell=None) -> "TruncatedBiseries":
-        """The sum of a x^si y^sj K over weights (a, si, sj), K the triangle
-        whose rows are `kernel`, each cell (M, N) times cell[M][N] (1 if
-        `cell` is None), exactly: the one exact convolution.  Weights and
-        kernel are first put over one integer denominator each, so every
-        mul-add is an integer one and each cell, scaled by its cell
-        factor, is reduced once."""
-        da = math.lcm(*(a.denominator for a, _, _ in weights))
-        db = math.lcm(*(c.denominator for row in kernel for c in row))
-        ints = [[c.numerator * (db // c.denominator) for c in row]
-                for row in kernel]
+        The weights are put over one integer denominator, and each
+        distinct K (by identity, so it is converted once however many
+        terms share it) over one of its own; each weight carries the factor
+        that lifts its K's denominator to the common one, so every mul-add
+        is an integer one and each cell, times its cell factor, is reduced
+        once."""
+        terms = [term for term in terms if term[0]]
+        kernels = {}
+        for _, _, _, k in terms:
+            if id(k) not in kernels:
+                kernels[id(k)] = _integer_rows(k._rows)
+        da = math.lcm(*(a.denominator for a, _, _, _ in terms))
+        db = math.lcm(*(d for d, _ in kernels.values()))
         acc = [[0] * (degree + 1 - m) for m in range(degree + 1)]
-        for a, si, sj in weights:
-            a = a.numerator * (da // a.denominator)
+        for a, si, sj, k in terms:
+            d, ints = kernels[id(k)]
+            a = a.numerator * (da // a.denominator) * (db // d)
             top = degree - si - sj
             for m in range(top + 1):
                 dst, stop = acc[m + si], sj + top + 1 - m
@@ -138,44 +138,29 @@ class TruncatedBiseries:
         return self._rows[m][n]
 
     def map_indexed(
-        self, fn: Callable[[int, int, Fraction], Fraction]
+        self, fn: Callable[[int, int], Fraction]
     ) -> "TruncatedBiseries":
-        """New series with coefficients fn(m, n, c_{m,n}); the workhorse of
-        the diagonal operator actions."""
-        return TruncatedBiseries(
-            self.degree,
-            [
-                [fn(m, n, c) for n, c in enumerate(row)]
-                for m, row in enumerate(self._rows)
-            ],
-        )
+        """New series with coefficients fn(m, n) c_{m,n}, fn called on every
+        cell in row order; the workhorse of the diagonal operator actions,
+        whose eigenvalue fn is."""
+        return self.shifted_sum(self.degree, [(ONE, 0, 0, self)], [
+            [fn(m, n) for n in range(len(row))]
+            for m, row in enumerate(self._rows)])
 
     def __add__(self, other: "TruncatedBiseries") -> "TruncatedBiseries":
         self._check_degree(other)
-        return TruncatedBiseries(
-            self.degree,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ],
-        )
+        return self.shifted_sum(self.degree, [(ONE, 0, 0, self),
+                                              (ONE, 0, 0, other)])
 
     def __sub__(self, other: "TruncatedBiseries") -> "TruncatedBiseries":
         self._check_degree(other)
-        return TruncatedBiseries(
-            self.degree,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ],
-        )
+        return self.shifted_sum(self.degree, [(ONE, 0, 0, self),
+                                              (-ONE, 0, 0, other)])
 
     def scale(self, factor: Fraction) -> "TruncatedBiseries":
         """Every coefficient times an exact factor (`as_exact`)."""
         factor = as_exact(factor, "factor")
-        return TruncatedBiseries(
-            self.degree, [[factor * c for c in row] for row in self._rows]
-        )
+        return self.shifted_sum(self.degree, [(factor, 0, 0, self)])
 
     def __mul__(self, other) -> "TruncatedBiseries":
         """The truncated product with a triangle of the same degree, or the
@@ -183,9 +168,9 @@ class TruncatedBiseries:
         if not isinstance(other, TruncatedBiseries):
             return self.scale(other)
         self._check_degree(other)
-        return self.convolution(
-            self.degree, [(c, m, n) for m, row in enumerate(self._rows)
-                          for n, c in enumerate(row) if c], other._rows)
+        return self.shifted_sum(
+            self.degree, [(c, m, n, other) for m, row in enumerate(self._rows)
+                          for n, c in enumerate(row)])
 
     __rmul__ = __mul__
 
@@ -193,13 +178,7 @@ class TruncatedBiseries:
         """Multiply by x^i y^j, dropping coefficients pushed past the bound."""
         if i < 0 or j < 0:
             raise ValueError("shift offsets must be non-negative")
-        N = self.degree
-        rows = [[ZERO] * (N + 1 - m) for m in range(N + 1)]
-        for m in range(N + 1 - i):
-            for n in range(N + 1 - i - m):
-                if m + n + i + j <= N:
-                    rows[m + i][n + j] = self._rows[m][n]
-        return TruncatedBiseries(N, rows)
+        return self.shifted_sum(self.degree, [(ONE, i, j, self)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedBiseries):
@@ -597,11 +576,13 @@ def substitute_args(
     with p = pow_one_minus_x and c = exp_y, exactly, in O(N^3).
 
     With X = sx x (1-x)^-mu and Y = sy y (1-x)^-nu, the term c_{m,n} x^m y^n
-    becomes sx^m sy^n c_{m,n} x^m y^n (1-x)^-e, e = mu m + nu n - p, so it
-    spreads down its column with the binomial weights (e)_k / k!; then the
-    rows are convolved with the series c^k / k! of e^(c y), in integers
-    (`TruncatedBiseries.convolution`).  p and c are coerced by `as_exact`,
-    which refuses a float.
+    becomes sx^m sy^n c_{m,n} x^m y^n (1-x)^-e, e = mu m + nu n a
+    non-negative integer.  So, with the cells as integer numerators over
+    one denominator, each numerator spreads down its column with the
+    integer binomials C(e+k-1, k) = (e)_k / k!.  The prefactors
+    (1-x)^p = sum (-p)_k / k! x^k and
+    e^(c y) = sum c^k / k! y^k are then one `TruncatedBiseries.shifted_sum`
+    each.  p and c are coerced by `as_exact`, which refuses a float.
     """
     if tx not in X_TRANSFORMS:
         raise UnsupportedTransform(f"x-transform {tx!r} not in {tuple(X_TRANSFORMS)}")
@@ -609,30 +590,35 @@ def substitute_args(
         raise UnsupportedTransform(f"y-transform {ty!r} not in {tuple(Y_TRANSFORMS)}")
     p = as_exact(pow_one_minus_x, "pow_one_minus_x")
     c = as_exact(exp_y, "exp_y")
-    if tx == ty == "identity" and not p and not c:
-        return s
     (sx, mu), (sy, nu) = X_TRANSFORMS[tx], Y_TRANSFORMS[ty]
     N = s.degree
-    binomial: dict = {}  # e -> [(e)_k / k!, k = 0..N]
-    rows = [[ZERO] * (N + 1 - m) for m in range(N + 1)]
-    for m, row in enumerate(s._rows):
-        for n, v in enumerate(row):
-            if not v:
-                continue
-            if sx ** m * sy ** n < 0:
-                v = -v
-            e = mu * m + nu * n - p
-            if e not in binomial:
-                binomial[e] = [a / math.factorial(k) for k, a
-                               in enumerate(pochhammer_table(e, N))]
-            for k, w in enumerate(binomial[e][: N + 1 - m - n]):
-                if w:
-                    rows[m + k][n] += w * v
+    if tx != "identity" or ty != "identity":
+        den, ints = _integer_rows(s._rows)
+        binomials: dict = {}  # e -> [C(e+k-1, k), k = 0..N]
+        cols = [[0] * (N + 1 - n) for n in range(N + 1)]
+        for m, row in enumerate(ints):
+            for n, v in enumerate(row):
+                if not v:
+                    continue
+                if sx ** m * sy ** n < 0:
+                    v = -v
+                e = mu * m + nu * n
+                if e not in binomials:
+                    binomials[e] = [1] + [math.comb(e + k - 1, k)
+                                          for k in range(1, N + 1)]
+                col = cols[n]
+                col[m:] = [u + w * v for u, w in zip(col[m:], binomials[e])]
+        s = TruncatedBiseries(N, [[Fraction(cols[n][m], den)
+                                   for n in range(N + 1 - m)]
+                                  for m in range(N + 1)])
+    if p:
+        s = TruncatedBiseries.shifted_sum(N, [
+            (a / math.factorial(k), k, 0, s)
+            for k, a in enumerate(pochhammer_table(-p, N))])
     if c:
-        return TruncatedBiseries.convolution(
-            N, [(c ** k / math.factorial(k), 0, k) for k in range(N + 1)],
-            rows)
-    return TruncatedBiseries(N, rows)
+        s = TruncatedBiseries.shifted_sum(N, [
+            (c ** k / math.factorial(k), 0, k, s) for k in range(N + 1)])
+    return s
 
 
 # --- floating-point summation ----------------------------------------------

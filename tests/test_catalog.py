@@ -21,6 +21,7 @@ from humbert.errors import SignatureError, UnknownFormula
 from humbert.expressions import assemble_expression
 from humbert.identities import (IDENTITIES, verify_all_identities,
                                 verify_operator_identity)
+from humbert.reports import VerificationReport
 
 from conftest import collapse_substitutions
 
@@ -345,3 +346,15 @@ class TestErrataOverlay:
         }
         path.write_text(json.dumps([entry]))
         assert "2.36" in load_errata(path)
+
+
+class TestReportRecords:
+    @pytest.mark.parametrize("mode, status, message", [
+        ("symbolic", "pass", "unknown mode 'symbolic'"),
+        ("exact", "skipped", "unknown status 'skipped'"),
+        ("exact", "fail", "a fail report must carry a witness"),
+    ])
+    def test_malformed_report_is_refused(self, mode, status, message):
+        with pytest.raises(ValueError) as raised:
+            VerificationReport(target="2.36", mode=mode, status=status)
+        assert str(raised.value) == message

@@ -168,6 +168,23 @@ class TestVerify:
         # 2 formula reports + 35 identity reports
         assert len(reports) == 37
 
+    def test_failing_formula_exit_1_with_its_witness(self, capsys,
+                                                     monkeypatch, tmp_path):
+        # 2.36 with its first outer factor (eps - alpha)_{i+j} moved by one
+        entry = json.loads(json.dumps(load_catalog()[0]))
+        assert entry["id"] == "2.36"
+        entry["rhs"]["num"][0]["param"] = "eps - alpha + 1"
+        path = tmp_path / "mutant.json"
+        save_catalog([entry], path)
+        monkeypatch.setenv("HUMBERT_CATALOG", str(path))
+        code, out, err = run(capsys, "verify", "formula", "2.36", "--n", "8")
+        assert code == 1
+        (report,) = json_lines(out)
+        assert report["status"] == "fail"
+        assert report["mismatch"] == {"m": 0, "n": 1, "lhs": "2/5",
+                                      "rhs": "-2/5", "diff": "4/5"}
+        assert err == "1 reports: 0 pass, 1 fail, 0 error\n"
+
     def test_identities_load_as_a_formula_catalog(self, capsys, monkeypatch):
         # one schema: the identity file is a valid HUMBERT_CATALOG
         monkeypatch.setenv("HUMBERT_CATALOG", str(DATA_DIR / "identities.json"))
@@ -304,6 +321,13 @@ BAD_INPUTS = [
      {}, "NoConvergence"),
     (("integral-check", "4.1", "--tol", "0"), {}, "HumbertError"),
     (("integral-check", "4.1", "--tol", "inf"), {}, "HumbertError"),
+    (("eval", "kummer1f1", "--alpha", "1/2", "--gamma", "5/4", "--x", "0.5",
+      "--y", "0.5"), {}, "HumbertError"),
+    (("integral-check", "4.1", "--grid", "0x3"), {}, "HumbertError"),
+    (("verify", "formula", "2.36", "--config", "{profile_symbol}"), {},
+     "SignatureError"),
+    (("integral-check", "4.1", "--config", "{override_symbol}"), {},
+     "SignatureError"),
 ]
 
 # inputs every report of a run refuses: exit 2, error reports on stdout
@@ -375,6 +399,11 @@ BAD_FILES = {
         {"profiles": {"generic-A": {**_GENERIC_A, "alpha": 0.5}}}),
     "alpha_huge": json.dumps(
         {"profiles": {"generic-A": {**_GENERIC_A, "alpha": "1e400"}}}),
+    "profile_symbol": json.dumps(
+        {"profiles": {"generic-A": {**_GENERIC_A, "zeta": "1/2"}}}),
+    "override_symbol": json.dumps(
+        {"profiles": {"generic-A": _GENERIC_A},
+         "overrides": {"4.1": {"zeta": "1/2"}}}),
 }
 
 

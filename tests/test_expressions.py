@@ -14,7 +14,8 @@ from humbert.expressions import (
     parse_affine,
 )
 from humbert.scalars import as_scalar, pochhammer
-from humbert.series import FunctionRef, TruncatedBiseries, truncated_series
+from humbert.series import (FunctionRef, TruncatedBiseries, graded_indices,
+                            truncated_series)
 
 
 class TestAffineParser:
@@ -157,11 +158,8 @@ class TestSumAssembly:
             "inner": self._inner(),
         }
         got = assemble_expression(sum_expr, profile_a, degree=3)
-        # hand-build the same sum
-        total = TruncatedBiseries.zero(3)
-        from humbert.scalars import pochhammer
-        from math import factorial
-
+        # hand-build the same sum, cell by cell in Fractions
+        want = [[Fraction(0)] * (4 - m) for m in range(4)]
         for i in range(4):
             env = dict(profile_a)
             env["i"] = Fraction(i)
@@ -175,9 +173,10 @@ class TestSumAssembly:
                     "gamma": profile_a["gamma"] + i,
                 },
             )
-            piece = truncated_series(ref, 3).scale(coeff).shifted(i, 0)
-            total = total + piece
-        assert got == total
+            piece = truncated_series(ref, 3)
+            for m, n in graded_indices(3 - i):
+                want[m + i][n] += coeff * piece.coeff(m, n)
+        assert got == TruncatedBiseries(3, want)
 
     def test_alternating_sign(self, profile_a):
         plain = {
@@ -257,7 +256,7 @@ def _plan(rhs, params):
 
 def _sum_at_full_degree(e, params, degree):
     """Reference assembly of a sum: every inner term built at the full
-    degree, then scaled, shifted and added as a fresh triangle.  Its
+    degree, then scaled, shifted and added cell by cell in Fractions.  Its
     weights are direct Pochhammer products: a term whose numerator vanishes
     is skipped, and the first term in loop order whose denominator alone
     vanishes, or whose inner function hits a pole, raises PoleError."""
@@ -269,7 +268,7 @@ def _sum_at_full_degree(e, params, degree):
         pairs = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
     else:
         pairs = [(i, 0) for i in range(degree + 1)]
-    total = TruncatedBiseries.zero(degree)
+    want = [[Fraction(0)] * (degree + 1 - m) for m in range(degree + 1)]
     for i, j in pairs:
         env = {**params, "i": Fraction(i), "j": Fraction(j)}
         num = Fraction(sign(i, j))
@@ -291,8 +290,9 @@ def _sum_at_full_degree(e, params, degree):
                 {"type": "function", **e["inner"]}, env, degree)
         except PoleError as exc:
             raise PoleError(f"at (i, j) = ({i}, {j}): {exc}") from exc
-        total = total + inner.scale(num / den).shifted(si, sj)
-    return total
+        for m, n in graded_indices(degree - si - sj):
+            want[m + si][n + sj] += num / den * inner.coeff(m, n)
+    return TruncatedBiseries(degree, want)
 
 
 class TestCatalogSums:

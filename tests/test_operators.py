@@ -54,11 +54,12 @@ class TestDeltaPochhammerAction:
         # (-delta)_1 f = -x f'(x) on the triangle, coefficientwise.
         s = truncated_series(PHI1, 6)
         via_action = delta_pochhammer_action(s, "x", 1)
-        via_derivative = x_derivative(s).shifted(1, 0).scale(F(-1))
-        # the action also touches the top diagonal, where the shifted
-        # derivative lost information; compare strictly below it
+        derivative = x_derivative(s)
+        # -x f'(x) at x^m y^n is -m c_{m,n}; the action also touches the
+        # top diagonal, past the derivative's bound, so compare below it
         for m, n in graded_indices(5):
-            assert via_action.coeff(m, n) == via_derivative.coeff(m, n)
+            want = -derivative.coeff(m - 1, n) if m else 0
+            assert via_action.coeff(m, n) == want
 
     def test_y_axis(self):
         s = TruncatedBiseries.monomial(3, 0, 2)

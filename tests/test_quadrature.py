@@ -510,6 +510,19 @@ class TestGuards:
                 call()
             assert str(raised.value) == "unknown representation id '4.99'"
 
+    def test_coupling_outside_its_disk_is_an_error_report(self, config):
+        # 4.9's binomial coupling needs |c| zmax < 1, which x = 0.6 breaks
+        report = cross_check("4.9", resolved_params("generic-A", "4.9", config),
+                             grid=((0.6, 0.2),))
+        assert report.status == "error"
+        assert report.detail == ("DomainError: binomial coupling outside "
+                                 "its disk")
+
+    def test_unsettled_coupling_series_is_refused(self):
+        with pytest.raises(NoConvergence) as raised:
+            quadrature.exp_coeffs(300.0, 1.0)
+        assert str(raised.value) == "exponential: coupling series did not settle"
+
     def test_domain_guard_on_x(self):
         params = {"alpha": 0.5, "beta": 1 / 3, "gamma": 1.25}
         with pytest.raises(DomainError):

@@ -44,10 +44,10 @@ F = Fraction
 
 
 def poly(degree, entries):
-    s = TruncatedBiseries.zero(degree)
+    rows = [[F(0)] * (degree + 1 - m) for m in range(degree + 1)]
     for m, n, c in entries:
-        s = s + TruncatedBiseries.monomial(degree, m, n, F(c))
-    return s
+        rows[m][n] += F(c)
+    return TruncatedBiseries(degree, rows)
 
 
 def _triangle_of_degree(d):
@@ -148,6 +148,21 @@ class TestTriangleStorage:
                 want[m1 + m2][n1 + n2] += s.coeff(m1, n1) * t.coeff(m2, n2)
         assert s * t == TruncatedBiseries(N, want)
         assert all(type(c) is F for row in (s * t)._rows for c in row)
+
+    def test_difference_matches_the_fraction_oracle(self):
+        a = poly(2, [(0, 0, F(1, 2)), (1, 0, F(2, 3)), (0, 2, 5)])
+        b = poly(2, [(0, 0, F(1, 3)), (1, 0, F(2, 3)), (1, 1, F(-1, 7))])
+        want = [[a.coeff(m, n) - b.coeff(m, n) for n in range(3 - m)]
+                for m in range(3)]
+        assert a - b == TruncatedBiseries(2, want)
+        assert (a - b).coeff(1, 0) == 0 and (a - a) == TruncatedBiseries.zero(2)
+
+    @pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__",
+                                    "first_mismatch"])
+    def test_degree_bounds_must_match(self, op):
+        with pytest.raises(ValueError) as raised:
+            getattr(TruncatedBiseries.one(2), op)(TruncatedBiseries.one(3))
+        assert str(raised.value) == "degree bounds differ: 2 vs 3"
 
     def test_scalar_factors_are_exact(self):
         s = poly(2, [(0, 0, 1), (1, 1, F(2, 3))])
