@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -62,3 +63,18 @@ def collapse_substitutions(entry, params):
     if rhs.get("indices") == "i" and "i" in covered:
         return new_params, n_factors
     return None
+
+
+def plus_one_mutants(entry):
+    """Every one-slot "+1" edit of a sum-type rhs, the benchmark's mutant
+    family: an outer num or den factor's param, or an inner slot."""
+    rhs = entry["rhs"]
+    for key in ("num", "den"):
+        for k in range(len(rhs.get(key, []))):
+            mutant = copy.deepcopy(entry)
+            mutant["rhs"][key][k]["param"] += " + 1"
+            yield mutant
+    for slot in rhs["inner"]["params"]:
+        mutant = copy.deepcopy(entry)
+        mutant["rhs"]["inner"]["params"][slot] += " + 1"
+        yield mutant

@@ -23,7 +23,7 @@ from humbert.identities import (IDENTITIES, verify_all_identities,
                                 verify_operator_identity)
 from humbert.reports import VerificationReport
 
-from conftest import collapse_substitutions
+from conftest import collapse_substitutions, plus_one_mutants
 
 
 EXPECTED_IDS = tuple(f"2.{k}" for k in range(36, 71))
@@ -32,21 +32,6 @@ EXPECTED_IDS = tuple(f"2.{k}" for k in range(36, 71))
 @pytest.fixture(scope="module")
 def catalog():
     return load_catalog()
-
-
-def _plus_one_mutants(entry):
-    """Every one-slot "+1" edit of a sum-type rhs, the benchmark's mutant
-    family: an outer num or den factor's param, or an inner slot."""
-    rhs = entry["rhs"]
-    for key in ("num", "den"):
-        for k in range(len(rhs.get(key, []))):
-            mutant = copy.deepcopy(entry)
-            mutant["rhs"][key][k]["param"] += " + 1"
-            yield mutant
-    for slot in rhs["inner"]["params"]:
-        mutant = copy.deepcopy(entry)
-        mutant["rhs"]["inner"]["params"][slot] += " + 1"
-        yield mutant
 
 
 class TestCatalogShape:
@@ -77,7 +62,7 @@ class TestCatalogShape:
         # identity, and no "+1" mutant of a sum, is of another shape
         entries = catalog + list(IDENTITIES.values())
         sums = [e for e in entries if e["rhs"]["type"] == "sum"]
-        mutants = [m for e in sums for m in _plus_one_mutants(e)]
+        mutants = [m for e in sums for m in plus_one_mutants(e)]
         assert (len(entries), len(sums), len(mutants)) == (70, 33, 220)
         for entry in entries + mutants:
             validate_entry(entry)

@@ -10,15 +10,17 @@ import json
 import random
 from fractions import Fraction
 
-from humbert.catalog import load_errata, verify_all
+from humbert.catalog import load_catalog, load_errata, verify_all
 from humbert.errors import HumbertError
-from humbert.identities import verify_all_identities
+from humbert.identities import IDENTITIES, verify_all_identities
 from humbert.profiles import profile_params, resolved_params
 from humbert.quadrature import CORRECTED, REP_IDS, cross_check
 from humbert.scalars import SYMBOLS
 from humbert.series import (BIVARIATE_KINDS, KINDS, ROW_ROUTE_X, SINGLE_KINDS,
                             FunctionRef, eval_double_series,
                             eval_single_series)
+
+from conftest import plus_one_mutants
 
 
 def _digest(reports) -> str:
@@ -83,6 +85,26 @@ def test_degenerate_reports_are_kept(profile_a):
                 yield from verify_all_identities(params, 4)
 
     assert _digest(reports()) == DEGENERATE_DIGEST
+
+
+# every one-slot "+1" mutant of the sum-type formulas and identities (220),
+# at N = 8, for generic-A and then generic-B: each fails at total degree 1,
+# so this group pins the witness, which the groups above never reach
+MUTANT_DIGEST = (
+    "920c5f0fe4a646b85037a8873e024eda9aee50f2ddade7be439465a8d014c653")
+
+
+def test_mutant_reports_are_kept(config):
+    entries = load_catalog() + list(IDENTITIES.values())
+    mutants = [mutant for entry in entries if entry["rhs"]["type"] == "sum"
+               for mutant in plus_one_mutants(entry)]
+
+    def reports():
+        for profile in ("generic-A", "generic-B"):
+            yield from verify_all(profile_params(profile, config), 8,
+                                  catalog=mutants)
+
+    assert _digest(reports()) == MUTANT_DIGEST
 
 
 FLOAT_POINTS = 40
