@@ -33,7 +33,8 @@ def main() -> None:
 
     for report in formula_reports:
         if report.status != "pass":
-            print(f"  {report.target}: {report.status} — {report.mismatch}")
+            witness = report.mismatch and dict(report.mismatch)
+            print(f"  {report.target}: {report.status} — {witness}")
 
     # what a typo would look like: perturb one Pochhammer factor by +1
     entry = copy.deepcopy(load_catalog()[0])

@@ -18,12 +18,13 @@ from __future__ import annotations
 import json
 import os
 import time
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 from .errors import HumbertError, SignatureError, UnknownFormula
 from .expressions import assemble_expression, expression_symbols
-from .reports import VerificationReport, sort_reports
+from .reports import Mismatch, VerificationReport, sort_reports
 
 DATA_DIR = Path(__file__).parent / "data"
 CATALOG_ENV_VAR = "HUMBERT_CATALOG"
@@ -141,15 +142,17 @@ def _verify_entry(
             target=entry["id"], mode="exact", status="pass",
             settings=settings, duration=duration,
         )
-    m, n, a, b = mismatch
     return VerificationReport(
         target=entry["id"], mode="exact", status="fail",
-        settings=settings, duration=duration,
-        mismatch={
-            "m": m, "n": n,
-            "lhs": str(a), "rhs": str(b), "diff": str(a - b),
-        },
+        settings=settings, duration=duration, mismatch=_witness(*mismatch),
     )
+
+
+@lru_cache(maxsize=256)
+def _witness(m: int, n: int, a: Fraction, b: Fraction) -> Mismatch:
+    """An exact fail's witness, built once per distinct cell and values
+    and shared, read-only, by every report that finds it."""
+    return Mismatch(m, n, str(a), str(b), str(a - b))
 
 
 def verify_formula(

@@ -40,9 +40,9 @@ from .series import (
     X_TRANSFORMS,
     Y_TRANSFORMS,
     TruncatedBiseries,
-    _triangle_rows,
     single_series_on_axis,
     step_signature,
+    stepped_triangle,
     substitute_args,
     truncated_series,
 )
@@ -205,12 +205,14 @@ def _convolution_plan(e: dict, env: dict, indices: str, weight: str):
     return {slot: base for slot, (base, _) in slots.items()}, kernel, cell
 
 
-def _outer_terms(e: dict, env: dict, degree: int):
-    """(i, j, signed weight, si, sj) of every nonzero term, in the outer
-    loop's order; a valid sum shifts term (i, j) to degree i + j.  The
-    sum's num / den factors are a signature in (i, j), read as (m, n),
-    over their params' base values, each evaluated once, and stepped with
-    its pole rule (step_signature)."""
+def _outer_terms(e: dict, env: dict, degree: int, moved=((), (), {})):
+    """(D, the (i, j, signed weight numerator over D, si, sj) of every
+    nonzero term, lazily in the outer loop's order); a valid sum shifts
+    term (i, j) to degree i + j.  The sum's num / den factors are a
+    signature in (i, j), read as (m, n), over their params' base values,
+    each evaluated once; `moved` = (num, den, p) adds the factors of
+    another signature in (i, j) to it, and the whole is stepped with its
+    pole rule (step_signature)."""
     sign, weight = e.get("sign", "+1"), e.get("weight", "xy")
     num, den = ([(f["param"], f["index"].replace("i", "m").replace("j", "n"))
                  for f in e.get(key, ())] for key in ("num", "den"))
@@ -218,10 +220,11 @@ def _outer_terms(e: dict, env: dict, degree: int):
     bivariate = e.get("indices", "ij") == "ij"
     pairs = ((i, j) for i in range(degree + 1)
              for j in range(degree + 1 - i if bivariate else 1))
-    for (i, j), a in zip(pairs, step_signature(num, den, p, degree,
-                                               bivariate=bivariate)):
-        if a:
-            yield i, j, _sign_value(sign, i, j) * a, *_sum_shift(weight, i, j)
+    D, weights = step_signature(num + list(moved[0]), den + list(moved[1]),
+                                {**p, **moved[2]}, degree,
+                                bivariate=bivariate)
+    return D, ((i, j, _sign_value(sign, i, j) * a, *_sum_shift(weight, i, j))
+               for (i, j), a in zip(pairs, weights) if a)
 
 
 def _assemble_sum(e: dict, env: dict, degree: int) -> TruncatedBiseries:
@@ -230,15 +233,19 @@ def _assemble_sum(e: dict, env: dict, degree: int) -> TruncatedBiseries:
     inner signature, else with one inner triangle per term.
 
     Convolution: rhs(M, N) = C(M, N) * sum over terms of
-    A(i, j) * B(M - si, N - sj), with A the outer weight over the aligned
-    C(si, sj), B the unshifted factors over m! n! (every term's K), and C
-    the aligned (b)_idx(M, N) (the cell factor): B and C are signatures
-    too, stepped as the outer weight is.
+    A(i, j) * B(M - si, N - sj), with B the unshifted factors over m! n!
+    (every term's K) and C the aligned (b)_idx(M, N) (the cell factor),
+    both stepped signatures.  The weight A(i, j) / C(si, sj) is one
+    signature too, stepped as the outer weight is: the outer factors plus
+    C's factors read at the term's shift, C's numerator among its
+    denominator and C's denominator among its numerator.  No moved factor
+    vanishes, as no inner base value is a non-positive integer.
     """
-    plan = _convolution_plan(e, env, e.get("indices", "ij"),
-                             e.get("weight", "xy"))
-    terms = _outer_terms(e, env, degree)
+    weight = e.get("weight", "xy")
+    plan = _convolution_plan(e, env, e.get("indices", "ij"), weight)
     if plan is None:
+        D, terms = _outer_terms(e, env, degree)
+
         def inner_terms():
             for i, j, a, si, sj in terms:
                 # x^si y^sj pushes inner degrees above degree - si - sj out
@@ -253,16 +260,23 @@ def _assemble_sum(e: dict, env: dict, degree: int) -> TruncatedBiseries:
                     raise PoleError(f"at (i, j) = ({i}, {j}): {exc}") from exc
                 yield a, si, sj, inner
 
-        return TruncatedBiseries.shifted_sum(degree, inner_terms())
+        return TruncatedBiseries.shifted_sum(degree, inner_terms(), den=D)
 
     p, (b_num, b_den), (c_num, c_den) = plan
-    kernel = TruncatedBiseries(degree, _triangle_rows(
-        step_signature(b_num, b_den, p, degree), degree))
-    cell = _triangle_rows(
+    # C's index at the shift (si, sj), as an index in (i, j): weight "y"
+    # puts i on y, so m and n swap; "x" leaves j, and so n, at 0.  The
+    # inner slots are keyed apart from the outer params ("C.alpha").
+    swap = {"m": "n", "n": "m"} if weight == "y" else {}
+    moved = ([("C." + slot, swap.get(index, index)) for slot, index in c_den],
+             [("C." + slot, swap.get(index, index)) for slot, index in c_num],
+             {"C." + slot: v for slot, v in p.items()})
+    D, terms = _outer_terms(e, env, degree, moved)
+    kernel = stepped_triangle(step_signature(b_num, b_den, p, degree), degree)
+    cell = stepped_triangle(
         step_signature(c_num, c_den, p, degree, factorial=False), degree)
     return TruncatedBiseries.shifted_sum(
-        degree, [(a / cell[si][sj], si, sj, kernel)
-                 for _, _, a, si, sj in terms], cell)
+        degree, [(a, si, sj, kernel) for _, _, a, si, sj in terms], cell,
+        den=D)
 
 
 def assemble_expression(e: dict, params: dict, degree: int

@@ -7,17 +7,10 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 
-class NumericResult(namedtuple("NumericResult", ("max_rel_error",
-                                                 "worst_point", "tolerance",
-                                                 "quad_level"))):
-    """What a numeric check found: the max relative error over its grid,
-    the worst point, the tolerance it was held to and the highest tanh-sinh
-    level any point needed.
-
-    Read by key, as the dict it stands for: numeric["worst_point"],
-    numeric.get(...), dict(numeric).  A tuple, a third of a dict's size,
-    because repeated cross-checks keep their reports by the thousand.
-    """
+class _Keyed:
+    """Key access for a namedtuple that stands for a dict: record["field"],
+    record.get(...), dict(record).  A tuple, a third of a dict's size,
+    because repeated checks keep their reports by the thousand."""
 
     __slots__ = ()
 
@@ -33,6 +26,24 @@ class NumericResult(namedtuple("NumericResult", ("max_rel_error",
         return self._fields
 
 
+class NumericResult(_Keyed, namedtuple("NumericResult", (
+        "max_rel_error", "worst_point", "tolerance", "quad_level"))):
+    """What a numeric check found: the max relative error over its grid,
+    the worst point, the tolerance it was held to and the highest tanh-sinh
+    level any point needed, read by key (`_Keyed`)."""
+
+    __slots__ = ()
+
+
+class Mismatch(_Keyed, namedtuple("Mismatch", ("m", "n", "lhs", "rhs",
+                                               "diff"))):
+    """An exact check's witness: the first mismatching cell (m, n), both
+    sides' coefficients there and their difference, as text, read by key
+    (`_Keyed`)."""
+
+    __slots__ = ()
+
+
 @dataclass(slots=True)
 class VerificationReport:
     """Outcome of one exact or numeric check.
@@ -46,8 +57,8 @@ class VerificationReport:
     they can: exact reports made with equal N and variant, and numeric
     reports made with equal grid, spec and variant, share one settings
     dict, and the worst point is that grid's own tuple.
-    Treat every field as read-only.  `numeric` is a NumericResult or a
-    dict with its keys.
+    Treat every field as read-only.  `mismatch` is a Mismatch and
+    `numeric` a NumericResult, or either a dict with its keys.
     """
 
     target: str
@@ -55,7 +66,7 @@ class VerificationReport:
     status: str  # "pass" | "fail" | "error"
     settings: dict = field(default_factory=dict)
     duration: float = 0.0
-    mismatch: dict | None = None  # exact fail: {m, n, lhs, rhs, diff}
+    mismatch: Mismatch | dict | None = None
     numeric: NumericResult | dict | None = None
     detail: str | None = None
 
@@ -80,7 +91,7 @@ class VerificationReport:
             "duration": self.duration,
         }
         if self.mismatch is not None:
-            out["mismatch"] = self.mismatch
+            out["mismatch"] = dict(self.mismatch)
         if self.numeric is not None:
             out["numeric"] = dict(self.numeric)
         if self.detail is not None:

@@ -1,8 +1,10 @@
 """Number tower and Pochhammer primitives shared by every other module.
 
 The exact layer computes in the rationals alone: every parameter that
-enters it is coerced by `as_exact`, which refuses a float, and its values
-are ``fractions.Fraction``s in canonical reduced form.  IEEE double floats
+enters it is coerced by `as_exact`, which refuses a float, to a
+``fractions.Fraction`` in canonical reduced form, and so is every cell a
+triangle is built from; inside, triangles keep integer numerators over one
+denominator (`series.TruncatedBiseries`).  IEEE double floats
 appear only in numerical evaluation and quadrature (`as_scalar` keeps
 them, `to_float` makes them).
 """

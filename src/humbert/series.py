@@ -2,7 +2,8 @@
 
 The exact side of the package works on dense triangular truncations: a
 series of total degree bound N stores the (N+1)(N+2)/2 rational
-coefficients c_{m,n} with m+n <= N and nothing else.  The numeric side sums the defining double
+coefficients c_{m,n} with m+n <= N and nothing else, as integer
+numerators over one denominator.  The numeric side sums the defining double
 series with a term recurrence: in diagonal order, or, near the edge of the
 x disk, row by row as one NumPy array recurrence.
 """
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -32,14 +33,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _integer_rows(rows) -> tuple[int, list[list[int]]]:
-    """(d, the rows' integer numerators over d), d the least common
-    denominator of every cell."""
-    d = math.lcm(*(c.denominator for row in rows for c in row))
-    return d, [[c.numerator * (d // c.denominator) for c in row]
-               for row in rows]
-
-
 def graded_indices(degree: int) -> Iterator[tuple[int, int]]:
     """Yield (m, n) with m+n <= degree, ordered by total degree then by m."""
     for k in range(degree + 1):
@@ -50,29 +43,57 @@ def graded_indices(degree: int) -> Iterator[tuple[int, int]]:
 class TruncatedBiseries:
     """Dense triangular truncation of a power series in (x, y).
 
-    Coefficients are exact Fractions; arithmetic never reads or writes
-    outside the triangle m+n <= degree, and products are truncated back to
-    the same bound.  Every combination of cells (sums, differences,
-    scalings, shifts, products and eigenvalue actions) is one integer
-    accumulation, `shifted_sum`.  Instances are immutable.
+    The coefficients are exact rationals, stored as integer numerators
+    (`_rows`) over one positive denominator (`_den`), the whole triangle
+    reduced by one gcd: equal triangles store equal integers, which `==`
+    and `hash` compare, and `coeff` returns a cell as a reduced Fraction.
+    Arithmetic never reads or writes outside the triangle m+n <= degree,
+    and products are truncated back to the same bound.  Every combination
+    of cells (sums, differences, scalings, shifts, products and eigenvalue
+    actions) is one integer accumulation, `shifted_sum`.  Instances are
+    immutable.
     """
 
-    __slots__ = ("degree", "_rows")
+    __slots__ = ("degree", "_den", "_rows")
 
     def __init__(self, degree: int, rows: list[list[Fraction]] | None = None):
+        """The triangle of the given rows of exact rational cells (each
+        coerced by `as_exact`, which refuses a float), or the zero one."""
         if degree < 0:
             raise ValueError("degree bound must be non-negative")
-        self.degree = degree
         if rows is None:
-            rows = [[ZERO] * (degree + 1 - m) for m in range(degree + 1)]
+            rows = [[0] * (degree + 1 - m) for m in range(degree + 1)]
         if len(rows) != degree + 1 or any(
             len(row) != degree + 1 - m for m, row in enumerate(rows)
         ):
             raise ValueError("rows do not form a degree-%d triangle" % degree)
+        rows = [[as_exact(c, f"coefficient ({m}, {n})")
+                 for n, c in enumerate(row)] for m, row in enumerate(rows)]
+        # over the least common denominator of reduced cells, the
+        # numerators have no common factor with it: no gcd is needed
+        den = math.lcm(*(c.denominator for row in rows for c in row))
+        self._set(degree, den, [[c.numerator * (den // c.denominator)
+                                 for c in row] for row in rows])
+
+    def _set(self, degree: int, den: int, rows: list[list[int]]) -> None:
+        self.degree = degree
+        self._den = den
         # A list, not a generator: tuple() sizes a generator's result by
         # guess and resizes it, so the freed tuple lands on another size's
         # free list, and with many triangle degrees those lists fill up.
         self._rows = tuple([tuple(row) for row in rows])
+
+    @classmethod
+    def _over(cls, degree: int, den: int, rows: list[list[int]]
+              ) -> "TruncatedBiseries":
+        """The triangle of integer rows over den > 0, reduced by one gcd."""
+        g = math.gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            den //= g
+            rows = [[v // g for v in row] for row in rows]
+        self = object.__new__(cls)
+        self._set(degree, den, rows)
+        return self
 
     @classmethod
     def zero(cls, degree: int) -> "TruncatedBiseries":
@@ -88,7 +109,7 @@ class TruncatedBiseries:
     ) -> "TruncatedBiseries":
         if m < 0 or n < 0 or m + n > degree:
             raise ValueError(f"monomial x^{m} y^{n} outside degree-{degree} triangle")
-        rows = [[ZERO] * (degree + 1 - i) for i in range(degree + 1)]
+        rows = [[0] * (degree + 1 - i) for i in range(degree + 1)]
         rows[m][n] = coeff
         return cls(degree, rows)
 
@@ -97,45 +118,45 @@ class TruncatedBiseries:
         cls,
         degree: int,
         terms: Iterable[tuple[Fraction, int, int, "TruncatedBiseries"]],
-        cell: list[list[Fraction]] | None = None,
+        cell: "TruncatedBiseries | None" = None,
+        den: int = 1,
     ) -> "TruncatedBiseries":
-        """The sum of a x^si y^sj K over terms (a, si, sj, K), truncated to
-        degree, each cell (M, N) times cell[M][N] (1 if `cell` is None):
+        """The sum of (a / den) x^si y^sj K over terms (a, si, sj, K), a
+        rational (an int over den needs no Fraction), truncated to degree,
+        each cell (M, N) times the triangle `cell`'s (1 if `cell` is None):
         the one routine that combines the cells of triangles.  Each K needs
         degree >= degree - si - sj.
 
-        The weights are put over one integer denominator, and each
-        distinct K (by identity, so it is converted once however many
-        terms share it) over one of its own; each weight carries the factor
-        that lifts its K's denominator to the common one, so every mul-add
-        is an integer one and each cell, times its cell factor, is reduced
+        The weights are put over one integer denominator and reduced by one
+        gcd.  Each K's stored integers are read as they are: each weight
+        carries the factor that lifts its K's denominator to the common
+        one, so every mul-add is an integer one, and the result is reduced
         once."""
         terms = [term for term in terms if term[0]]
-        kernels = {}
-        for _, _, _, k in terms:
-            if id(k) not in kernels:
-                kernels[id(k)] = _integer_rows(k._rows)
-        da = math.lcm(*(a.denominator for a, _, _, _ in terms))
-        db = math.lcm(*(d for d, _ in kernels.values()))
+        lcm = math.lcm(*(a.denominator for a, _, _, _ in terms))
+        weights = [a.numerator * (lcm // a.denominator) for a, _, _, _ in terms]
+        g = math.gcd(den * lcm, *weights)
+        da = den * lcm // g
+        db = math.lcm(*{k._den for _, _, _, k in terms})
         acc = [[0] * (degree + 1 - m) for m in range(degree + 1)]
-        for a, si, sj, k in terms:
-            d, ints = kernels[id(k)]
-            a = a.numerator * (da // a.denominator) * (db // d)
-            top = degree - si - sj
+        for w, (_, si, sj, k) in zip(weights, terms):
+            w = w // g * (db // k._den)
+            top, ints = degree - si - sj, k._rows
             for m in range(top + 1):
                 dst, stop = acc[m + si], sj + top + 1 - m
-                dst[sj:stop] = [u + a * v
+                dst[sj:stop] = [u + w * v
                                 for u, v in zip(dst[sj:stop], ints[m])]
         den = da * db
-        cell = cell or [[ONE] * (degree + 1 - m) for m in range(degree + 1)]
-        return cls(degree, [
-            [Fraction(c.numerator * v, c.denominator * den) if v else ZERO
-             for c, v in zip(cells, row)] for cells, row in zip(cell, acc)])
+        if cell is not None:
+            den *= cell._den
+            acc = [[c * v for c, v in zip(cells, row)]
+                   for cells, row in zip(cell._rows, acc)]
+        return cls._over(degree, den, acc)
 
     def coeff(self, m: int, n: int) -> Fraction:
         if m < 0 or n < 0 or m + n > self.degree:
             raise IndexError(f"(m, n) = ({m}, {n}) outside degree-{self.degree} triangle")
-        return self._rows[m][n]
+        return Fraction(self._rows[m][n], self._den)
 
     def map_indexed(
         self, fn: Callable[[int, int], Fraction]
@@ -143,19 +164,20 @@ class TruncatedBiseries:
         """New series with coefficients fn(m, n) c_{m,n}, fn called on every
         cell in row order; the workhorse of the diagonal operator actions,
         whose eigenvalue fn is."""
-        return self.shifted_sum(self.degree, [(ONE, 0, 0, self)], [
+        return self.shifted_sum(self.degree, [(1, 0, 0, self)],
+                                TruncatedBiseries(self.degree, [
             [fn(m, n) for n in range(len(row))]
-            for m, row in enumerate(self._rows)])
+            for m, row in enumerate(self._rows)]))
 
     def __add__(self, other: "TruncatedBiseries") -> "TruncatedBiseries":
         self._check_degree(other)
-        return self.shifted_sum(self.degree, [(ONE, 0, 0, self),
-                                              (ONE, 0, 0, other)])
+        return self.shifted_sum(self.degree, [(1, 0, 0, self),
+                                              (1, 0, 0, other)])
 
     def __sub__(self, other: "TruncatedBiseries") -> "TruncatedBiseries":
         self._check_degree(other)
-        return self.shifted_sum(self.degree, [(ONE, 0, 0, self),
-                                              (-ONE, 0, 0, other)])
+        return self.shifted_sum(self.degree, [(1, 0, 0, self),
+                                              (-1, 0, 0, other)])
 
     def scale(self, factor: Fraction) -> "TruncatedBiseries":
         """Every coefficient times an exact factor (`as_exact`)."""
@@ -170,7 +192,7 @@ class TruncatedBiseries:
         self._check_degree(other)
         return self.shifted_sum(
             self.degree, [(c, m, n, other) for m, row in enumerate(self._rows)
-                          for n, c in enumerate(row)])
+                          for n, c in enumerate(row)], den=self._den)
 
     __rmul__ = __mul__
 
@@ -178,26 +200,31 @@ class TruncatedBiseries:
         """Multiply by x^i y^j, dropping coefficients pushed past the bound."""
         if i < 0 or j < 0:
             raise ValueError("shift offsets must be non-negative")
-        return self.shifted_sum(self.degree, [(ONE, i, j, self)])
+        return self.shifted_sum(self.degree, [(1, i, j, self)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedBiseries):
             return NotImplemented
-        return self.degree == other.degree and self._rows == other._rows
+        return (self.degree == other.degree and self._den == other._den
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.degree, self._rows))
+        return hash((self.degree, self._den, self._rows))
 
     def first_mismatch(
         self, other: "TruncatedBiseries"
     ) -> tuple[int, int, Fraction, Fraction] | None:
-        """First differing (m, n, this, that) by total degree then x-power."""
+        """First differing (m, n, this, that) by total degree then x-power:
+        None where the stored integers are equal, else the cells compared
+        by cross-multiplying, and only the witness reduced."""
         self._check_degree(other)
+        if self == other:
+            return None
+        d, e = self._den, other._den
         for m, n in graded_indices(self.degree):
             a, b = self._rows[m][n], other._rows[m][n]
-            if a != b:
-                return m, n, a, b
-        return None
+            if a * e != b * d:
+                return m, n, Fraction(a, d), Fraction(b, e)
 
     def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
         """Value of the truncation at (x, y), by Horner in x then y."""
@@ -207,7 +234,7 @@ class TruncatedBiseries:
             for n in range(self.degree - m, -1, -1):
                 row_val = row_val * y + self._rows[m][n]
             acc = acc * x + row_val
-        return acc
+        return acc / self._den
 
     def _check_degree(self, other: "TruncatedBiseries") -> None:
         if self.degree != other.degree:
@@ -217,9 +244,9 @@ class TruncatedBiseries:
 
     def __repr__(self):
         lead = {
-            (m, n): c
+            (m, n): self.coeff(m, n)
             for (m, n) in list(graded_indices(min(self.degree, 2)))
-            if (c := self._rows[m][n])
+            if self._rows[m][n]
         }
         return f"TruncatedBiseries(degree={self.degree}, leading={lead})"
 
@@ -329,44 +356,61 @@ def _exact_steps(num, den, factorial: bool) -> tuple[Callable, Callable]:
 
 def step_signature(num, den, p: dict, degree: int, first: Fraction = ONE,
                    bivariate: bool = True, factorial: bool = True
-                   ) -> Iterator[Fraction]:
-    """Yield c_{m,n}, m + n <= degree, of the Pochhammer signature
-    (num, den) at the key values p, over m! n! with `factorial`, from
-    c_{0,0} = `first`, in row order; column 0 only if not `bivariate`.
-
-    Column 0 is stepped in m lazily, just before each row, then the row in
-    n: each step multiplies by the ratio's numerator and divides by its
-    denominator.  A term that has vanished stays 0 and is never divided; a
-    step whose denominator vanishes gives 0 where its numerator does too,
-    and otherwise raises PoleError at its (m, n), so that a caller reading
-    the terms in order meets the first pole in that order.
+                   ) -> tuple[int, Iterator[int]]:
+    """(D, the numerators over D of c_{m,n}, m + n <= degree, lazily in
+    row order) of the Pochhammer signature (num, den) at the key values p,
+    over m! n! with `factorial`, from c_{0,0} = `first`; column 0 only if
+    not `bivariate`.
 
     `first` and the values of p are Fractions.  p is put over one common
-    denominator q, so the ratio's numerator and denominator are integers,
-    and each cell is one Fraction built from them, reduced once.
+    denominator q, so each step's ratio is an integer numerator a over an
+    integer denominator d.  D is first's denominator, times degree! (with
+    `factorial`), times every nonzero value p + q k, k < degree, of each
+    denominator factor that a step moves, times q^(excess degree), excess
+    the most q's a step adds to d.  So D is a multiple of every path's
+    product of d's to a nonzero cell, and each step is the exact integer
+    c * a // d.
+
+    Column 0 is stepped in m lazily, just before each row, then the row in
+    n.  A term that has vanished stays 0 and is never divided; a step whose
+    denominator vanishes gives 0 where its numerator does too, and
+    otherwise raises PoleError at its (m, n), so that a caller reading the
+    terms in order meets the first pole in that order.
     """
-    step_m, step_n = _exact_steps(tuple(num), tuple(den), factorial)
+    num, den = tuple(num), tuple(den)
+    step_m, step_n = _exact_steps(num, den, factorial)
     q = math.lcm(*(v.denominator for v in p.values()))
     p = {k: v.numerator * (q // v.denominator) for k, v in p.items()}
-    c0 = first
-    for m in range(degree + 1):
-        if m:
-            a, d = step_m(p, q, m - 1, 0)
-            c0 = _times(c0, a, d) if d else _vanishing(c0, a, m, 0)
-        yield c0
-        if bivariate:
-            c = c0
-            for n in range(degree - m):
-                a, d = step_n(p, q, m, n)
-                c = _times(c, a, d) if d else _vanishing(c, a, m, n + 1)
-                yield c
+    steps = "mn" if bivariate else "m"
+    excess = max(0, *(sum(step in index for _, index in num)
+                      - sum(step in index for _, index in den)
+                      for step in steps))
+    D = first.denominator * q ** (excess * degree)
+    if factorial:
+        D *= math.factorial(degree)
+    for key, index in den:
+        if any(step in index for step in steps):
+            D *= math.prod([v for k in range(degree) if (v := p[key] + q * k)])
+    D = abs(D)
+
+    def terms():
+        c0 = first.numerator * (D // first.denominator)
+        for m in range(degree + 1):
+            if m:
+                a, d = step_m(p, q, m - 1, 0)
+                c0 = c0 * a // d if d else _vanishing(c0, a, m, 0)
+            yield c0
+            if bivariate:
+                c = c0
+                for n in range(degree - m):
+                    a, d = step_n(p, q, m, n)
+                    c = c * a // d if d else _vanishing(c, a, m, n + 1)
+                    yield c
+
+    return D, terms()
 
 
-def _times(c: Fraction, a: int, d: int) -> Fraction:
-    return Fraction(c.numerator * a, c.denominator * d)
-
-
-def _vanishing(c: Fraction, a: int, m: int, n: int) -> Fraction:
+def _vanishing(c: int, a: int, m: int, n: int) -> int:
     """The term at (m, n) stepped from c by a ratio a / 0."""
     if c and a:
         raise PoleError(
@@ -374,10 +418,13 @@ def _vanishing(c: Fraction, a: int, m: int, n: int) -> Fraction:
     return c * a
 
 
-def _triangle_rows(terms: Iterator[Fraction], degree: int
-                   ) -> list[list[Fraction]]:
-    """Split the row-order terms of a degree-`degree` triangle into rows."""
-    return [list(islice(terms, degree + 1 - m)) for m in range(degree + 1)]
+def stepped_triangle(stepped: tuple[int, Iterator[int]], degree: int
+                     ) -> TruncatedBiseries:
+    """The degree-`degree` triangle of `step_signature`'s (D, row-order
+    numerators over D)."""
+    den, terms = stepped
+    return TruncatedBiseries._over(degree, den, [
+        list(islice(terms, degree + 1 - m)) for m in range(degree + 1)])
 
 
 KINDS: dict[str, KindInfo] = {}
@@ -512,10 +559,10 @@ def in_domain(ref: FunctionRef, x: float, y: float) -> bool:
     return True
 
 
-def _kind_terms(ref: FunctionRef, degree: int) -> Iterator[Fraction]:
+def _kind_terms(ref: FunctionRef, degree: int) -> tuple[int, Iterator[int]]:
     """The kind's coefficients, stepped in row order by step_signature at
-    its slot values, each coerced by `as_exact` (a float is refused).
-    c_{0,0} is the product of every slot's (a)_0.
+    its slot values, each coerced by `as_exact` (a float is refused), as
+    (D, numerators over D).  c_{0,0} is the product of every slot's (a)_0.
     """
     info = ref.info
     p = {slot: as_exact(v, f"{ref.kind} parameter {slot}")
@@ -535,11 +582,11 @@ def truncated_series(ref: FunctionRef, degree: int) -> TruncatedBiseries:
     of its row or column, as (a)_k does.  A single-variable kind fills
     column 0 only.
     """
-    terms = _kind_terms(ref, degree)
-    if not ref.info.bivariate:
-        return TruncatedBiseries(
-            degree, [[c] + [ZERO] * (degree - m) for m, c in enumerate(terms)])
-    return TruncatedBiseries(degree, _triangle_rows(terms, degree))
+    if ref.info.bivariate:
+        return stepped_triangle(_kind_terms(ref, degree), degree)
+    den, terms = _kind_terms(ref, degree)
+    return TruncatedBiseries._over(
+        degree, den, [[c] + [0] * (degree - m) for m, c in enumerate(terms)])
 
 
 def single_series_on_axis(
@@ -552,8 +599,9 @@ def single_series_on_axis(
         raise ValueError("axis must be 'x' or 'y'")
     if axis == "x":
         return truncated_series(ref, degree)
-    return TruncatedBiseries(degree, [list(_kind_terms(ref, degree))] + [
-        [ZERO] * (degree + 1 - m) for m in range(1, degree + 1)])
+    den, terms = _kind_terms(ref, degree)
+    return TruncatedBiseries._over(degree, den, [list(terms)] + [
+        [0] * (degree + 1 - m) for m in range(1, degree + 1)])
 
 
 # --- argument transforms and prefactors -------------------------------------
@@ -577,9 +625,8 @@ def substitute_args(
 
     With X = sx x (1-x)^-mu and Y = sy y (1-x)^-nu, the term c_{m,n} x^m y^n
     becomes sx^m sy^n c_{m,n} x^m y^n (1-x)^-e, e = mu m + nu n a
-    non-negative integer.  So, with the cells as integer numerators over
-    one denominator, each numerator spreads down its column with the
-    integer binomials C(e+k-1, k) = (e)_k / k!.  The prefactors
+    non-negative integer.  So each stored numerator spreads down its
+    column, over the same denominator, with the integer binomials C(e+k-1, k) = (e)_k / k!.  The prefactors
     (1-x)^p = sum (-p)_k / k! x^k and
     e^(c y) = sum c^k / k! y^k are then one `TruncatedBiseries.shifted_sum`
     each.  p and c are coerced by `as_exact`, which refuses a float.
@@ -593,7 +640,7 @@ def substitute_args(
     (sx, mu), (sy, nu) = X_TRANSFORMS[tx], Y_TRANSFORMS[ty]
     N = s.degree
     if tx != "identity" or ty != "identity":
-        den, ints = _integer_rows(s._rows)
+        den, ints = s._den, s._rows
         binomials: dict = {}  # e -> [C(e+k-1, k), k = 0..N]
         cols = [[0] * (N + 1 - n) for n in range(N + 1)]
         for m, row in enumerate(ints):
@@ -608,9 +655,9 @@ def substitute_args(
                                           for k in range(1, N + 1)]
                 col = cols[n]
                 col[m:] = [u + w * v for u, w in zip(col[m:], binomials[e])]
-        s = TruncatedBiseries(N, [[Fraction(cols[n][m], den)
-                                   for n in range(N + 1 - m)]
-                                  for m in range(N + 1)])
+        s = TruncatedBiseries._over(N, den, [[cols[n][m]
+                                              for n in range(N + 1 - m)]
+                                             for m in range(N + 1)])
     if p:
         s = TruncatedBiseries.shifted_sum(N, [
             (a / math.factorial(k), k, 0, s)

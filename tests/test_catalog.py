@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import random
 import re
@@ -21,7 +22,7 @@ from humbert.errors import SignatureError, UnknownFormula
 from humbert.expressions import assemble_expression
 from humbert.identities import (IDENTITIES, verify_all_identities,
                                 verify_operator_identity)
-from humbert.reports import VerificationReport
+from humbert.reports import Mismatch, VerificationReport
 
 from conftest import collapse_substitutions, plus_one_mutants
 
@@ -343,3 +344,22 @@ class TestReportRecords:
         with pytest.raises(ValueError) as raised:
             VerificationReport(target="2.36", mode=mode, status=status)
         assert str(raised.value) == message
+
+    def test_exact_witness_is_a_keyed_tuple(self, catalog, profile_a):
+        # a fail keeps its witness as a Mismatch, read by key as the dict
+        # it stands for and shared by the reports that find it again, and
+        # its JSON is the dict form's, byte for byte
+        entry = copy.deepcopy(catalog[0])
+        entry["rhs"]["num"][0]["param"] += " + 1"
+        report = verify_formula(entry["id"], profile_a, 8, catalog=[entry])
+        again = verify_formula(entry["id"], profile_a, 8, catalog=[entry])
+        witness = report.mismatch
+        assert again.mismatch is witness
+        assert type(witness) is Mismatch and report.status == "fail"
+        assert list(witness.keys()) == ["m", "n", "lhs", "rhs", "diff"]
+        assert witness["m"] + witness["n"] == 1 and witness.get("x") is None
+        with pytest.raises(KeyError):
+            witness["x"]
+        as_dict = dataclasses.replace(report, mismatch=dict(witness))
+        assert as_dict.to_json() == report.to_json()
+        assert as_dict.to_dict() == report.to_dict()

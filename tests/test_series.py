@@ -50,17 +50,20 @@ def poly(degree, entries):
     return TruncatedBiseries(degree, rows)
 
 
+def _rows_of(d, cells):
+    """The rows of a degree-d triangle whose cells are `cells` in graded
+    order."""
+    return [[cells[(m + n) * (m + n + 1) // 2 + m] for n in range(d + 1 - m)]
+            for m in range(d + 1)]
+
+
 def _triangle_of_degree(d):
     count = (d + 1) * (d + 2) // 2
     return st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=6),
         min_size=count,
         max_size=count,
-    ).map(
-        lambda cs: TruncatedBiseries(d, [
-            [cs[(m + n) * (m + n + 1) // 2 + m] for n in range(d + 1 - m)]
-            for m in range(d + 1)])
-    )
+    ).map(lambda cs: TruncatedBiseries(d, _rows_of(d, cs)))
 
 
 # A Pochhammer signature over four slots, exact slot values that include 0
@@ -74,6 +77,18 @@ _signatures = st.tuples(
     _factors, _factors,
     st.fixed_dictionaries({key: _exact_values for key in "abcd"}),
     st.one_of(st.just(F(1)), st.just(F(0)), _exact_values))
+
+_nonzero_fractions = st.fractions(-4, 4, max_denominator=9).filter(bool)
+
+
+def _cells(d):
+    """The (d+1)(d+2)/2 cells of a degree-d triangle in graded order, about
+    half of them 0 and the rest over denominators up to 12."""
+    return st.lists(st.one_of(st.just(F(0)),
+                              st.fractions(-3, 3, max_denominator=12)),
+                    min_size=(d + 1) * (d + 2) // 2,
+                    max_size=(d + 1) * (d + 2) // 2)
+
 
 small_triangles = st.integers(min_value=0, max_value=4).flatmap(_triangle_of_degree)
 
@@ -146,8 +161,11 @@ class TestTriangleStorage:
         for m1, n1 in graded_indices(N):
             for m2, n2 in graded_indices(N - m1 - n1):
                 want[m1 + m2][n1 + n2] += s.coeff(m1, n1) * t.coeff(m2, n2)
-        assert s * t == TruncatedBiseries(N, want)
-        assert all(type(c) is F for row in (s * t)._rows for c in row)
+        product = s * t
+        assert product == TruncatedBiseries(N, want)
+        for m, n in graded_indices(N):
+            c = product.coeff(m, n)
+            assert type(c) is F and math.gcd(c.numerator, c.denominator) == 1
 
     def test_difference_matches_the_fraction_oracle(self):
         a = poly(2, [(0, 0, F(1, 2)), (1, 0, F(2, 3)), (0, 2, 5)])
@@ -156,6 +174,53 @@ class TestTriangleStorage:
                 for m in range(3)]
         assert a - b == TruncatedBiseries(2, want)
         assert (a - b).coeff(1, 0) == 0 and (a - a) == TruncatedBiseries.zero(2)
+
+    @given(cells=st.integers(0, 5).flatmap(lambda d: st.tuples(
+        st.just(d), _cells(d), _cells(d), _nonzero_fractions)))
+    @settings(deadline=None, max_examples=60)
+    def test_equal_triangles_store_equal_integers(self, cells):
+        # a triangle from Fraction rows, the same one as a sum of two parts
+        # and as a shifted_sum of scaled parts over a weight denominator:
+        # each is == and hash-equal to the others
+        d, whole, part, w = cells
+        rows = _rows_of(d, whole)
+        a = TruncatedBiseries(d, _rows_of(d, part))
+        b = TruncatedBiseries(d, [[c - a.coeff(m, n) for n, c in enumerate(row)]
+                                  for m, row in enumerate(rows)])
+        got = [TruncatedBiseries(d, rows), a + b] + [
+            TruncatedBiseries.shifted_sum(
+                d, [(w * k, 0, 0, a.scale(1 / w)), (k, 0, 0, b)], den=k)
+            for k in (1, 6)]
+        for t in got[1:]:
+            assert t == got[0] and hash(t) == hash(got[0])
+
+    @given(cells=st.integers(0, 6).flatmap(lambda d: st.tuples(
+        st.just(d), _cells(d),
+        st.dictionaries(st.integers(0, (d + 1) * (d + 2) // 2 - 1),
+                        _nonzero_fractions, max_size=2))))
+    @settings(deadline=None, max_examples=100)
+    def test_first_mismatch_meets_a_cellwise_scan(self, cells):
+        # two triangles over different denominators that differ in at most
+        # two cells anywhere in the triangle, against a Fraction scan in
+        # graded order
+        d, base, moved = cells
+        other = [c + moved.get(k, 0) for k, c in enumerate(base)]
+        s = TruncatedBiseries(d, _rows_of(d, base))
+        t = TruncatedBiseries(d, _rows_of(d, other))
+        want = next(((m, n, s.coeff(m, n), t.coeff(m, n))
+                     for m, n in graded_indices(d)
+                     if s.coeff(m, n) != t.coeff(m, n)), None)
+        assert s.first_mismatch(t) == want
+        if want is not None:
+            assert all(type(c) is F for c in want[2:])
+
+    def test_float_cells_are_refused(self):
+        with pytest.raises(SignatureError) as raised:
+            TruncatedBiseries(1, [[0.5, 1], [1]])
+        assert str(raised.value) == \
+            "coefficient (0, 0) = 0.5 is not an exact rational"
+        assert TruncatedBiseries(1, [["1/2", 1], [F(2, 4)]]).coeff(1, 0) == \
+            F(1, 2)
 
     @pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__",
                                     "first_mismatch"])
@@ -367,7 +432,8 @@ class TestTruncatedSeries:
         # a term is 0 once its numerator is, and raises where only its
         # denominator vanishes
         p = {"a": a, "b": b, "h": F(1, 2)}
-        terms = step_signature((("a", "m"), ("h", "n")), (("b", "m"),), p, 4)
+        den, terms = step_signature((("a", "m"), ("h", "n")), (("b", "m"),),
+                                    p, 4)
         for m in range(5):
             for n in range(5 - m):
                 if (m, n) == stop:
@@ -379,7 +445,7 @@ class TestTruncatedSeries:
                 num = pochhammer(a, m) * pochhammer(F(1, 2), n)
                 want = num and num / (pochhammer(b, m) * math.factorial(m)
                                       * math.factorial(n))
-                assert next(terms) == want, (m, n)
+                assert F(next(terms), den) == want, (m, n)
         assert stop is None
 
     @given(signature=_signatures, degree=st.integers(0, 8),
@@ -388,12 +454,14 @@ class TestTruncatedSeries:
     def test_exact_steps_meet_the_direct_products(
             self, signature, degree, bivariate, factorial):
         # the integer stepper against pochhammer products cell by cell: a
-        # cell is 0 where its numerator product is, its quotient where
-        # neither product vanishes, and the first cell in row order whose
+        # cell's numerator over D is 0 where its numerator product is, its
+        # quotient where neither product vanishes (an inexact step division
+        # would miss it), and the first cell in row order whose
         # denominator product alone vanishes raises the pole
         num, den, p, first = signature
-        terms = step_signature(num, den, p, degree, first, bivariate,
-                               factorial)
+        D, terms = step_signature(num, den, p, degree, first, bivariate,
+                                  factorial)
+        assert type(D) is int and D > 0
         for m in range(degree + 1):
             for n in range(degree + 1 - m if bivariate else 1):
                 index = {"m+n": m + n, "m": m, "n": n}
@@ -411,8 +479,8 @@ class TestTruncatedSeries:
                         f"vanishes at (i, j) = ({m}, {n})"
                     return
                 got = next(terms)
-                assert type(got) is Fraction
-                assert got == (top and top / bottom), (m, n)
+                assert type(got) is int
+                assert F(got, D) == (top and top / bottom), (m, n)
         assert next(terms, None) is None
 
     @pytest.mark.parametrize("kind, params, axis, text", [
