@@ -13,12 +13,15 @@ from fractions import Fraction
 from humbert.catalog import load_catalog, load_errata, verify_all
 from humbert.errors import HumbertError
 from humbert.identities import IDENTITIES, verify_all_identities
+from humbert.operators import (AXES, apply_delta_op, apply_H, apply_H_bar,
+                               apply_nabla, apply_nabla_delta)
 from humbert.profiles import profile_params, resolved_params
 from humbert.quadrature import CORRECTED, REP_IDS, cross_check
 from humbert.scalars import SYMBOLS
 from humbert.series import (BIVARIATE_KINDS, KINDS, ROW_ROUTE_X, SINGLE_KINDS,
-                            FunctionRef, eval_double_series,
-                            eval_single_series)
+                            FunctionRef, TruncatedBiseries,
+                            eval_double_series, eval_single_series,
+                            graded_indices)
 
 from conftest import plus_one_mutants
 
@@ -153,3 +156,38 @@ def test_float_values_are_kept():
             line = f"{type(exc).__name__}: {exc}"
         h.update(f"{kind} {params} {x.hex()} {y} {line}\n".encode())
     assert h.hexdigest() == FLOAT_DIGEST
+
+
+# every closed-form and finite-sum operator action on one seeded N = 6
+# triangle, its parameters drawn from OPERATOR_VALUES: H and H_bar in both
+# modes on each axis, nabla-delta in both modes, nabla and delta (516
+# actions, 288 of them PoleErrors), so both routes' pole raises are reached
+OPERATOR_VALUES = tuple(Fraction(v) for v in ("-3", "-2", "-1", "0", "1/2",
+                                              "5/3"))
+OPERATOR_DIGEST = (
+    "0f6fdc379903ff6600d347968a80e0e20e56840a36d3bb7e84b74e8d4a2b8703")
+
+
+def test_operator_actions_are_kept():
+    rng = random.Random(0)
+    s = TruncatedBiseries(6, [[Fraction(rng.randint(-20, 20),
+                                        rng.randint(1, 9))
+                               for _ in range(7 - m)] for m in range(7)])
+    pairs = [(a, b) for a in OPERATOR_VALUES for b in OPERATOR_VALUES]
+    actions = [(apply, (a, b), {"mode": mode, "axis": axis})
+               for apply in (apply_H, apply_H_bar) for a, b in pairs
+               for mode in ("closed_form", "double_sum") for axis in AXES]
+    actions += [(apply_nabla_delta, (h, g), {"mode": mode}) for h, g in pairs
+                for mode in ("closed_form", "k_sum")]
+    actions += [(apply, (h,), {}) for apply in (apply_nabla, apply_delta_op)
+                for h in OPERATOR_VALUES]
+    h = hashlib.sha256()
+    for apply, args, kwargs in actions:
+        try:
+            out = apply(s, *args, **kwargs)
+            line = " ".join(str(out.coeff(m, n))
+                            for m, n in graded_indices(out.degree))
+        except HumbertError as exc:
+            line = f"{type(exc).__name__}: {exc}"
+        h.update(f"{apply.__name__} {args} {kwargs} {line}\n".encode())
+    assert h.hexdigest() == OPERATOR_DIGEST
