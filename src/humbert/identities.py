@@ -10,7 +10,6 @@ catalog's loader validates them and its verifier checks them.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .catalog import DATA_DIR, _verify_entry, load_catalog, verify_all
@@ -18,7 +17,8 @@ from .errors import UnknownIdentity
 from .operators import delta_pochhammer_action
 from .reports import VerificationReport
 from .scalars import as_exact, pochhammer
-from .series import FunctionRef, TruncatedBiseries, truncated_series
+from .series import (FunctionRef, TruncatedBiseries, step_signature,
+                     truncated_series)
 
 # id -> catalog entry, in 2.1 ... 2.35 order
 IDENTITIES: dict[str, dict] = {
@@ -97,26 +97,23 @@ def check_phi1_reconstruction(params: dict, degree: int
     """
     env = {k: as_exact(v, f"parameter {k!r}") for k, v in params.items()}
     alpha, eps = env["alpha"], env["eps"]
+    beta, gamma = env["beta"], env["gamma"]
     base = truncated_series(
-        FunctionRef("Phi1", {"alpha": eps, "beta": env["beta"],
-                             "gamma": env["gamma"]}), degree
-    )
+        FunctionRef("Phi1", {"alpha": eps, "beta": beta, "gamma": gamma}),
+        degree)
+    D, weights = step_signature((("d", "m+n"),), (("eps", "m+n"),),
+                                {"d": eps - alpha, "eps": eps}, degree)
     terms = []
     for i in range(degree + 1):
         acted_x = delta_pochhammer_action(base, "x", i)
-        for j in range(degree + 1 - i):
-            weight = pochhammer(eps - alpha, i + j) / (
-                pochhammer(eps, i + j)
-                * math.factorial(i) * math.factorial(j)
-            )
+        for j, weight in zip(range(degree + 1 - i), weights):
             if weight:
                 terms.append(
                     (weight, 0, 0, delta_pochhammer_action(acted_x, "y", j)))
-    total = TruncatedBiseries.shifted_sum(degree, terms)
+    total = TruncatedBiseries.shifted_sum(degree, terms, den=D)
     target = truncated_series(
-        FunctionRef("Phi1", {"alpha": alpha, "beta": env["beta"],
-                             "gamma": env["gamma"]}), degree
-    )
+        FunctionRef("Phi1", {"alpha": alpha, "beta": beta, "gamma": gamma}),
+        degree)
     mismatch = total.first_mismatch(target)
     if mismatch is None:
         return None

@@ -2,8 +2,13 @@
 
 Every operator here is diagonal on the monomial basis: it multiplies the
 coefficient of x^m y^n by a rational eigenvalue depending only on (m, n).
-Each also admits a finite-sum form (the sums truncate because (-m)_k
-vanishes for k > m), kept as an independent cross-validation route; the two
+In closed form that eigenvalue is a Pochhammer ratio, (a)_d/(b)_d for H or
+(h)_{m+n}/((h)_m (h)_n) for nabla, stepped in integers by
+`series.step_signature` like every other signature of the exact layer and
+applied as the cell factor of one `TruncatedBiseries.shifted_sum`.  Each
+operator also admits a finite-sum form (the sums truncate because (-m)_k
+vanishes for k > m), evaluated cell by cell in Fractions through
+`map_indexed` and kept as an independent cross-validation route; the two
 routes must agree exactly and are never merged.  Operator parameters are
 exact rationals: each action coerces its a, b, h and g by `as_exact`,
 which refuses a float.
@@ -15,13 +20,8 @@ import math
 from fractions import Fraction
 
 from .errors import PoleError
-from .scalars import (
-    as_exact,
-    pochhammer,
-    pochhammer_ratio_step,
-    pochhammer_table,
-)
-from .series import ONE, ZERO, TruncatedBiseries
+from .scalars import as_exact, pochhammer, pochhammer_table
+from .series import ZERO, TruncatedBiseries, step_signature, stepped_triangle
 
 AXES = ("xy", "x", "y")
 
@@ -32,18 +32,6 @@ def _safe_div(num: Fraction, den: Fraction, context: str) -> Fraction:
     if num:
         raise PoleError(f"{context}: denominator Pochhammer vanishes")
     return num
-
-
-def _ratio_prefix(a: Fraction, b: Fraction, count: int, context: str
-                  ) -> list[Fraction]:
-    """lam[d] = (a)_d / (b)_d for d = 0..count, via composed ratio steps."""
-    lams = [ONE]
-    for k in range(count):
-        try:
-            lams.append(lams[-1] * pochhammer_ratio_step(a, b, k))
-        except PoleError as exc:
-            raise PoleError(f"{context}: {exc}") from exc
-    return lams
 
 
 def _index(axis: str, m: int, n: int) -> int:
@@ -100,14 +88,25 @@ def _apply_h(s, a, b, mode, axis, inverse):
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}")
     a, b = as_exact(a, "a"), as_exact(b, "b")
-    if mode == "closed_form":
-        lams = (_ratio_prefix(b, a, s.degree, f"H_bar({a}, {b})") if inverse
-                else _ratio_prefix(a, b, s.degree, f"H({a}, {b})"))
-        return s.map_indexed(lambda m, n: lams[_index(axis, m, n)])
     if mode == "double_sum":
         return s.map_indexed(
             lambda m, n: _h_sum_multiplier(a, b, m, n, axis, inverse))
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode != "closed_form":
+        raise ValueError(f"unknown mode {mode!r}")
+    # the one pole rule of the closed form, whatever the numerator: no
+    # 0/0 cell is read as 0 here, so H(-1, -2) raises
+    top, bottom = (b, a) if inverse else (a, b)
+    if bottom.denominator == 1 and -s.degree < bottom <= 0:
+        raise PoleError(f"{'H_bar' if inverse else 'H'}({a}, {b}): ratio step "
+                        f"denominator b + k = {bottom} + {-bottom} = 0")
+    den, lams = step_signature((("a", "m"),), (("b", "m"),),
+                               {"a": top, "b": bottom}, s.degree,
+                               bivariate=False, factorial=False)
+    lams = list(lams)
+    return TruncatedBiseries.shifted_sum(
+        s.degree, [(1, 0, 0, s)], TruncatedBiseries._over(s.degree, den, [
+            [lams[_index(axis, m, n)] for n in range(s.degree + 1 - m)]
+            for m in range(s.degree + 1)]))
 
 
 def apply_H(
@@ -141,15 +140,15 @@ def _apply_nabla(s, h, inverse):
     """Scale the (m, n) coefficient by (h)_{m+n} / ((h)_m (h)_n), or by its
     reciprocal for the inverse; both fix the pure-axis slots."""
     h = as_exact(h, "h")
-    poch = pochhammer_table(h, s.degree)
-    context = f"delta_op({h})" if inverse else f"nabla({h})"
-
-    def eigenvalue(m, n):
-        joint, apart = poch[m + n], poch[m] * poch[n]
-        num, den = (apart, joint) if inverse else (joint, apart)
-        return _safe_div(num, den, context)
-
-    return s.map_indexed(eigenvalue)
+    joint, apart = (("h", "m+n"),), (("h", "m"), ("h", "n"))
+    num, den = (apart, joint) if inverse else (joint, apart)
+    try:
+        cell = stepped_triangle(step_signature(
+            num, den, {"h": h}, s.degree, factorial=False), s.degree)
+    except PoleError as exc:
+        raise PoleError(f"{'delta_op' if inverse else 'nabla'}({h}): "
+                        "denominator Pochhammer vanishes") from exc
+    return TruncatedBiseries.shifted_sum(s.degree, [(1, 0, 0, s)], cell)
 
 
 def apply_nabla(s: TruncatedBiseries, h: Fraction) -> TruncatedBiseries:

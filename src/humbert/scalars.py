@@ -131,16 +131,3 @@ def pochhammer_table(a: Fraction, n: int) -> list[Fraction]:
         table.append(table[-1] * (a + k))
     return table
 
-
-def pochhammer_ratio_step(a: Fraction, b: Fraction, k: int) -> Fraction:
-    """Multiplicative step (a+k)/(b+k) of the ratio pochhammer(a,n)/pochhammer(b,n).
-
-    Composing steps k = 0..n-1 reproduces the full ratio without forming
-    either product.
-    """
-    if k < 0:
-        raise ValueError(f"ratio step needs k >= 0, got {k}")
-    den = b + k
-    if den == 0:
-        raise PoleError(f"ratio step denominator b + k = {b} + {k} = 0")
-    return (a + k) / den

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .scalars import (
     as_exact, as_scalar, check_count, check_not_pole, check_tolerance,
-    pochhammer, pochhammer_table, to_float,
+    pochhammer, to_float,
 )
 
 ZERO = Fraction(0)
@@ -162,8 +162,8 @@ class TruncatedBiseries:
         self, fn: Callable[[int, int], Fraction]
     ) -> "TruncatedBiseries":
         """New series with coefficients fn(m, n) c_{m,n}, fn called on every
-        cell in row order; the workhorse of the diagonal operator actions,
-        whose eigenvalue fn is."""
+        cell in row order: the operators' finite-sum routes and
+        `delta_pochhammer_action`, whose eigenvalue fn is."""
         return self.shifted_sum(self.degree, [(1, 0, 0, self)],
                                 TruncatedBiseries(self.degree, [
             [fn(m, n) for n in range(len(row))]
@@ -267,8 +267,9 @@ class KindInfo:
     c_{m,n+1}/c_{m,n} (the float sums and the row route's ratio bounds)
     and the exact steps of `step_signature` (the triangles of
     `truncated_series`).  A catalog sum's outer weights, kernel and cell
-    factor are signatures of the same form, read by the same two
-    functions; only `expressions._convolution_plan` also reads a kind's
+    factor, the operators' closed-form eigenvalues and the (1-x)^p weights
+    of `substitute_args` are signatures of the same form, read by the same
+    two functions; only `expressions._convolution_plan` also reads a kind's
     index strings, to split a sum's inner signature into the last two.
     """
 
@@ -627,7 +628,7 @@ def substitute_args(
     becomes sx^m sy^n c_{m,n} x^m y^n (1-x)^-e, e = mu m + nu n a
     non-negative integer.  So each stored numerator spreads down its
     column, over the same denominator, with the integer binomials C(e+k-1, k) = (e)_k / k!.  The prefactors
-    (1-x)^p = sum (-p)_k / k! x^k and
+    (1-x)^p = sum (-p)_k / k! x^k, its weights one stepped signature, and
     e^(c y) = sum c^k / k! y^k are then one `TruncatedBiseries.shifted_sum`
     each.  p and c are coerced by `as_exact`, which refuses a float.
     """
@@ -659,9 +660,10 @@ def substitute_args(
                                               for n in range(N + 1 - m)]
                                              for m in range(N + 1)])
     if p:
-        s = TruncatedBiseries.shifted_sum(N, [
-            (a / math.factorial(k), k, 0, s)
-            for k, a in enumerate(pochhammer_table(-p, N))])
+        D, weights = step_signature((("p", "m"),), (), {"p": -p}, N,
+                                    bivariate=False)
+        s = TruncatedBiseries.shifted_sum(
+            N, [(a, k, 0, s) for k, a in enumerate(weights)], den=D)
     if c:
         s = TruncatedBiseries.shifted_sum(N, [
             (c ** k / math.factorial(k), 0, k, s) for k in range(N + 1)])

@@ -12,7 +12,6 @@ from humbert.scalars import (
     check_not_pole,
     is_nonpositive_integer,
     pochhammer,
-    pochhammer_ratio_step,
     to_float,
 )
 
@@ -107,19 +106,6 @@ class TestPochhammer:
     @settings(deadline=None, max_examples=60)
     def test_addition_law(self, a, m, n):
         assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
-
-
-class TestRatioStep:
-    def test_composed_steps(self):
-        prod = F(1)
-        for k in range(3):
-            prod *= pochhammer_ratio_step(F(1, 3), F(5, 2), k)
-        assert prod == F(32, 1215)
-        assert prod == pochhammer(F(1, 3), 3) / pochhammer(F(5, 2), 3)
-
-    def test_pole_in_denominator(self):
-        with pytest.raises(PoleError):
-            pochhammer_ratio_step(F(1), F(-2), 2)
 
 
 class TestPoleGuard:
