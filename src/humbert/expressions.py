@@ -291,12 +291,19 @@ def assemble_expression(e: dict, params: dict, degree: int
     runs to the degree: its monomial weight pushes every later term out of
     the triangle.
     """
+    env = exact_env(params, degree)
+    expression_symbols(e)
+    return _assemble(e, env, degree)
+
+
+def exact_env(params: dict, degree: int) -> dict:
+    """The parameters coerced by `as_exact`, then the degree checked to be
+    a non-negative int; each refusal is a SignatureError."""
     env = {k: as_exact(v, f"parameter {k!r}") for k, v in params.items()}
     if type(degree) is not int or degree < 0:
         raise SignatureError(
             f"degree must be a non-negative int, not {degree!r}")
-    expression_symbols(e)
-    return _assemble(e, env, degree)
+    return env
 
 
 def _assemble(e: dict, env: dict, degree: int) -> TruncatedBiseries:

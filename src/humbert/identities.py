@@ -14,9 +14,10 @@ from fractions import Fraction
 
 from .catalog import DATA_DIR, _verify_entry, load_catalog, verify_all
 from .errors import UnknownIdentity
+from .expressions import eval_affine, exact_env
 from .operators import delta_pochhammer_action
 from .reports import VerificationReport
-from .scalars import as_exact, pochhammer
+from .scalars import pochhammer
 from .series import (FunctionRef, TruncatedBiseries, step_signature,
                      truncated_series)
 
@@ -56,9 +57,11 @@ def check_phi1_shift(params: dict, degree: int, i: int, j: int
     This is API, not a test helper: lowering actions as parameter shifts
     are the mechanism the decomposition formulas are derived from, and
     this checks it at any parameters and degree, apart from the catalog.
+    A float or unbound parameter, or a degree that is not a non-negative
+    int, is refused with SignatureError, as assemble_expression refuses it.
     """
-    env = {k: as_exact(v, f"parameter {k!r}") for k, v in params.items()}
-    eps, beta, gamma = env["eps"], env["beta"], env["gamma"]
+    env = exact_env(params, degree)
+    eps, beta, gamma = (eval_affine(k, env) for k in ("eps", "beta", "gamma"))
     base = truncated_series(
         FunctionRef("Phi1", {"alpha": eps, "beta": beta, "gamma": gamma}), degree
     )
@@ -93,11 +96,12 @@ def check_phi1_reconstruction(params: dict, degree: int
     because slots with m < i or n < j are annihilated.
 
     This is API for the reason check_phi1_shift is: it checks the
-    expansion step of that derivation, apart from the catalog's sums.
+    expansion step of that derivation, apart from the catalog's sums, and
+    refuses its arguments as check_phi1_shift does.
     """
-    env = {k: as_exact(v, f"parameter {k!r}") for k, v in params.items()}
-    alpha, eps = env["alpha"], env["eps"]
-    beta, gamma = env["beta"], env["gamma"]
+    env = exact_env(params, degree)
+    alpha, eps, beta, gamma = (eval_affine(k, env)
+                               for k in ("alpha", "eps", "beta", "gamma"))
     base = truncated_series(
         FunctionRef("Phi1", {"alpha": eps, "beta": beta, "gamma": gamma}),
         degree)

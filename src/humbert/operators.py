@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .errors import PoleError
-from .scalars import as_exact, pochhammer, pochhammer_table
+from .scalars import as_exact, check_count, pochhammer, pochhammer_table
 from .series import ZERO, TruncatedBiseries, step_signature, stepped_triangle
 
 AXES = ("xy", "x", "y")
@@ -51,8 +51,7 @@ def delta_pochhammer_action(
     """
     if which not in ("x", "y"):
         raise ValueError("which must be 'x' or 'y'")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    check_count(k, "k")
     table = [pochhammer(Fraction(-i), k) for i in range(s.degree + 1)]
     if which == "x":
         return s.map_indexed(lambda m, n: table[m])

@@ -1,7 +1,7 @@
 import pytest
 
 from humbert import expressions
-from humbert.errors import UnknownIdentity
+from humbert.errors import PoleError, SignatureError, UnknownIdentity
 from humbert.expressions import expression_symbols
 from humbert.identities import (
     IDENTITIES,
@@ -102,3 +102,29 @@ class TestShiftMechanics:
     def test_reconstruction(self, profile_a, profile_b):
         assert check_phi1_reconstruction(profile_a, 8) is None
         assert check_phi1_reconstruction(profile_b, 8) is None
+
+    def test_reconstruction_weight_pole_is_a_pole_error(self, profile_a):
+        # (eps)_{i+j} vanishes from i + j = 2 on, while (eps - alpha)_{i+j}
+        # does not: the first such weight in row order is refused
+        with pytest.raises(PoleError) as raised:
+            check_phi1_reconstruction({**profile_a, "eps": -1}, 4)
+        assert str(raised.value) == \
+            "denominator Pochhammer vanishes at (i, j) = (0, 2)"
+
+    @pytest.mark.parametrize("check, args", [
+        (check_phi1_shift, (1, 1)),
+        (check_phi1_reconstruction, ()),
+    ])
+    @pytest.mark.parametrize("drop, degree, text", [
+        ("eps", 4, "symbol 'eps' unbound in 'eps'"),
+        ("gamma", 4, "symbol 'gamma' unbound in 'gamma'"),
+        (None, 2.0, "degree must be a non-negative int, not 2.0"),
+        (None, -1, "degree must be a non-negative int, not -1"),
+        (None, True, "degree must be a non-negative int, not True"),
+    ])
+    def test_bad_arguments_are_signature_errors(self, check, args, drop,
+                                                degree, text, profile_a):
+        params = {k: v for k, v in profile_a.items() if k != drop}
+        with pytest.raises(SignatureError) as raised:
+            check(params, degree, *args)
+        assert str(raised.value) == text

@@ -66,6 +66,13 @@ class TestDeltaPochhammerAction:
         out = delta_pochhammer_action(s, "y", 2)
         assert out.coeff(0, 2) == 2  # (-2)_2 = 2
 
+    @pytest.mark.parametrize("k", [-1, 2.5, "2", True])
+    def test_k_not_a_count_is_refused(self, k):
+        with pytest.raises(ValueError) as raised:
+            delta_pochhammer_action(ones(3), "x", k)
+        assert str(raised.value) == \
+            f"k must be a non-negative int, got {k!r}"
+
 
 class TestApplyH:
     def test_eigenvalue_on_monomial(self):
