@@ -8,10 +8,10 @@ applied left to right to an operand expression).  One interpreter
 assembles any of them into an exact truncated triangle, so there is a
 single code path to trust and entries stay diffable.  A sum is
 assembled as one exact convolution of stepped Pochhammer signatures where
-its inner signature factors that way (see _convolution_plan), and term by
-term otherwise; both are one call of the integer accumulation
-`TruncatedBiseries.shifted_sum`, which also applies a function node's
-prefactors.
+its inner signature factors that way (see _convolution_plan), in two
+one-axis passes where its kernel is f(m) g(n), and term by term otherwise;
+each pass is one integer accumulation `TruncatedBiseries.shifted_sum`,
+which also applies a function node's prefactors.
 
 Parameter expressions use a tiny affine language: sums of signed symbols
 and integer constants, e.g. "eps - alpha", "gamma + i + j", "1 - beta".
@@ -205,6 +205,12 @@ def _convolution_plan(e: dict, env: dict, indices: str, weight: str):
     return {slot: base for slot, (base, _) in slots.items()}, kernel, cell
 
 
+def _separable(indices: str, kernel) -> bool:
+    """Whether a planned sum is over ij (so weighted xy) and its kernel's
+    (slot, index) factors split as f(m) g(n), none indexed m+n."""
+    return indices == "ij" and all("+" not in index for _, index in kernel)
+
+
 def _outer_terms(e: dict, env: dict, degree: int, moved=((), (), {})):
     """(D, the (i, j, signed weight numerator over D, si, sj) of every
     nonzero term, lazily in the outer loop's order); a valid sum shifts
@@ -228,7 +234,7 @@ def _outer_terms(e: dict, env: dict, degree: int, moved=((), (), {})):
 
 
 def _assemble_sum(e: dict, env: dict, degree: int) -> TruncatedBiseries:
-    """The sum's triangle, by one `TruncatedBiseries.shifted_sum`: a
+    """The sum's triangle, by `TruncatedBiseries.shifted_sum`: a
     convolution with one shared kernel where _convolution_plan splits the
     inner signature, else with one inner triangle per term.
 
@@ -240,6 +246,11 @@ def _assemble_sum(e: dict, env: dict, degree: int) -> TruncatedBiseries:
     C's factors read at the term's shift, C's numerator among its
     denominator and C's denominator among its numerator.  No moved factor
     vanishes, as no inner base value is a non-positive integer.
+
+    A B that _separable splits is f(m) g(n) over m! n!, and the sum is two
+    passes, O(N^3) for O(N^4): with W the weights at their shifts (i, j),
+    T(M, j) = sum_i f(M - i) W(i, j), then rhs(M, N) = C(M, N) *
+    sum_j g(N - j) T(M, j), which reads T(M, j) at j <= N only.
     """
     weight = e.get("weight", "xy")
     plan = _convolution_plan(e, env, e.get("indices", "ij"), weight)
@@ -271,9 +282,23 @@ def _assemble_sum(e: dict, env: dict, degree: int) -> TruncatedBiseries:
              [("C." + slot, swap.get(index, index)) for slot, index in c_num],
              {"C." + slot: v for slot, v in p.items()})
     D, terms = _outer_terms(e, env, degree, moved)
-    kernel = stepped_triangle(step_signature(b_num, b_den, p, degree), degree)
     cell = stepped_triangle(
         step_signature(c_num, c_den, p, degree, factorial=False), degree)
+    if _separable(e.get("indices", "ij"), b_num + b_den):
+        rows = [[0] * (degree + 1 - m) for m in range(degree + 1)]
+        for _, _, a, si, sj in terms:
+            rows[si][sj] = a
+        out = stepped_triangle((D, (a for row in rows for a in row)), degree)
+        for axis in "mn":
+            num, den = ([(slot, "m") for slot, index in b if index == axis]
+                        for b in (b_num, b_den))
+            d, steps = step_signature(num, den, p, degree, bivariate=False)
+            out = TruncatedBiseries.shifted_sum(degree, [
+                (f, s * (axis == "m"), s * (axis == "n"), out)
+                for s, f in enumerate(steps)], cell if axis == "n" else None,
+                den=d)
+        return out
+    kernel = stepped_triangle(step_signature(b_num, b_den, p, degree), degree)
     return TruncatedBiseries.shifted_sum(
         degree, [(a, si, sj, kernel) for _, _, a, si, sj in terms], cell,
         den=D)

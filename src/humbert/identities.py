@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .catalog import DATA_DIR, _verify_entry, load_catalog, verify_all
-from .errors import UnknownIdentity
+from .errors import SignatureError, UnknownIdentity
 from .expressions import eval_affine, exact_env
 from .operators import delta_pochhammer_action
 from .reports import VerificationReport
@@ -58,9 +58,14 @@ def check_phi1_shift(params: dict, degree: int, i: int, j: int
     are the mechanism the decomposition formulas are derived from, and
     this checks it at any parameters and degree, apart from the catalog.
     A float or unbound parameter, or a degree that is not a non-negative
-    int, is refused with SignatureError, as assemble_expression refuses it.
+    int, is refused with SignatureError, as assemble_expression refuses it,
+    and so is a lowering order i or j that is not one, before any work.
     """
     env = exact_env(params, degree)
+    for name, k in (("i", i), ("j", j)):
+        if type(k) is not int or k < 0:
+            raise SignatureError(
+                f"{name} must be a non-negative int, not {k!r}")
     eps, beta, gamma = (eval_affine(k, env) for k in ("eps", "beta", "gamma"))
     base = truncated_series(
         FunctionRef("Phi1", {"alpha": eps, "beta": beta, "gamma": gamma}), degree

@@ -269,8 +269,8 @@ class KindInfo:
     `truncated_series`).  A catalog sum's outer weights, kernel and cell
     factor, the operators' closed-form eigenvalues and the (1-x)^p weights
     of `substitute_args` are signatures of the same form, read by the same
-    two functions; only `expressions._convolution_plan` also reads a kind's
-    index strings, to split a sum's inner signature into the last two.
+    two functions; only `expressions` also reads a kind's index strings, to
+    split a sum's inner signature into the last two and a kernel by axis.
     """
 
     name: str

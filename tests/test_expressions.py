@@ -6,6 +6,7 @@ import pytest
 
 from humbert.catalog import load_catalog
 from humbert.errors import PoleError, SignatureError
+import humbert.expressions as expressions
 from humbert.expressions import (
     _convolution_plan,
     assemble_expression,
@@ -248,6 +249,12 @@ SUMS_BY_INNER_KIND = _sums_by_inner_kind()
 SUM_ENTRIES = [e for group in SUMS_BY_INNER_KIND.values() for e in group]
 
 
+IJ_SUMS = [e for e in SUM_ENTRIES if e["rhs"].get("indices", "ij") == "ij"]
+# the ij sums whose kernel has no (alpha)_{m+n} factor: all but 2.37, 2.58
+SEPARABLE_IDS = {"2.36", "2.38", "2.40", "2.43", "2.46", "2.47", "2.50",
+                 "2.51", "2.57", "2.61", "2.62", "2.63", "2.65", "2.70"}
+
+
 def _plan(rhs, params):
     env = {k: as_scalar(v) for k, v in params.items()}
     return _convolution_plan(rhs, env, rhs.get("indices", "ij"),
@@ -313,6 +320,34 @@ class TestCatalogSums:
         for entry in SUM_ENTRIES:
             for params in (profile_a, profile_b):
                 assert _plan(entry["rhs"], params) is not None, entry["id"]
+
+    @pytest.mark.parametrize("degree", [6, 8])
+    def test_ij_sums_meet_the_per_term_route(self, degree, profile_a,
+                                             profile_b, monkeypatch):
+        # the two one-axis passes and the shared kernel against one inner
+        # triangle per (i, j), which runs where no plan is made; the ids
+        # the branch's predicate sends to the two passes are recorded
+        separable = expressions._separable
+        taken = []
+
+        def spy(indices, kernel):
+            taken.append(separable(indices, kernel))
+            return taken[-1]
+
+        monkeypatch.setattr(expressions, "_separable", spy)
+        cases = [(entry, params) for entry in IJ_SUMS
+                 for params in (profile_a, profile_b)]
+        got = []
+        for entry, params in cases:
+            got.append(assemble_expression(entry["rhs"], params, degree))
+            assert taken.pop() == (entry["id"] in SEPARABLE_IDS), entry["id"]
+        assert len(IJ_SUMS) == 16 and not taken
+        monkeypatch.setattr(expressions, "_convolution_plan",
+                            lambda *args: None)
+        for (entry, params), triangle in zip(cases, got):
+            assert triangle == assemble_expression(
+                entry["rhs"], params, degree), entry["id"]
+        assert not taken
 
     @pytest.mark.parametrize("formula_id, symbol, value, detail", [
         ("2.38", "eps", 0, "at (i, j) = (0, 0): Phi1 parameter gamma = 0 "

@@ -128,3 +128,17 @@ class TestShiftMechanics:
         with pytest.raises(SignatureError) as raised:
             check(params, degree, *args)
         assert str(raised.value) == text
+
+    @pytest.mark.parametrize("i, j, text", [
+        (-1, 0, "i must be a non-negative int, not -1"),
+        (1.0, 0, "i must be a non-negative int, not 1.0"),
+        (True, 0, "i must be a non-negative int, not True"),
+        (0, -1, "j must be a non-negative int, not -1"),
+        (1, 1.0, "j must be a non-negative int, not 1.0"),
+        (1, True, "j must be a non-negative int, not True"),
+    ])
+    def test_bad_lowering_orders_are_signature_errors(self, i, j, text,
+                                                      profile_a):
+        with pytest.raises(SignatureError) as raised:
+            check_phi1_shift(profile_a, 4, i, j)
+        assert str(raised.value) == text
