@@ -288,7 +288,7 @@ def _assemble_sum(e: dict, env: dict, degree: int) -> TruncatedBiseries:
         rows = [[0] * (degree + 1 - m) for m in range(degree + 1)]
         for _, _, a, si, sj in terms:
             rows[si][sj] = a
-        out = stepped_triangle((D, (a for row in rows for a in row)), degree)
+        out = stepped_triangle((D, (v for row in rows for v in row)), degree)
         for axis in "mn":
             num, den = ([(slot, "m") for slot, index in b if index == axis]
                         for b in (b_num, b_den))

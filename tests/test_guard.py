@@ -1,5 +1,6 @@
-"""The refactor guard: digests of whole report groups, pinned so that a change
-meant to keep every output can show that it did.
+"""The refactor guard: digests of whole output groups (reports, values,
+actions and triangles), pinned so that a change meant to keep every output
+can show that it did.
 
 A change that moves a group on purpose re-pins that group's digest and says
 which group moved and why.
