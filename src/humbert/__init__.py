@@ -14,10 +14,11 @@ Three layers:
 * Euler-type integral representations cross-checked against the series by
   tanh-sinh quadrature (`eval_integral`, `cross_check`).
 
-The numeric layer (`quadrature`, `rows` and NumPy) loads on first use: at
-the first float evaluation, or the first access to one of `quadrature`'s
-names from this package (the module `__getattr__` below).  The exact layer
-never loads it, so `import humbert` and `humbert verify` run without NumPy.
+The numeric layer (`summation`, `rows`, `quadrature` and NumPy) loads on
+first use: at the first float evaluation, or the first access to one of
+`quadrature`'s names from this package (the module `__getattr__` below).
+The exact layer never loads it, nor `dataclasses`, so `import humbert` and
+`humbert verify` run without NumPy and without compiling the float code.
 """
 
 from .catalog import (
@@ -29,6 +30,7 @@ from .catalog import (
     verify_formula,
 )
 from .errors import (
+    ArgumentError,
     ConstraintViolation,
     DomainError,
     HumbertError,
@@ -68,6 +70,7 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArgumentError",
     "BIVARIATE_KINDS",
     "ConstraintViolation",
     "DomainError",

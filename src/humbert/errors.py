@@ -7,6 +7,12 @@ class HumbertError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ArgumentError(HumbertError, ValueError):
+    """An argument is malformed: a count, tolerance or similar setting of
+    the wrong type or out of range.  Also a ValueError, so that a caller's
+    `except ValueError` still catches it."""
+
+
 class PoleError(HumbertError):
     """A Pochhammer denominator or eigenvalue denominator hit a pole."""
 

@@ -43,8 +43,8 @@ from .errors import (
 from .expressions import eval_affine
 from .reports import NumericResult, VerificationReport, _id_key
 from .scalars import check_count, check_tolerance, is_real, to_float
-from .series import (KINDS, FunctionRef, _absmax, _single_steps,
-                     diagonal_terms, eval_double_series, sum_series)
+from .series import KINDS, FunctionRef, eval_double_series
+from .summation import _absmax, _single_steps, diagonal_terms, sum_series
 
 T_MAX = 6.0
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 
 class _Keyed:
@@ -44,7 +43,6 @@ class Mismatch(_Keyed, namedtuple("Mismatch", ("m", "n", "lhs", "rhs",
     __slots__ = ()
 
 
-@dataclass(slots=True)
 class VerificationReport:
     """Outcome of one exact or numeric check.
 
@@ -58,25 +56,47 @@ class VerificationReport:
     reports made with equal grid, spec and variant, share one settings
     dict, and the worst point is that grid's own tuple.
     Treat every field as read-only.  `mismatch` is a Mismatch and
-    `numeric` a NumericResult, or either a dict with its keys.
+    `numeric` a NumericResult, or either a dict with its keys.  Reports are
+    equal when every field is; a report is not hashable.
     """
 
-    target: str
-    mode: str  # "exact" | "numeric"
-    status: str  # "pass" | "fail" | "error"
-    settings: dict = field(default_factory=dict)
-    duration: float = 0.0
-    mismatch: Mismatch | dict | None = None
-    numeric: NumericResult | dict | None = None
-    detail: str | None = None
+    __slots__ = ("target", "mode", "status", "settings", "duration",
+                 "mismatch", "numeric", "detail")
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "numeric"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.status not in ("pass", "fail", "error"):
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status == "fail" and self.mismatch is None and self.numeric is None:
+    def __init__(self, target: str, mode: str, status: str,
+                 settings: dict | None = None, duration: float = 0.0,
+                 mismatch: Mismatch | dict | None = None,
+                 numeric: NumericResult | dict | None = None,
+                 detail: str | None = None):
+        if mode not in ("exact", "numeric"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if status not in ("pass", "fail", "error"):
+            raise ValueError(f"unknown status {status!r}")
+        if status == "fail" and mismatch is None and numeric is None:
             raise ValueError("a fail report must carry a witness")
+        self.target = target
+        self.mode = mode
+        self.status = status
+        self.settings = {} if settings is None else settings
+        self.duration = duration
+        self.mismatch = mismatch
+        self.numeric = numeric
+        self.detail = detail
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "VerificationReport(%s)" % ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._values()))
 
     @property
     def passed(self) -> bool:

@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .series import (_UNIT_ROUNDOFF, KindInfo, SeriesDiag, _step_factors,
-                     _step_roundings)
+from .series import KindInfo, _step_factors, _step_roundings
+from .summation import _UNIT_ROUNDOFF, SeriesDiag
 
 
 def _sup_pair(a, b):
@@ -52,7 +52,7 @@ def _ratio_bound(info: KindInfo, step: str) -> Callable:
 @functools.cache
 def ratio_bounds(info: KindInfo) -> tuple[Callable, Callable]:
     """The kind's bounds on its x and y term ratios over every later step,
-    compiled once; `series.sum_series` reads them too."""
+    compiled once; `summation.sum_series` reads them too."""
     return _ratio_bound(info, "m"), _ratio_bound(info, "n")
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from numbers import Real
 from typing import Union
 
-from .errors import DomainError, PoleError, SignatureError
+from .errors import ArgumentError, DomainError, PoleError, SignatureError
 
 Scalar = Union[Fraction, float]
 
@@ -92,17 +92,17 @@ def is_real(v) -> bool:
 
 
 def check_tolerance(tol, name: str = "tol") -> None:
-    """Refuse, as ValueError, a tolerance that is not a positive, finite
-    real number: a bool, a string, None or a complex one too."""
+    """Refuse, as ArgumentError, a tolerance that is not a positive,
+    finite real number: a bool, a string, None or a complex one too."""
     if not (is_real(tol) and 0 < tol < math.inf):
-        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+        raise ArgumentError(f"{name} must be positive and finite, got {tol!r}")
 
 
 def check_count(count, name: str) -> None:
-    """Refuse, as ValueError, a term, diagonal or level count that is not
-    a non-negative int, a bool among them."""
+    """Refuse, as ArgumentError, a term, diagonal or level count that is
+    not a non-negative int, a bool among them."""
     if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-        raise ValueError(f"{name} must be a non-negative int, got {count!r}")
+        raise ArgumentError(f"{name} must be a non-negative int, got {count!r}")
 
 
 def pochhammer(a: Fraction, n: int) -> Fraction:

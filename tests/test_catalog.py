@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import random
 import re
@@ -345,6 +344,20 @@ class TestReportRecords:
             VerificationReport(target="2.36", mode=mode, status=status)
         assert str(raised.value) == message
 
+    def test_reports_without_settings_do_not_share_a_dict(self):
+        first = VerificationReport("2.36", "exact", "pass")
+        second = VerificationReport(target="2.36", mode="exact",
+                                    status="pass")
+        assert first == second and first.settings == {}
+        first.settings["variant"] = "a"
+        assert second.settings == {} and first != second
+        assert repr(second) == (
+            "VerificationReport(target='2.36', mode='exact', status='pass', "
+            "settings={}, duration=0.0, mismatch=None, numeric=None, "
+            "detail=None)")
+        with pytest.raises(TypeError):
+            hash(second)
+
     def test_exact_witness_is_a_keyed_tuple(self, catalog, profile_a):
         # a fail keeps its witness as a Mismatch, read by key as the dict
         # it stands for and shared by the reports that find it again, and
@@ -360,6 +373,8 @@ class TestReportRecords:
         assert witness["m"] + witness["n"] == 1 and witness.get("x") is None
         with pytest.raises(KeyError):
             witness["x"]
-        as_dict = dataclasses.replace(report, mismatch=dict(witness))
+        as_dict = VerificationReport(
+            report.target, report.mode, report.status, report.settings,
+            report.duration, dict(witness), report.numeric, report.detail)
         assert as_dict.to_json() == report.to_json()
         assert as_dict.to_dict() == report.to_dict()

@@ -20,10 +20,10 @@ from humbert.operators import (AXES, apply_delta_op, apply_H, apply_H_bar,
 from humbert.profiles import profile_params, resolved_params
 from humbert.quadrature import CORRECTED, REP_IDS, cross_check
 from humbert.scalars import SYMBOLS
-from humbert.series import (BIVARIATE_KINDS, KINDS, ROW_ROUTE_X, SINGLE_KINDS,
-                            FunctionRef, TruncatedBiseries,
-                            eval_double_series, eval_single_series,
-                            graded_indices)
+from humbert.series import (BIVARIATE_KINDS, KINDS, SINGLE_KINDS, FunctionRef,
+                            TruncatedBiseries, eval_double_series,
+                            eval_single_series, graded_indices)
+from humbert.summation import ROW_ROUTE_X
 
 from conftest import plus_one_mutants
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from humbert.errors import PoleError, SignatureError
+from humbert.errors import ArgumentError, HumbertError, PoleError, SignatureError
 from humbert.operators import (
     apply_H,
     apply_H_bar,
@@ -72,6 +72,12 @@ class TestDeltaPochhammerAction:
             delta_pochhammer_action(ones(3), "x", k)
         assert str(raised.value) == \
             f"k must be a non-negative int, got {k!r}"
+
+    def test_a_bad_k_is_the_package_argument_error(self):
+        with pytest.raises(ArgumentError) as raised:
+            delta_pochhammer_action(ones(3), "x", -1)
+        assert isinstance(raised.value, HumbertError)
+        assert isinstance(raised.value, ValueError)
 
 
 class TestApplyH:

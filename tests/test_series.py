@@ -22,12 +22,11 @@ from humbert.quadrature import (
     phi1_arr,
     ray_coeffs,
 )
-from humbert import series
+from humbert import series, summation
 from humbert.scalars import pochhammer
 from humbert.series import (
     BIVARIATE_KINDS,
     KINDS,
-    ROW_ROUTE_X,
     SINGLE_KINDS,
     FunctionRef,
     TruncatedBiseries,
@@ -39,6 +38,7 @@ from humbert.series import (
     substitute_args,
     truncated_series,
 )
+from humbert.summation import ROW_ROUTE_X
 
 F = Fraction
 
@@ -259,6 +259,56 @@ class TestFunctionRef:
     def test_string_params_coerced(self):
         ref = FunctionRef("Xi2", {"alpha": "1/3", "beta": "2/5", "gamma": "7/6"})
         assert ref.params["alpha"] == F(1, 3)
+
+    def test_refusal_texts(self):
+        for kind, params, error, text in [
+            ("Nope", {"alpha": 1}, SignatureError, "unknown kind 'Nope'"),
+            ("Phi1", {"alpha": 1, "beta": 1, "eps": 1}, SignatureError,
+             "Phi1 needs exactly ('alpha', 'beta', 'gamma'); "
+             "missing ['gamma'], extra ['eps']"),
+            ("Phi1", {"alpha": 1, "beta": 1, "gamma": -2}, PoleError,
+             "Phi1 parameter gamma = -2 is a non-positive integer"),
+        ]:
+            with pytest.raises(error) as raised:
+                FunctionRef(kind, params)
+            assert str(raised.value) == text
+
+    def test_equal_refs_compare_and_hash_equal(self):
+        ref = FunctionRef("Phi1", {"alpha": 1, "beta": "1/2", "gamma": 3})
+        same = FunctionRef("Phi1", {"gamma": F(3), "beta": 0.5, "alpha": 1})
+        other = FunctionRef("Phi1", {"alpha": 1, "beta": "1/2", "gamma": 4})
+        assert ref == same and hash(ref) == hash(same)
+        assert len({ref, same, other}) == 2
+        assert ref != other and hash(ref) == hash(other)  # kind alone
+        assert ref != FunctionRef("Xi2", {"alpha": 1, "beta": "1/2",
+                                          "gamma": 3})
+        assert repr(ref) == (
+            "FunctionRef(kind='Phi1', params={'alpha': Fraction(1, 1), "
+            "'beta': Fraction(1, 2), 'gamma': Fraction(3, 1)})")
+
+    def test_a_ref_is_read_only(self):
+        ref = FunctionRef("Phi2", REFERENCE_PARAMS["Phi2"])
+        for name in ("kind", "params", "other"):
+            with pytest.raises(AttributeError):
+                setattr(ref, name, None)
+            with pytest.raises(AttributeError):
+                delattr(ref, name)
+        assert ref.kind == "Phi2" and not hasattr(ref, "__dict__")
+
+
+class TestKindInfo:
+    def test_a_kind_is_read_only(self):
+        info = KINDS["Psi1"]
+        slots, ratio_x = info.slots, info.ratio_x
+        for name in ("name", "num", "x_restricted", "slots", "ratio_y"):
+            with pytest.raises(AttributeError):
+                setattr(info, name, None)
+            with pytest.raises(AttributeError):
+                delattr(info, name)
+        assert info.name == "Psi1" and info.x_restricted
+        assert info.slots is slots and info.ratio_x is ratio_x
+        assert slots == ("alpha", "beta", "gamma1", "gamma2")
+        assert info.den_slots == ("gamma1", "gamma2")
 
 
 class TestNonFiniteParameters:
@@ -865,13 +915,13 @@ class TestDiagonalBands:
         ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
         p = {k: float(v) for k, v in ref.params.items()}
         want = list(per_term_diagonals(ref.info, p, x, y, 150))
-        banded = series.diagonal_terms(ref.info, p, x, y, 150)
+        banded = summation.diagonal_terms(ref.info, p, x, y, 150)
         for k, got in enumerate(banded, 1):
             assert [t.hex() for t in got] == [
                 t.hex() for t in want[k - 1][::-1]], k
         assert k == 150
         widths = []
-        for k0, band, live in series._bands(ref.info, p, x, y, 150):
+        for k0, band, live in summation._bands(ref.info, p, x, y, 150):
             widths.append(len(band))
             assert live.shape == band.shape
             for j in range(len(band)):
@@ -879,19 +929,19 @@ class TestDiagonalBands:
                 assert len(got) == k0 + j + 2
                 assert [t.hex() for t in got] == [
                     t.hex() for t in want[k0 + j][::-1]], k0 + j + 1
-        assert widths[:4] == [series.BAND] * 3 + [31]
+        assert widths[:4] == [summation.BAND] * 3 + [31]
         assert sum(widths) == 150
 
     @pytest.mark.parametrize("budget", [0, 1, 31, 32, 33, 40])
     def test_budget_is_kept(self, budget, monkeypatch):
         bands = []
-        band = series._band
+        band = summation._band
 
         def spy(info, p, x, y, last, width):
             bands.append((len(last) - 1, width))
             return band(info, p, x, y, last, width)
 
-        monkeypatch.setattr(series, "_band", spy)
+        monkeypatch.setattr(summation, "_band", spy)
         for kind, x, y in (("Phi3", 5.0, -20.0), ("Phi2", -40.0, -40.0)):
             ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
             want = per_term_sum(ref, x, y, max_diagonal=budget)
@@ -905,6 +955,7 @@ class TestDiagonalBands:
                                                  max_diagonal=budget)
                 assert (value, diag.diagonals) == want[:2]
             assert all(k0 + width <= budget for k0, width in bands)
+        assert bool(bands) == (budget > 0)
 
     def test_a_long_sum_keeps_its_bands_small(self):
         # all 400 diagonals: an uncapped band of 32 would hold 65 x 401
@@ -951,7 +1002,7 @@ class TestDiagonalBands:
             warnings.simplefilter("error")
             want = assert_matches_per_term_sum(ref, x, y)
         assert want == f"the terms overflowed at diagonal {diagonal}"
-        assert diagonal <= series.BAND
+        assert diagonal <= summation.BAND
 
     @pytest.mark.parametrize("x, y, diagonal", [
         (300.0, -300.0, 305), (700.0, -700.0, 198)])
@@ -1007,7 +1058,7 @@ class TestDiagonalBands:
                 for j in np.ndindex(shape)}
         k = 0
         for k, diagonal in enumerate(
-                series.diagonal_terms(info, p, x, y, 60), 1):
+                summation.diagonal_terms(info, p, x, y, 60), 1):
             assert diagonal.shape == (k + 1,) + shape
             for j, want in rays.items():
                 got = diagonal[(slice(None),) + j]
@@ -1079,7 +1130,7 @@ class TestRowRoute:
             p = {k: float(v) for k, v in ref.params.items()}
             value, diag = eval_double_series(ref, -0.8, 0.9)
             assert diag["est_error"] <= 1e-12 * abs(value)
-            other, _ = series._sum_by_diagonals(
+            other, _ = summation._sum_by_diagonals(
                 ref.info, p, -0.8, 0.9, 1e-15, 600)
             assert abs(value - other) <= 1e-12 * abs(other), kind
 
