@@ -91,8 +91,6 @@ class VerificationReport:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         return "VerificationReport(%s)" % ", ".join(
             f"{name}={value!r}"
