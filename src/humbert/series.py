@@ -751,17 +751,16 @@ def eval_double_series(
         raise SignatureError(f"{ref.kind} is single-variable; use eval_single_series")
     if not in_domain(ref, x, y):
         raise DomainError(f"({x}, {y}) outside the {ref.kind} convergence region")
-    # numeric layer: see humbert.__init__
-    from .summation import ROW_ROUTE_X, _float_params, _sum_by_diagonals
+    from . import summation  # numeric layer: see humbert.__init__
 
-    p = _float_params(ref)
-    if info.x_restricted and abs(x) >= ROW_ROUTE_X:
+    p = summation._float_params(ref)
+    if info.x_restricted and abs(x) >= summation.ROW_ROUTE_X:
         from .rows import sum_by_rows
 
         out = sum_by_rows(info, p, x, y, tol,
                           max_diagonal * (max_diagonal + 1) // 2)
     else:
-        out = _sum_by_diagonals(info, p, x, y, tol, max_diagonal)
+        out = summation._sum_by_diagonals(info, p, x, y, tol, max_diagonal)
     # The routes return why they gave up rather than raise it, so that the
     # traceback a refusal carries holds none of their terms.
     if isinstance(out, str):
@@ -772,7 +771,8 @@ def eval_double_series(
 def eval_single_series(kind: str, params: dict, x: float, tol: float = 1e-12,
                        max_terms: int = 500) -> tuple[float, dict]:
     """Sum a single-variable series by term recurrence
-    (`summation.sum_series`): accurate to its `est_error`, within tol |value|, or refused."""
+    (`summation.sum_series`): accurate to its `est_error`, within
+    tol |value|, or refused."""
     check_tolerance(tol)
     check_count(max_terms, "max_terms")
     ref = FunctionRef(kind, params)
@@ -780,7 +780,7 @@ def eval_single_series(kind: str, params: dict, x: float, tol: float = 1e-12,
         raise SignatureError(f"{kind} is bivariate; use eval_double_series")
     if not in_domain(ref, x, 0.0):
         raise DomainError(f"x = {x} outside the {kind} convergence region")
-    from .summation import _float_params, sum_series  # numeric layer
+    from . import summation  # numeric layer: see humbert.__init__
 
-    return sum_series(ref.info, _float_params(ref), x, tol, max_terms,
-                      f"{kind} at {x}")
+    return summation.sum_series(ref.info, summation._float_params(ref), x,
+                                tol, max_terms, f"{kind} at {x}")
