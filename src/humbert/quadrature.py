@@ -17,8 +17,9 @@ expanded as power series in a product u(xi) * v(eta) whenever they admit
 one; the double integral then collapses to sums of products of
 one-dimensional moments, which is both faster and better conditioned than
 evaluating on the full tensor grid.  Representations whose coupling resists
-that shape evaluate it on the full grid of live node pairs in one array
-pass, and contract it with the two axes' weights.
+that shape evaluate it in one array pass on the grid of live node pairs,
+cut to the block whose weights are not negligible, and contract it with
+the two axes' weights.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from itertools import accumulate, chain, count, islice
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     ConstraintViolation,
     DomainError,
     HumbertError,
@@ -61,7 +63,7 @@ class QuadratureSpec:
     doubles the nodes per axis, so a higher start only adds work.
     A level that is not a non-negative int, a start_level past max_level,
     or an rtol that is not a positive finite real is refused with
-    ValueError when the spec is built.
+    ArgumentError (also a ValueError) when the spec is built.
     """
 
     start_level: int = 3
@@ -73,8 +75,9 @@ class QuadratureSpec:
         check_count(self.max_level, "max_level")
         check_tolerance(self.rtol, "rtol")
         if self.start_level > self.max_level:
-            raise ValueError(f"start_level {self.start_level} is past "
-                             f"max_level {self.max_level}: no level would run")
+            raise ArgumentError(f"start_level {self.start_level} is past "
+                                f"max_level {self.max_level}: no level would "
+                                f"run")
 
     def to_dict(self) -> dict:
         return {
@@ -273,8 +276,12 @@ class Integrand:
     `factor(xi, omx)` multiplies the first axis's kernel (None: 1).  A
     two-dimensional integrand adds either `couplings`, terms (g, u, v)
     standing for sum_k g[k] (u(xi, 1-xi) v(eta, 1-eta))^k, or
-    `grid(xi, omx, eta, ome)`, its whole coupling on the node grid as a
-    (len(xi), len(eta)) array.
+    `grid(xi, omx, eta, ome, rows, cols)`, its coupling on the node grid
+    as a (len(xi), len(eta)) array, evaluated on the block xi[rows] x
+    eta[cols] (two slices, see `_level`) and exactly 0 elsewhere.  Each
+    block cell keeps the bits it has when the block is the whole grid, and
+    the array keeps its memory order, which the contraction's rounding
+    depends on.
     """
 
     factor: Callable | None = None
@@ -399,10 +406,11 @@ def _b49(p, x, y, tol):
 def _b410(p, x, y, tol):
     a, b = p["gamma"] - p["eps"], p["gamma"]
 
-    def grid(xi, omx, eta, ome):
-        ys = np.outer(y * omx, eta)
-        out = kummer_arr(a, b, -x * xi[:, None] - ys, tol)
-        out *= np.exp(ys)
+    def grid(xi, omx, eta, ome, rows, cols):
+        ys = np.outer(y * omx[rows], eta[cols])
+        out = np.zeros((len(xi), len(eta)))
+        out[rows, cols] = kummer_arr(a, b, -x * xi[rows, None] - ys, tol)
+        out[rows, cols] *= np.exp(ys)
         return out
 
     return Integrand(factor=lambda xi, omx: np.exp(x * xi), grid=grid)
@@ -474,11 +482,19 @@ def _b416(p, x, y, tol):
     }
     FunctionRef("Xi1", params)  # pole guard
 
-    def grid(xi, omx, eta, ome):
-        # one ray (cx, cy) per xi row, all stepped together
-        q = ray_coeffs("Xi1", params, x * omx / (1.0 - x * xi), y * omx, 1.0)
+    def grid(xi, omx, eta, ome, rows, cols):
+        # one ray (cx, cy) per block row, all stepped together.  The matrix
+        # product keeps the whole grid's shape, (nodes x K)(K x live rows),
+        # as BLAS may round a product of another shape differently: the
+        # other rows' coefficients are 0, and the other nodes' columns are
+        # zeroed after it
+        block = ray_coeffs("Xi1", params, x * omx[rows] / (1.0 - x * xi[rows]),
+                           y * omx[rows], 1.0)
+        q = np.zeros((len(block), len(xi)))
+        q[:, rows] = block
         out = poly_arr(q, ome)
-        out *= np.exp(np.outer(y * omx, eta))
+        out[rows, cols] *= np.exp(np.outer(y * omx[rows], eta[cols]))
+        out[:, :cols.start] = out[:, cols.stop:] = 0.0
         return out
 
     return Integrand(
@@ -605,6 +621,22 @@ def _moments(w: np.ndarray, bases: list, sizes: tuple) -> np.ndarray:
 # is refused rather than left to allocate gigabytes at levels 9 and up.
 _GRID_CELLS = 1 << 22
 
+# Tanh-sinh weights fall off double-exponentially toward both ends: the grid
+# route evaluates its coupling only where an axis's kernel weight is at
+# least _PRUNE times that axis's largest.
+_PRUNE = 1e-30
+
+
+def _span(w: np.ndarray) -> slice:
+    """The indices from the first to the last |w| >= _PRUNE max|w|, or all
+    of w if its largest |entry| is not finite, as a slice with both ends."""
+    a = np.abs(w)
+    top = a.max(initial=0.0)
+    keep = np.flatnonzero(a >= _PRUNE * top)
+    if not (math.isfinite(top) and keep.size):
+        return slice(0, a.size)
+    return slice(int(keep[0]), int(keep[-1]) + 1)
+
 
 def _level(exps, integrand: Integrand, level: int) -> tuple[float, float]:
     """One tanh-sinh level of an integral whose axes carry the Beta kernels
@@ -613,11 +645,22 @@ def _level(exps, integrand: Integrand, level: int) -> tuple[float, float]:
     at level - 1, read from the same evaluation.  Level - 1's nodes are
     this level's even-indexed nodes, bit for bit, with twice the weight.
     One axis is a weighted sum.  Two contract the couplings' moments, or
-    the node grid."""
+    the node grid.
+
+    The grid's coupling is evaluated on the block of live rows and nodes
+    between the first and the last kernel weight of at least _PRUNE times
+    its axis's largest (`_span`), and is 0 elsewhere.  The block is cut
+    by the kernels alone, not by the factor: 4.10's factor exp(x xi)
+    falls as fast as its coupling grows (Kummer's transformation), so at
+    x = -50 a block cut by their product drops cells that count.  The
+    contractions keep the whole grid's shape, so the kept products are
+    summed in the same order: a dropped cell adds an exact 0 in place of
+    a product whose kernel weight is below _PRUNE times its axis's
+    largest, which the sum absorbs."""
     nodes = _nodes(level)
-    w1 = _axis_weights(nodes, *exps[0])
+    w1 = k1 = _axis_weights(nodes, *exps[0])
     if integrand.factor is not None:
-        w1 = w1 * integrand.factor(nodes.xi, nodes.omx)
+        w1 = k1 * integrand.factor(nodes.xi, nodes.omx)
     if len(exps) == 1:
         return float(np.sum(2.0 * w1[::2])), float(np.sum(w1))
     w2 = _axis_weights(nodes, *exps[1])
@@ -629,7 +672,8 @@ def _level(exps, integrand: Integrand, level: int) -> tuple[float, float]:
                 f"level {level} needs a {live.size} x {w2.size} coupling "
                 f"grid, over the {_GRID_CELLS}-cell bound")
         coupling = integrand.grid(nodes.xi[live], nodes.omx[live],
-                                  nodes.xi, nodes.omx)
+                                  nodes.xi, nodes.omx, _span(k1[live]),
+                                  _span(w2))
         even = live % 2 == 0
         coarse = (2.0 * w1[live[even]]) @ (coupling[even][:, ::2]
                                            @ (2.0 * w2[::2]))

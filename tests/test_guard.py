@@ -18,7 +18,8 @@ from humbert.identities import IDENTITIES, verify_all_identities
 from humbert.operators import (AXES, apply_delta_op, apply_H, apply_H_bar,
                                apply_nabla, apply_nabla_delta)
 from humbert.profiles import profile_params, resolved_params
-from humbert.quadrature import CORRECTED, REP_IDS, cross_check
+from humbert.quadrature import (CORRECTED, REP_IDS, cross_check,
+                                eval_integral)
 from humbert.scalars import SYMBOLS
 from humbert.series import (BIVARIATE_KINDS, KINDS, SINGLE_KINDS, FunctionRef,
                             TruncatedBiseries, eval_double_series,
@@ -214,3 +215,29 @@ def test_assembled_triangles_are_kept(config):
                     h.update(f"{entry['id']} {side} {profile} {degree} "
                              f"{t._den} {t._rows}\n".encode())
     assert h.hexdigest() == TRIANGLE_DIGEST
+
+
+# the value and est_error bits, and final level, of the two node-grid
+# representations 4.10 and 4.16, or their refusal's type and message, on a
+# 4 x 4 grid of points off the default grids, for generic-A and then
+# generic-B: the reports above keep only each check's worst error, which a
+# one-ulp move of a grid-route value need not change
+GRID_DIGEST = (
+    "ad4ecb3493d5a89635326eb5897e26de8e3af1e8637ce38e0b6ac6f29623f0ab")
+
+
+def test_grid_route_values_are_kept(config):
+    h = hashlib.sha256()
+    for profile in ("generic-A", "generic-B"):
+        for rep_id in ("4.10", "4.16"):
+            params = resolved_params(profile, rep_id, config)
+            for x in (-0.5, 0.05, 0.3, 0.7):
+                for y in (-30.0, -2.0, 0.2, 10.0):
+                    try:
+                        value, diag = eval_integral(rep_id, params, x, y)
+                        line = (f"{value.hex()} {diag['est_error'].hex()} "
+                                f"{diag['final_level']}")
+                    except HumbertError as exc:
+                        line = f"{type(exc).__name__}: {exc}"
+                    h.update(f"{profile} {rep_id} {x} {y} {line}\n".encode())
+    assert h.hexdigest() == GRID_DIGEST

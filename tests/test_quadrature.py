@@ -387,6 +387,58 @@ class TestGridContraction:
             ray_coeffs("Xi1", params, np.array([0.2, 1.0]), np.zeros(2), 1.0)
 
 
+def _value_or_refusal(rep_id, params, x, y):
+    try:
+        value, diag = eval_integral(rep_id, params, x, y)
+    except HumbertError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return value.hex(), diag["final_level"]
+
+
+class TestGridBlock:
+    @pytest.mark.parametrize("profile", ["generic-A", "generic-B"])
+    @pytest.mark.parametrize("rep_id", ["4.10", "4.16"])
+    def test_block_keeps_every_bit(self, rep_id, profile, config,
+                                   monkeypatch):
+        # the coupling on the block of kernel weights >= _PRUNE times their
+        # axis's largest gives the value, final level and refusal of the
+        # whole live grid (_PRUNE 0).  What the block drops at the final
+        # level is at most the dropped kernel weight mass times the block's
+        # largest |factor x coupling|.  At x = -100, 4.10's factor exp(x xi)
+        # falls as fast as its coupling grows: a block cut by the factor's
+        # weights too moves the value there
+        params = resolved_params(profile, rep_id, config)
+        floats = {k: float(v) for k, v in params.items()}
+        exps = _kernel(REPS[rep_id], floats)
+        for x in (-100.0, -0.5, 0.05, 0.3, 0.7):
+            for y in (-30.0, -2.0, 0.2, 10.0):
+                got = _value_or_refusal(rep_id, params, x, y)
+                with monkeypatch.context() as whole_grid:
+                    whole_grid.setattr(quadrature, "_PRUNE", 0.0)
+                    assert got == _value_or_refusal(rep_id, params, x, y), \
+                        (x, y)
+                if isinstance(got, str):
+                    continue
+                nodes = _nodes(got[1])
+                integrand = REPS[rep_id].build(
+                    floats, x, y, QuadratureSpec().rtol * 0.1)
+                k1 = _axis_weights(nodes, *exps[0])
+                factor = integrand.factor(nodes.xi, nodes.omx)
+                live = np.flatnonzero(k1 * factor)
+                k1, k2 = k1[live], _axis_weights(nodes, *exps[1])
+                rows, cols = quadrature._span(k1), quadrature._span(k2)
+                coupling = integrand.grid(nodes.xi[live], nodes.omx[live],
+                                          nodes.xi, nodes.omx, rows, cols)
+                dropped = (
+                    (k1[:rows.start].sum() + k1[rows.stop:].sum()) * k2.sum()
+                    + k1[rows].sum()
+                    * (k2[:cols.start].sum() + k2[cols.stop:].sum()))
+                largest = np.abs(factor[live][rows, None]
+                                 * coupling[rows, cols]).max()
+                fine = float.fromhex(got[0])
+                assert dropped * largest < 1e-25 * abs(fine), (x, y)
+
+
 class TestPolyArr:
     @pytest.mark.parametrize("shape", [(1,), (12,), (1, 3), (30, 4)])
     def test_within_its_rounding_bound(self, shape):
@@ -581,6 +633,11 @@ class TestGuards:
         # report, and not as a TypeError from inside the refinement
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             QuadratureSpec(**kwargs)
+
+    def test_bad_spec_is_a_package_error(self):
+        with pytest.raises(HumbertError, match="start_level 7 is past "
+                                               "max_level 6"):
+            QuadratureSpec(start_level=7, max_level=6)
 
     def test_cross_check_reports_series_no_convergence(self, config):
         # this close to |x| = 1 the Phi1 target series needs more terms than
