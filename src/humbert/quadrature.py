@@ -252,8 +252,17 @@ def ray_coeffs(kind: str, params: dict, cx, cy, zmax: float) -> np.ndarray:
     if info.x_restricted and np.max(np.abs(cx)) * zmax >= 1.0:
         raise DomainError(f"{kind} ray leaves the convergence region")
     shape = np.broadcast(cx, cy).shape
-    diagonal_sum = partial(np.sum, axis=0) if shape else math.fsum
-    sums = map(diagonal_sum, diagonal_terms(info, params, cx, cy, _COEFF_CAP))
+
+    def fsum(k, terms):
+        try:
+            return math.fsum(terms)
+        except (OverflowError, ValueError):  # inf - inf, or past range
+            raise NoConvergence(f"{kind} ray: the terms overflowed at "
+                                f"diagonal {k}") from None
+
+    terms = diagonal_terms(info, params, cx, cy, _COEFF_CAP)
+    sums = (map(partial(np.sum, axis=0), terms) if shape
+            else map(fsum, count(1), terms))
     return _adaptive(chain([np.ones(shape) if shape else 1.0], sums), zmax,
                      f"{kind} ray")
 
@@ -667,6 +676,9 @@ def _level(exps, integrand: Integrand, level: int) -> tuple[float, float]:
     if integrand.grid is not None:
         # the coupling on the grid of live rows (weight not underflowed)
         live = np.flatnonzero(w1)
+        if not live.size:  # the integral is not 0, but no node can say so
+            raise NoConvergence(f"level {level}: every ξ node's weight "
+                                f"underflows")
         if live.size * w2.size > _GRID_CELLS:
             raise NoConvergence(
                 f"level {level} needs a {live.size} x {w2.size} coupling "
@@ -754,8 +766,10 @@ def eval_integral(
         raise DomainError(f"{rep.id}: needs finite x and y, got ({x}, {y})")
     if x >= 1.0:
         raise DomainError(f"{rep.id}: integrand needs x < 1, got {x}")
-    integrand = rep.build(env, x, y, spec.rtol * 0.1)
-    return _refine(partial(_level, exps, integrand), spec, f"{rep.id}: ")
+    # an overflow on the way is refused below, as a NoConvergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = rep.build(env, x, y, spec.rtol * 0.1)
+        return _refine(partial(_level, exps, integrand), spec, f"{rep.id}: ")
 
 
 DIRECT_REPS = ("4.1", "4.2", "4.3", "4.4", "4.5")  # 3 points each, to 1e-8

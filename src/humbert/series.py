@@ -729,9 +729,13 @@ def eval_double_series(
       (`summation._bands`).  Summation stops
       once three consecutive diagonals each contribute (in summed absolute
       value, one masked NumPy sum per band) less than tol times the
-      running |sum|.  math.fsum sums what is returned: each diagonal's
-      signed sum, and the last diagonal's magnitude, `est_error`.  A sum
-      that with a diagonal's magnitude passes the float range is refused.
+      running |sum|.  What is returned is math.fsum's: each diagonal's
+      signed sum, and the last diagonal's magnitude, `est_error`.  The
+      band's NumPy signed sums certify most diagonals' rounding
+      (`summation._certified_add`), and math.fsum runs only on those
+      whose rounding the certificate cannot decide, with the same bits.
+      A sum that with a diagonal's magnitude passes the float range is
+      refused.
     - The row route (x-restricted kinds at |x| >= ROW_ROUTE_X, where the
       x series converges slowly): every row, the series in y at a fixed
       power x^m, is stepped at once as one NumPy array (`rows.sum_by_rows`).

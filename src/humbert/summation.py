@@ -137,33 +137,61 @@ class SeriesDiag(_ReadOnly):
         return (self.value, self)[key]
 
 
+def _certified_add(total: float, s: float, m: float, k: int) -> float | None:
+    """total + math.fsum(terms), when the rounding of diagonal k's k+1
+    terms is decided by s, their sum in some order, and m, their sum of
+    |t| in some order; None when it is not, or the result is not finite.
+
+    Any order of summation is off by at most gamma_k = k u / (1 - k u)
+    times sum |t|, u = 2**-53, and the computed m is below sum |t| by at
+    most gamma_k of it, so |s - S| <= E = (2k + 8) u m, S the exact sum,
+    with room for the rounding of E itself (an addition that underflows is
+    exact, so a nonzero error is at least the least subnormal, which that
+    room covers too).  fsum's result F is within u |S| of S, and each of
+    the two subtractions s -+ E' rounds by at most u, so with
+    E' = E + 3u (|s| + E) the floats s - E' and s + E' enclose F.
+    Rounding to nearest is monotone: if fl(total + .) agrees at both ends
+    it agrees at F.  An infinite or NaN sum, or one whose exact value
+    overflows, makes the ends differ or leaves them infinite.
+    """
+    e = (2 * k + 8) * _UNIT_ROUNDOFF * m
+    e += 3 * _UNIT_ROUNDOFF * (abs(s) + e)
+    lo = total + (s - e)
+    return lo if lo == total + (s + e) and math.isfinite(lo) else None
+
+
 def _sum_by_diagonals(
     info: KindInfo, p: dict, x: float, y: float, tol: float, max_diagonal: int
 ) -> SeriesDiag | str:
     total = 1.0
     small_streak = 0
-    terms = [1.0]
+    last = np.ones(1)
     for k0, band, live in _bands(info, p, x, y, max_diagonal):
-        with np.errstate(over="ignore"):  # an infinite sum is refused below
+        # an infinite or NaN sum is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = band.sum(axis=1, where=live).tolist()
             mags = np.abs(band).sum(axis=1, where=live).tolist()
-        for j, s in enumerate(mags):
+        for j, (s, mag) in enumerate(zip(sums, mags)):
             k = k0 + j + 1
-            terms = band[j, :k + 1].tolist()
-            try:
-                total += math.fsum(terms)
-            except (OverflowError, ValueError):  # inf - inf, or past range
-                total = math.inf
-            if not math.isfinite(total + s):
+            new = _certified_add(total, s, mag, k)
+            if new is None:
+                try:
+                    new = total + math.fsum(band[j, :k + 1].tolist())
+                except (OverflowError, ValueError):  # inf - inf, or past range
+                    new = math.inf
+            total = new
+            if not math.isfinite(total + mag):
                 return f"the terms overflowed at diagonal {k}"
-            if s < tol * max(abs(total), 1e-300):
+            if mag < tol * max(abs(total), 1e-300):
                 small_streak += 1
                 if small_streak == 3:
-                    last_mag = math.fsum(map(abs, terms))
+                    last_mag = math.fsum(map(abs, band[j, :k + 1].tolist()))
                     return SeriesDiag(total, k, last_mag, last_mag)
             else:
                 small_streak = 0
-    return (f"no convergence within {max_diagonal} diagonals "
-            f"(last diagonal magnitude {math.fsum(map(abs, terms)):.3e})")
+        last = band[-1, :k + 1]
+    return (f"no convergence within {max_diagonal} diagonals (last diagonal "
+            f"magnitude {math.fsum(map(abs, last.tolist())):.3e})")
 
 
 def _absmax(a) -> float:

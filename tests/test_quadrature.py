@@ -601,6 +601,33 @@ class TestGuards:
             eval_integral("4.1", params, 0.3, 0.2)
         assert levels == []
 
+    @pytest.mark.parametrize("rep_id", REP_IDS)
+    def test_extreme_points_are_refused_quietly(self, rep_id, config):
+        # far past where the integrands' factors and series overflow or
+        # underflow: a value, or a package error, and no RuntimeWarning
+        # (an error under this suite's warning filter)
+        params = resolved_params("generic-A", rep_id, config)
+        for x in (-1e300, -1e6, 0.999999):
+            for y in (0.2, -1e300, 1e300):
+                try:
+                    eval_integral(rep_id, params, x, y)
+                except HumbertError:
+                    pass
+
+    def test_underflowed_grid_weights_are_refused(self, config):
+        # exp(x xi) is 0 at every node of 4.10's grid: refused, not 0
+        params = resolved_params("generic-A", "4.10", config)
+        with pytest.raises(NoConvergence,
+                           match="every ξ node's weight underflows"):
+            eval_integral("4.10", params, -1e300, 0.2)
+
+    def test_an_overflowed_scalar_ray_is_refused(self, config):
+        # 4.14's Phi2 ray, summed by math.fsum, meets inf - inf
+        params = resolved_params("generic-A", "4.14", config)
+        with pytest.raises(NoConvergence, match="^Phi2 ray: the terms "
+                                                "overflowed at diagonal 72$"):
+            eval_integral("4.14", params, -1e6, 0.2)
+
     def test_gauss_series_needs_open_disk(self):
         with pytest.raises(DomainError):
             gauss_arr(0.5, 0.5, 1.5, np.array([0.2, 1.0]), 1e-12)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from humbert.errors import (
@@ -1074,6 +1074,108 @@ class TestDiagonalBands:
         want = [1.0] + [math.fsum(t) for t in per_term_diagonals(
             series.KINDS["Phi2"], params, 20.0, -15.0, len(coeffs) - 1)]
         assert [c.hex() for c in coeffs] == [c.hex() for c in want]
+
+
+_NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _certificate_cases(draw):
+    """(terms, total): k + 1 terms of one diagonal, their exponents within
+    a few units or spread over +-300, subnormals among them, now and then
+    pairs that cancel, a run of terms each below half an ulp of the first
+    or a non-finite term, and a finite running total, sometimes near the
+    sum's size or one that puts total + fsum(terms) on a rounding
+    midpoint."""
+    spread = draw(st.sampled_from((4, 60, 300)))
+    base = draw(st.integers(-1074 + spread, 1000 - spread))
+    term = st.one_of(
+        st.builds(math.ldexp, st.floats(-1.0, 1.0),
+                  st.integers(base - spread, base + spread)),
+        st.builds(lambda n: n * 5e-324, st.integers(-2 ** 52, 2 ** 52)),
+        st.floats(allow_nan=False, allow_infinity=False))
+    terms = draw(st.lists(term, min_size=1, max_size=40))
+    if draw(st.booleans()):  # cancel: each term's negation, nearly
+        terms += [-t * draw(st.sampled_from((1.0, 1.0 + 2 ** -52)))
+                  for t in terms]
+    if draw(st.booleans()):  # a run that each addition rounds away
+        terms += [terms[0] * 2.0 ** -53] * draw(st.integers(2, 30))
+    if draw(st.integers(0, 9)) == 0:
+        terms.insert(draw(st.integers(0, len(terms))),
+                     draw(st.sampled_from(_NON_FINITE)))
+    terms = draw(st.permutations(terms))
+    try:
+        exact = math.fsum(terms)
+    except (OverflowError, ValueError):
+        exact = math.nan
+    total = draw(st.floats(allow_nan=False, allow_infinity=False))
+    if math.isfinite(exact) and draw(st.booleans()):
+        # within a few binades of the sum, where its rounding counts
+        total = math.ldexp(exact, draw(st.integers(-4, 8)))
+    if math.isfinite(exact) and exact and draw(st.booleans()):
+        # total = M 2^(b+1) with M of 53 bits, b the exponent of the lowest
+        # bit of fsum(terms): total + fsum(terms) is halfway between floats
+        # while it stays in total's binade
+        b = math.frexp(exact)[1] - 53
+        while math.ldexp(exact, -b) % 2 == 0:
+            b += 1
+        mantissa = draw(st.integers(2 ** 52, 2 ** 53 - 1))
+        sign = draw(st.sampled_from((1, -1)))
+        if b + 54 < 1024:
+            total = sign * math.ldexp(mantissa, b + 1)
+    return terms, total
+
+
+class TestCertifiedAdd:
+    """`summation._certified_add`: total + math.fsum(terms) bit for bit, or
+    None, from the terms' sum and sum of |t| in NumPy's order."""
+
+    @staticmethod
+    def _band_sums(terms):
+        # one masked row beside garbage, as a band holds its diagonals
+        row = np.array([terms + [math.nan, math.inf]])
+        live = np.arange(row.shape[1]) < len(terms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (float(row.sum(axis=1, where=live)[0]),
+                    float(np.abs(row).sum(axis=1, where=live)[0]))
+
+    @given(case=_certificate_cases())
+    @example(case=([1e308], 1.7e308))  # both ends round to inf
+    @example(case=([2.0 ** -53, 2.0 ** -106], 1.0))  # just past a midpoint
+    @example(case=([1.0] + [2.0 ** -53] * 6, 4.0))  # s = 1, off by 6u
+    @settings(deadline=None, max_examples=400)
+    def test_none_or_fsum_bits(self, case):
+        terms, total = case
+        s, m = self._band_sums(terms)
+        got = summation._certified_add(total, s, m, len(terms) - 1)
+        try:
+            want = total + math.fsum(terms)
+        except (OverflowError, ValueError):
+            want = math.nan
+        if not math.isfinite(want):
+            assert got is None
+        elif got is not None:
+            assert got.hex() == want.hex()
+
+    def test_a_small_diagonal_is_decided(self):
+        # one whose bound is far below half an ulp of the total; a diagonal
+        # near the total's size is not, as its bound spans several ulps
+        terms = [1e-6, 2e-6, 3e-6]
+        got = summation._certified_add(1.0, *self._band_sums(terms), 2)
+        assert got == 1.0 + math.fsum(terms)
+        terms = [0.1, 0.2, 0.3]
+        assert summation._certified_add(1.0, *self._band_sums(terms), 2) \
+            is None
+
+    def test_fsum_runs_only_where_in_doubt(self, monkeypatch):
+        # an interior sum of 13 diagonals reaches fsum for its first
+        # diagonal, which is near the total's size, and for est_error alone
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda t: calls.append(1) or fsum(t))
+        ref = FunctionRef("Phi2", REFERENCE_PARAMS["Phi2"])
+        value, diag = eval_double_series(ref, 0.3, -0.4)
+        assert (diag.diagonals, len(calls)) == (13, 2)
 
 
 # The x-restricted kinds in mpmath.hyper2d form, with the roles of x and y
