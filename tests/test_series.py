@@ -1110,8 +1110,10 @@ def _certificate_cases(draw):
         exact = math.nan
     total = draw(st.floats(allow_nan=False, allow_infinity=False))
     if math.isfinite(exact) and draw(st.booleans()):
-        # within a few binades of the sum, where its rounding counts
-        total = math.ldexp(exact, draw(st.integers(-4, 8)))
+        # within a few binades of the sum, where its rounding counts; the
+        # shift stops where exact 2^shift would pass the largest float
+        top = min(8, 1024 - math.frexp(exact)[1])
+        total = math.ldexp(exact, draw(st.integers(-4, top)))
     if math.isfinite(exact) and exact and draw(st.booleans()):
         # total = M 2^(b+1) with M of 53 bits, b the exponent of the lowest
         # bit of fsum(terms): total + fsum(terms) is halfway between floats
