@@ -14,8 +14,8 @@ Three layers:
 * Euler-type integral representations cross-checked against the series by
   tanh-sinh quadrature (`eval_integral`, `cross_check`).
 
-The numeric layer (`summation`, `rows`, `quadrature` and NumPy) loads on
-first use: at the first float evaluation, or the first access to one of
+The numeric layer (`summation`, `quadrature` and NumPy) loads on first
+use: at the first float evaluation, or the first access to one of
 `quadrature`'s names from this package (the module `__getattr__` below).
 The exact layer never loads it, nor `dataclasses`, so `import humbert` and
 `humbert verify` run without NumPy and without compiling the float code.

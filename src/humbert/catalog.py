@@ -25,6 +25,7 @@ from pathlib import Path
 from .errors import HumbertError, SignatureError, UnknownFormula
 from .expressions import assemble_expression, expression_symbols
 from .reports import Mismatch, VerificationReport, sort_reports
+from .scalars import check_path
 
 DATA_DIR = Path(__file__).parent / "data"
 CATALOG_ENV_VAR = "HUMBERT_CATALOG"
@@ -61,7 +62,8 @@ def validate_entry(entry: dict) -> None:
         )
 
 
-def _read_entries(path: str | Path) -> list:
+def _read_entries(path: str | Path | None, default: Path) -> list:
+    path = check_path(path, default)
     with open(path) as f:
         try:
             entries = json.load(f)
@@ -75,7 +77,7 @@ def _read_entries(path: str | Path) -> list:
 
 
 def load_catalog(path: str | Path | None = None) -> list[dict]:
-    entries = _read_entries(path or catalog_path())
+    entries = _read_entries(path, catalog_path())
     seen = set()
     for entry in entries:
         if entry["id"] in seen:
@@ -85,7 +87,7 @@ def load_catalog(path: str | Path | None = None) -> list[dict]:
 
 
 def save_catalog(entries: list[dict], path: str | Path) -> None:
-    with open(path, "w") as f:
+    with open(check_path(path), "w") as f:
         json.dump(entries, f, indent=1)
         f.write("\n")
 
@@ -93,7 +95,7 @@ def save_catalog(entries: list[dict], path: str | Path) -> None:
 def load_errata(path: str | Path | None = None) -> dict[str, dict]:
     """Errata overlay: corrected entries keyed by id; an empty list means
     none.  Entries are validated as catalog entries."""
-    entries = _read_entries(path or DATA_DIR / "errata.json")
+    entries = _read_entries(path, DATA_DIR / "errata.json")
     return {entry["id"]: entry for entry in entries}
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import PoleError
+from .errors import ArgumentError, PoleError
 from .scalars import as_exact, check_count, pochhammer, pochhammer_table
 from .series import ZERO, TruncatedBiseries, step_signature, stepped_triangle
 
@@ -50,7 +50,7 @@ def delta_pochhammer_action(
     xi^k, and flipping sign k times.  Slots with index < k are annihilated.
     """
     if which not in ("x", "y"):
-        raise ValueError("which must be 'x' or 'y'")
+        raise ArgumentError("which must be 'x' or 'y'")
     check_count(k, "k")
     table = [pochhammer(Fraction(-i), k) for i in range(s.degree + 1)]
     if which == "x":
@@ -85,13 +85,13 @@ def _h_sum_multiplier(a, b, m, n, axis, inverse):
 def _apply_h(s, a, b, mode, axis, inverse):
     """apply_H, or apply_H_bar if `inverse`."""
     if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}")
+        raise ArgumentError(f"axis must be one of {AXES}")
     a, b = as_exact(a, "a"), as_exact(b, "b")
     if mode == "double_sum":
         return s.map_indexed(
             lambda m, n: _h_sum_multiplier(a, b, m, n, axis, inverse))
     if mode != "closed_form":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ArgumentError(f"unknown mode {mode!r}")
     # the one pole rule of the closed form, whatever the numerator: no
     # 0/0 cell is read as 0 here, so H(-1, -2) raises
     top, bottom = (b, a) if inverse else (a, b)
@@ -193,4 +193,4 @@ def apply_nabla_delta(
         return apply_delta_op(apply_nabla(s, h), g)
     if mode == "k_sum":
         return s.map_indexed(lambda m, n: nabla_delta_ksum(h, g, m, n))
-    raise ValueError(f"unknown mode {mode!r}")
+    raise ArgumentError(f"unknown mode {mode!r}")

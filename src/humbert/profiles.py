@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from .errors import SignatureError
-from .scalars import SYMBOLS, as_scalar
+from .scalars import SYMBOLS, as_scalar, check_path
 
 DATA_PATH = Path(__file__).parent / "data" / "profiles.json"
 
@@ -22,7 +22,7 @@ def load_config(path: str | Path | None = None) -> dict:
     """Read a profiles config: {"profiles": {...}, "overrides": {...},
     "errata": path-or-null}.  Parameter values stay as strings here;
     resolution converts them."""
-    with open(path or DATA_PATH, encoding="utf-8") as fh:
+    with open(check_path(path, DATA_PATH), encoding="utf-8") as fh:
         try:
             config = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
+from .errors import ArgumentError
+
 
 class _Keyed:
     """Key access for a namedtuple that stands for a dict: record["field"],
@@ -69,11 +71,11 @@ class VerificationReport:
                  numeric: NumericResult | dict | None = None,
                  detail: str | None = None):
         if mode not in ("exact", "numeric"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise ArgumentError(f"unknown mode {mode!r}")
         if status not in ("pass", "fail", "error"):
-            raise ValueError(f"unknown status {status!r}")
+            raise ArgumentError(f"unknown status {status!r}")
         if status == "fail" and mismatch is None and numeric is None:
-            raise ValueError("a fail report must carry a witness")
+            raise ArgumentError("a fail report must carry a witness")
         self.target = target
         self.mode = mode
         self.status = status

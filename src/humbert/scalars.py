@@ -12,6 +12,7 @@ them, `to_float` makes them).
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 from numbers import Real
 from typing import Union
@@ -105,13 +106,22 @@ def check_count(count, name: str) -> None:
         raise ArgumentError(f"{name} must be a non-negative int, got {count!r}")
 
 
+def check_path(path, default=None):
+    """The file to open: path, or `default` where path is None or empty.
+    Any other path that is not a str or an os.PathLike is refused, as
+    ArgumentError: open() takes an int, a bool among them, for a file
+    descriptor, and would close it."""
+    if path is not None and not isinstance(path, (str, os.PathLike)):
+        raise ArgumentError(f"path must be a str or os.PathLike, got {path!r}")
+    return path or default
+
+
 def pochhammer(a: Fraction, n: int) -> Fraction:
     """Rising factorial a(a+1)...(a+n-1), computed as an explicit product;
     1 for n = 0.  Never evaluated through the Gamma function, so it is
     total and pole-free for every a.
     """
-    if n < 0:
-        raise ValueError(f"pochhammer needs n >= 0, got {n}")
+    check_count(n, "pochhammer's n")
     result = Fraction(1)
     for k in range(n):
         result *= a + k
@@ -124,8 +134,7 @@ def pochhammer_table(a: Fraction, n: int) -> list[Fraction]:
     Entry k equals pochhammer(a, k): each entry is the previous one times
     a + k, the product pochhammer forms.
     """
-    if n < 0:
-        raise ValueError(f"pochhammer_table needs n >= 0, got {n}")
+    check_count(n, "pochhammer_table's n")
     table = [pochhammer(a, 0)]
     for k in range(n):
         table.append(table[-1] * (a + k))

@@ -4,9 +4,9 @@ The exact side of the package works on dense triangular truncations: a
 series of total degree bound N stores the (N+1)(N+2)/2 rational
 coefficients c_{m,n} with m+n <= N and nothing else, as integer
 numerators over one denominator.  The numeric side sums the defining double
-series with a term recurrence: in diagonal order (`summation`), or, near the
-edge of the x disk, row by row as one NumPy array recurrence (`rows`).  This
-module holds only its entry points, which load that code on first use.
+series with a term recurrence, in diagonal order or, near the edge of the x
+disk, row by row as one NumPy array recurrence: both in `summation`, whose
+entry points here load it on first use.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
+    ArgumentError,
     DomainError,
     NoConvergence,
     PoleError,
@@ -59,14 +60,14 @@ class TruncatedBiseries:
     def __init__(self, degree: int, rows: list[list[Fraction]] | None = None):
         """The triangle of the given rows of exact rational cells (each
         coerced by `as_exact`, which refuses a float), or the zero one."""
-        if degree < 0:
-            raise ValueError("degree bound must be non-negative")
+        check_count(degree, "degree bound")
         if rows is None:
             rows = [[0] * (degree + 1 - m) for m in range(degree + 1)]
         if len(rows) != degree + 1 or any(
             len(row) != degree + 1 - m for m, row in enumerate(rows)
         ):
-            raise ValueError("rows do not form a degree-%d triangle" % degree)
+            raise ArgumentError(f"rows do not form a degree-{degree} "
+                                "triangle")
         rows = [[as_exact(c, f"coefficient ({m}, {n})")
                  for n, c in enumerate(row)] for m, row in enumerate(rows)]
         # over the least common denominator of reduced cells, the
@@ -108,7 +109,8 @@ class TruncatedBiseries:
         cls, degree: int, m: int, n: int, coeff: Fraction = ONE
     ) -> "TruncatedBiseries":
         if m < 0 or n < 0 or m + n > degree:
-            raise ValueError(f"monomial x^{m} y^{n} outside degree-{degree} triangle")
+            raise ArgumentError(f"monomial x^{m} y^{n} outside "
+                                f"degree-{degree} triangle")
         rows = [[0] * (degree + 1 - i) for i in range(degree + 1)]
         rows[m][n] = coeff
         return cls(degree, rows)
@@ -198,8 +200,8 @@ class TruncatedBiseries:
 
     def shifted(self, i: int, j: int) -> "TruncatedBiseries":
         """Multiply by x^i y^j, dropping coefficients pushed past the bound."""
-        if i < 0 or j < 0:
-            raise ValueError("shift offsets must be non-negative")
+        check_count(i, "shift offset i")
+        check_count(j, "shift offset j")
         return self.shifted_sum(self.degree, [(1, i, j, self)])
 
     def __eq__(self, other) -> bool:
@@ -238,7 +240,7 @@ class TruncatedBiseries:
 
     def _check_degree(self, other: "TruncatedBiseries") -> None:
         if self.degree != other.degree:
-            raise ValueError(
+            raise ArgumentError(
                 f"degree bounds differ: {self.degree} vs {other.degree}"
             )
 
@@ -343,15 +345,6 @@ def _step_factors(num, den, step: str, factorial: bool = True,
 
     falling = [f"({step} + 1)"] if factorial else []
     return factors(num), factors(den) + falling
-
-
-@cache
-def _step_roundings(info: KindInfo, step: str) -> int:
-    """Roundings one recurrence step commits, at most: two additions per
-    ratio factor, one product or quotient joining each, then the products
-    by the argument and by the previous term."""
-    num, den = _step_factors(info.num, info.den, step)
-    return 3 * (len(num) + len(den)) + 1
 
 
 def _term_ratio(num, den, step: str) -> Callable:
@@ -636,7 +629,7 @@ def single_series_on_axis(
     if ref.info.bivariate:
         raise SignatureError(f"{ref.kind} is not single-variable")
     if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
+        raise ArgumentError("axis must be 'x' or 'y'")
     if axis == "x":
         return truncated_series(ref, degree)
     den, terms = _kind_terms(ref, degree)
@@ -738,7 +731,8 @@ def eval_double_series(
       refused.
     - The row route (x-restricted kinds at |x| >= ROW_ROUTE_X, where the
       x series converges slowly): every row, the series in y at a fixed
-      power x^m, is stepped at once as one NumPy array (`rows.sum_by_rows`).
+      power x^m, is stepped at once as one NumPy array
+      (`summation.sum_by_rows`).
       `est_error` bounds the tails left out plus the rounding, and a sum
       whose estimate exceeds tol |value| is refused.
 
@@ -759,10 +753,8 @@ def eval_double_series(
 
     p = summation._float_params(ref)
     if info.x_restricted and abs(x) >= summation.ROW_ROUTE_X:
-        from .rows import sum_by_rows
-
-        out = sum_by_rows(info, p, x, y, tol,
-                          max_diagonal * (max_diagonal + 1) // 2)
+        out = summation.sum_by_rows(info, p, x, y, tol,
+                                    max_diagonal * (max_diagonal + 1) // 2)
     else:
         out = summation._sum_by_diagonals(info, p, x, y, tol, max_diagonal)
     # The routes return why they gave up rather than raise it, so that the

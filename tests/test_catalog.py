@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import random
 import re
 from fractions import Fraction
@@ -17,10 +18,11 @@ from humbert.catalog import (
     verify_all,
     verify_formula,
 )
-from humbert.errors import SignatureError, UnknownFormula
+from humbert.errors import ArgumentError, SignatureError, UnknownFormula
 from humbert.expressions import assemble_expression
 from humbert.identities import (IDENTITIES, verify_all_identities,
                                 verify_operator_identity)
+from humbert.profiles import load_config
 from humbert.reports import Mismatch, VerificationReport
 
 from conftest import collapse_substitutions, plus_one_mutants
@@ -86,6 +88,22 @@ class TestCatalogShape:
         monkeypatch.setenv("HUMBERT_CATALOG", str(small))
         assert catalog_path() == small
         assert len(load_catalog()) == 1
+
+    # open() takes an int, a bool among them, for a file descriptor and
+    # closes it: load_catalog(True) would close stdout, load_config(2)
+    # stderr, and save_catalog([], 1) would write to stdout and close it
+    @pytest.mark.parametrize("path", [True, 1, 2])
+    @pytest.mark.parametrize("call", [
+        load_catalog, load_errata, load_config,
+        lambda path: save_catalog([], path),
+    ], ids=["load_catalog", "load_errata", "load_config", "save_catalog"])
+    def test_a_descriptor_is_not_a_path(self, call, path):
+        with pytest.raises(ArgumentError) as raised:
+            call(path)
+        assert str(raised.value) == \
+            f"path must be a str or os.PathLike, got {path!r}"
+        for fd in (0, 1, 2):
+            os.fstat(fd)
 
     def test_get_formula(self, catalog):
         assert get_formula("2.36")["id"] == "2.36"

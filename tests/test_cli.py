@@ -457,7 +457,7 @@ params = humbert.profile_params("generic-A", config)
 humbert.verify_all(params, 2)
 humbert.verify_all_identities(params, 2)
 assert cli.main(["verify", "all", "--n", "2"]) == 0
-loaded = {"numpy", "humbert.quadrature", "humbert.rows", "humbert.summation",
+loaded = {"numpy", "humbert.quadrature", "humbert.summation",
           "dataclasses"} & set(sys.modules)
 assert not loaded, loaded
 

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from humbert import expressions
+from humbert import expressions, identities
 from humbert.errors import PoleError, SignatureError, UnknownIdentity
 from humbert.expressions import expression_symbols
 from humbert.identities import (
@@ -102,6 +104,25 @@ class TestShiftMechanics:
     def test_reconstruction(self, profile_a, profile_b):
         assert check_phi1_reconstruction(profile_a, 8) is None
         assert check_phi1_reconstruction(profile_b, 8) is None
+
+    # a planted bug, the y-axis lowering action skipped, must come back as
+    # a witness: the first differing cell and its two rationals
+    @pytest.mark.parametrize("check, args", [
+        (check_phi1_shift, (1, 1)),
+        (check_phi1_reconstruction, ()),
+    ])
+    def test_a_mismatch_returns_its_witness(self, check, args, profile_a,
+                                            monkeypatch):
+        act = identities.delta_pochhammer_action
+        monkeypatch.setattr(identities, "delta_pochhammer_action",
+                            lambda s, which, k: s if which == "y"
+                            else act(s, which, k))
+        witness = check(profile_a, 6, *args)
+        assert witness is not None
+        m, n, a, b = witness
+        assert type(m) is int and type(n) is int and m + n <= 6
+        assert type(a) is str and type(b) is str
+        assert Fraction(a) != Fraction(b)
 
     def test_reconstruction_weight_pole_is_a_pole_error(self, profile_a):
         # (eps)_{i+j} vanishes from i + j = 2 on, while (eps - alpha)_{i+j}

@@ -15,7 +15,14 @@ from humbert.operators import (
     delta_pochhammer_action,
     nabla_delta_ksum,
 )
-from humbert.series import FunctionRef, TruncatedBiseries, graded_indices, truncated_series
+from humbert.scalars import pochhammer, pochhammer_table
+from humbert.series import (
+    FunctionRef,
+    TruncatedBiseries,
+    graded_indices,
+    single_series_on_axis,
+    truncated_series,
+)
 
 F = Fraction
 
@@ -178,6 +185,43 @@ class TestArgumentChecks:
         with pytest.raises(SignatureError) as raised:
             apply(ones(4), *args, **kwargs)
         assert str(raised.value) == f"{text} is not an exact rational"
+
+    # the refusals of the triangle, operator and Pochhammer code that no
+    # other test reaches, and the counts that were a TypeError (2.5) or
+    # were taken as 1 (True)
+    @pytest.mark.parametrize("call, text", [
+        (lambda: TruncatedBiseries(-1),
+         "degree bound must be a non-negative int, got -1"),
+        (lambda: TruncatedBiseries(2.5),
+         "degree bound must be a non-negative int, got 2.5"),
+        (lambda: TruncatedBiseries(True),
+         "degree bound must be a non-negative int, got True"),
+        (lambda: TruncatedBiseries(1, [[1, 2]]),
+         "rows do not form a degree-1 triangle"),
+        (lambda: TruncatedBiseries.monomial(2, 2, 1),
+         "monomial x^2 y^1 outside degree-2 triangle"),
+        (lambda: ones(2).shifted(-1, 0),
+         "shift offset i must be a non-negative int, got -1"),
+        (lambda: ones(2).shifted(0, 2.5),
+         "shift offset j must be a non-negative int, got 2.5"),
+        (lambda: single_series_on_axis(
+            FunctionRef("Kummer1F1", {"alpha": F(1, 2), "gamma": F(5, 4)}),
+            3, "z"), "axis must be 'x' or 'y'"),
+        (lambda: delta_pochhammer_action(ones(2), "z", 1),
+         "which must be 'x' or 'y'"),
+        (lambda: apply_nabla_delta(ones(2), F(1, 2), F(1, 3), mode="magic"),
+         "unknown mode 'magic'"),
+        (lambda: pochhammer_table(F(1), -1),
+         "pochhammer_table's n must be a non-negative int, got -1"),
+        (lambda: pochhammer(F(1), 2.5),
+         "pochhammer's n must be a non-negative int, got 2.5"),
+    ])
+    def test_bad_arguments_are_argument_errors(self, call, text):
+        with pytest.raises(ArgumentError) as raised:
+            call()
+        assert isinstance(raised.value, HumbertError)
+        assert isinstance(raised.value, ValueError)
+        assert str(raised.value) == text
 
 
 class TestApplyHBar:

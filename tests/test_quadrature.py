@@ -531,7 +531,8 @@ class TestPhi1Nodes:
 
     @pytest.mark.parametrize("edge", [1.0, -1.0, 1.5])
     def test_needs_the_open_x_disk(self, edge):
-        with pytest.raises(DomainError, match=r"\|u\| >= 1") as info:
+        disk = r"^Phi1 series: the argument reached \|x\| >= 1$"
+        with pytest.raises(DomainError, match=disk) as info:
             phi1_arr(0.5, 1 / 3, 1.25, np.array([0.2, edge]), np.zeros(2),
                      1e-11)
         assert "row-reduced" not in str(info.value)

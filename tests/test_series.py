@@ -768,7 +768,7 @@ class TestEvalDoubleSeries:
             FunctionRef("Phi1", REFERENCE_PARAMS["Phi1"]), 0.4, -0.7)
         assert diag["diagonals"] == diag.diagonals
         assert diag["est_error"] == diag.est_error
-        assert diag["last_diagonal"] == diag.last_diagonal
+        assert diag["value"] == diag.value
         assert not hasattr(diag, "__dict__")
         with pytest.raises(AttributeError):
             diag.est_error = 0.0
@@ -1238,12 +1238,17 @@ class TestRowRoute:
                 ref.info, p, -0.8, 0.9, 1e-15, 600)
             assert abs(value - other) <= 1e-12 * abs(other), kind
 
-    def test_threshold_picks_the_route(self):
+    def test_threshold_picks_the_route(self, monkeypatch):
         ref = FunctionRef("Phi1", REFERENCE_PARAMS["Phi1"])
+        by_rows = summation.sum_by_rows
+        calls = []
+        monkeypatch.setattr(summation, "sum_by_rows",
+                            lambda *args: calls.append(args) or by_rows(*args))
         below = math.nextafter(ROW_ROUTE_X, 0.0)
         _, diag = eval_double_series(ref, below, 0.5)
-        assert diag["est_error"] == diag["last_diagonal"]  # diagonal route
+        assert not calls  # diagonal route
         _, diag = eval_double_series(ref, ROW_ROUTE_X, 0.5)
+        assert len(calls) == 1
         # the row route sums a block of rows: far more diagonals
         assert diag["diagonals"] > 100
 
