@@ -14,10 +14,11 @@ import sys
 
 from . import catalog as _catalog
 from . import identities as _identities
-from .errors import HumbertError, UnknownFormula
+from .errors import HumbertError
 from .profiles import load_config, profile_params, resolved_params
 from .reports import sort_reports
-from .scalars import SYMBOLS, as_scalar, check_tolerance, to_float
+from .scalars import SYMBOLS, as_scalar, check_count, check_tolerance, \
+    to_float
 from .series import BIVARIATE_KINDS, KINDS, FunctionRef, SINGLE_KINDS, \
     eval_double_series, eval_single_series
 
@@ -53,20 +54,12 @@ def _collect_params(args) -> dict:
     }
 
 
-def _check_tol(tol: float | None) -> None:
-    try:
-        if tol is not None:
-            check_tolerance(tol, "--tol")
-    except ValueError as exc:  # exit 2, as every bad flag value does
-        raise HumbertError(str(exc)) from None
-
-
 def cmd_eval(args) -> int:
     kind = _KIND_BY_CLI.get(args.kind.lower())
     if kind is None:
         print(f"unknown kind {args.kind!r}", file=sys.stderr)
         return 2
-    _check_tol(args.tol)
+    check_tolerance(args.tol, "--tol")
     params = _collect_params(args)
     x = to_float(as_scalar(args.x), "x")
     if kind in BIVARIATE_KINDS:
@@ -95,8 +88,7 @@ def cmd_verify(args) -> int:
     if args.scope != "all" and args.id is None:
         print("an id is required unless scope is 'all'", file=sys.stderr)
         return 2
-    if args.n < 0:
-        raise HumbertError(f"--n must be non-negative, got {args.n}")
+    check_count(args.n, "--n")
     config = load_config(args.config)
     params = profile_params(args.profile, config)
     if args.scope == "all":
@@ -107,11 +99,9 @@ def cmd_verify(args) -> int:
         reports += _identities.verify_all_identities(params, degree=args.n)
     elif args.scope == "formula":
         reports = [_catalog.verify_formula(args.id, params, degree=args.n)]
-    elif args.scope == "identity":
+    else:  # identity: argparse restricts the scope's choices
         reports = [_identities.verify_operator_identity(
             args.id, params, degree=args.n)]
-    else:  # pragma: no cover - argparse restricts choices
-        raise UnknownFormula(args.scope)
     return _emit(reports)
 
 
@@ -132,24 +122,16 @@ def _parse_grid(text: str | None):
 
 
 def cmd_integral_check(args) -> int:
-    from .quadrature import REP_IDS, QuadratureSpec, cross_check
+    from .quadrature import REP_IDS, cross_check
 
     rep_ids = REP_IDS if args.rep == "all" else (args.rep,)
-    reports = []
-    _check_tol(args.tol)
+    if args.tol is not None:
+        check_tolerance(args.tol, "--tol")
     config = load_config(args.config)
-    for rep_id in rep_ids:
-        params = resolved_params(args.profile, rep_id, config)
-        reports.append(
-            cross_check(
-                rep_id,
-                params,
-                grid=_parse_grid(args.grid),
-                tol=args.tol,
-                spec=QuadratureSpec(),
-            )
-        )
-    return _emit(reports)
+    return _emit([
+        cross_check(rep_id, resolved_params(args.profile, rep_id, config),
+                    grid=_parse_grid(args.grid), tol=args.tol)
+        for rep_id in rep_ids])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,6 +30,7 @@ from .scalars import (
     Scalar,
     as_exact,
     as_scalar,
+    check_params,
     is_nonpositive_integer,
 )
 from .series import (
@@ -61,6 +62,8 @@ INDICES = ("ij", "i")
 @lru_cache(maxsize=None)
 def parse_affine(expr: str) -> tuple[Fraction, tuple[tuple[str, int], ...]]:
     """Parse an affine expression into (constant, ((symbol, coeff), ...))."""
+    if not isinstance(expr, str):
+        raise SignatureError(f"not an affine expression: {expr!r}")
     pos = 0
     sign = 1
     expect_term = True
@@ -324,6 +327,7 @@ def assemble_expression(e: dict, params: dict, degree: int
 def exact_env(params: dict, degree: int) -> dict:
     """The parameters coerced by `as_exact`, then the degree checked to be
     a non-negative int; each refusal is a SignatureError."""
+    check_params(params)
     env = {k: as_exact(v, f"parameter {k!r}") for k, v in params.items()}
     if type(degree) is not int or degree < 0:
         raise SignatureError(

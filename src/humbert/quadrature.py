@@ -44,7 +44,8 @@ from .errors import (
 )
 from .expressions import eval_affine
 from .reports import NumericResult, VerificationReport, _id_key
-from .scalars import check_count, check_tolerance, is_real, to_float
+from .scalars import (
+    as_real, check_count, check_params, check_tolerance, is_real, to_float)
 from .series import KINDS, FunctionRef, eval_double_series
 from .summation import _absmax, _single_steps, diagonal_terms, sum_series
 
@@ -250,8 +251,8 @@ def ray_coeffs(kind: str, params: dict, cx, cy, zmax: float) -> np.ndarray:
     shape = np.broadcast(cx, cy).shape
 
     def fsum(k, terms):
-        try:
-            return math.fsum(terms)
+        try:  # n order: fsum's refusal of an intermediate overflow hangs on it
+            return math.fsum(terms[::-1].tolist())
         except (OverflowError, ValueError):  # inf - inf, or past range
             raise NoConvergence(f"{kind} ray: the terms overflowed at "
                                 f"diagonal {k}") from None
@@ -732,11 +733,11 @@ class _Symbols(dict):
 
 
 def _lookup(rep: IntegralRep | str) -> IntegralRep:
-    """The rep itself, or the one with that id in REPS (UnknownFormula if
-    there is none)."""
-    if not isinstance(rep, str):
+    """The rep itself, or the one with that id in REPS; anything else is
+    an UnknownFormula."""
+    if isinstance(rep, IntegralRep):
         return rep
-    if rep not in REPS:
+    if not isinstance(rep, str) or rep not in REPS:
         raise UnknownFormula(f"unknown representation id {rep!r}")
     return REPS[rep]
 
@@ -756,6 +757,8 @@ def eval_integral(
     """
     rep = _lookup(rep)
     spec = spec or QuadratureSpec()
+    check_params(params)
+    x, y = as_real(x, "x"), as_real(y, "y")
     env = _Symbols({k: to_float(v, f"parameter {k}") for k, v in params.items()})
     exps = _kernel(rep, env)
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -838,12 +841,13 @@ def cross_check(
     Returns a numeric VerificationReport with the max relative error, the
     worst point and the highest tanh-sinh level any grid point needed; its
     target and settings variant are the representation's id and variant.
-    grid None selects `default_grid`; a grid that is empty or not a
-    sequence of (x, y) pairs of real numbers, a tol that is not positive
-    and finite, and constraint violations raise; evaluation failures at
-    some grid point produce an error report.
+    grid None selects `default_grid`; params that are not a mapping, a
+    grid that is empty or not a sequence of (x, y) pairs of real numbers,
+    a tol that is not positive and finite, and constraint violations
+    raise; evaluation failures at some grid point produce an error report.
     """
     rep = _lookup(rep)
+    check_params(params)
     grid = default_grid(rep.id) if grid is None else _check_grid(rep.id, grid)
     tol = tol if tol is not None else default_tolerance(rep.id)
     check_tolerance(tol)

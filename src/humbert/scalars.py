@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping
 from fractions import Fraction
 from numbers import Real
 from typing import Union
@@ -90,6 +91,19 @@ def is_real(v) -> bool:
     check, an ABC lookup that costs more than the rest."""
     return isinstance(v, float) or (
         isinstance(v, Real) and not isinstance(v, bool))
+
+
+def as_real(value, name: str) -> float:
+    """A real argument (`is_real`) as its float; else an ArgumentError."""
+    if not is_real(value):
+        raise ArgumentError(f"{name} must be a real number, got {value!r}")
+    return value if isinstance(value, float) else to_float(value, name)
+
+
+def check_params(params) -> None:
+    """Refuse, as SignatureError, parameters that are not a mapping."""
+    if not isinstance(params, Mapping):
+        raise SignatureError(f"params must be a mapping, got {params!r}")
 
 
 def check_tolerance(tol, name: str = "tol") -> None:

@@ -26,8 +26,8 @@ from .errors import (
     UnsupportedTransform,
 )
 from .scalars import (
-    as_exact, as_scalar, check_count, check_not_pole, check_tolerance,
-    pochhammer,
+    as_exact, as_real, as_scalar, check_count, check_not_pole, check_params,
+    check_tolerance, pochhammer,
 )
 
 ZERO = Fraction(0)
@@ -558,6 +558,7 @@ class FunctionRef(_ReadOnly):
         if kind not in KINDS:
             raise SignatureError(f"unknown kind {kind!r}")
         info = KINDS[kind]
+        check_params(params)
         clean = {k: as_scalar(v) for k, v in params.items()}
         missing = [s for s in info.slots if s not in clean]
         extra = [s for s in clean if s not in info.slots]
@@ -581,6 +582,13 @@ class FunctionRef(_ReadOnly):
     @property
     def info(self) -> KindInfo:
         return KINDS[self.kind]
+
+
+def _info(ref: FunctionRef) -> KindInfo:
+    """ref's KindInfo; a ref that is not a FunctionRef: SignatureError."""
+    if not isinstance(ref, FunctionRef):
+        raise SignatureError(f"not a FunctionRef: {ref!r}")
+    return ref.info
 
 
 def in_domain(ref: FunctionRef, x: float, y: float) -> bool:
@@ -615,7 +623,7 @@ def truncated_series(ref: FunctionRef, degree: int) -> TruncatedBiseries:
     of its row or column, as (a)_k does.  A single-variable kind fills
     column 0 only.
     """
-    if ref.info.bivariate:
+    if _info(ref).bivariate:
         return stepped_triangle(_kind_terms(ref, degree), degree)
     den, terms = _kind_terms(ref, degree)
     return TruncatedBiseries._over(
@@ -744,9 +752,10 @@ def eval_double_series(
     """
     check_tolerance(tol)
     check_count(max_diagonal, "max_diagonal")
-    info = ref.info
+    info = _info(ref)
     if not info.bivariate:
         raise SignatureError(f"{ref.kind} is single-variable; use eval_single_series")
+    x, y = as_real(x, "x"), as_real(y, "y")
     if not in_domain(ref, x, y):
         raise DomainError(f"({x}, {y}) outside the {ref.kind} convergence region")
     from . import summation  # numeric layer: see humbert.__init__
@@ -774,6 +783,7 @@ def eval_single_series(kind: str, params: dict, x: float, tol: float = 1e-12,
     ref = FunctionRef(kind, params)
     if ref.info.bivariate:
         raise SignatureError(f"{kind} is bivariate; use eval_double_series")
+    x = as_real(x, "x")
     if not in_domain(ref, x, 0.0):
         raise DomainError(f"x = {x} outside the {kind} convergence region")
     from . import summation  # numeric layer: see humbert.__init__

@@ -84,21 +84,26 @@ def _geometric_tail(first, ratio):
     return np.where(first == 0, 0.0, np.where(ratio < 1, tail, np.inf))
 
 
-def next_diagonal(info: KindInfo, p: dict, terms, x, y):
-    """Diagonal k = len(terms) as one (k+1,) + ray-shape array, row m
-    holding t_{m,k-m}: t_{0,k} stepped in y from t_{0,k-1}, every other
-    row in x from t_{m-1,k-m} by the term-by-term (t * ratio) * x, so
-    every term keeps its bits.  One entry per ray (see `diagonal_terms`)."""
-    k = len(terms)
-    m = np.arange(k, dtype=float).reshape((k,) + (1,) * (terms.ndim - 1))
-    out = np.empty((k + 1,) + terms.shape[1:])
-    out[0] = terms[0] * info.ratio_y(p, 0, k - 1) * y
-    np.multiply(terms, info.ratio_x(p, m, k - 1 - m), out=out[1:])
-    out[1:] *= x
-    return out
+def diagonal_terms(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
+    """Yield diagonals 1..count of the kind's series at (x, y), one ray per
+    element (a scalar pair is one ray), with the float parameters p,
+    c_{0,0} = 1: diagonal k as one (k+1,) + ray-shape array, row m holding
+    t_{m,k-m}.  t_{0,k} is stepped in y from t_{0,k-1}, every other row in
+    x from t_{m-1,k-m} by the term-by-term (t * ratio_x) * x, so every term
+    keeps its bits.  The one stepper of rays and node arrays; the scalar
+    point route steps the same terms by bands (`_bands`)."""
+    terms = np.ones((1,) + np.broadcast(x, y).shape)
+    for k in range(1, count + 1):
+        m = np.arange(k, dtype=float).reshape((k,) + (1,) * (terms.ndim - 1))
+        out = np.empty((k + 1,) + terms.shape[1:])
+        out[0] = terms[0] * info.ratio_y(p, 0, k - 1) * y
+        np.multiply(terms, info.ratio_x(p, m, k - 1 - m), out=out[1:])
+        out[1:] *= x
+        yield out
+        terms = out
 
 
-BAND = 32  # diagonals stepped per NumPy pass on the scalar route
+BAND = 32  # diagonals stepped per NumPy pass on the scalar point route
 BAND_TERMS = 4096  # cap on the terms of one band, and so on its transient
 
 
@@ -108,11 +113,11 @@ def _band(info: KindInfo, p: dict, x: float, y: float, last, width: int):
     terms: row j-1, column n holds t_{k0+j-n,n} where k0+j-n >= 0.
 
     Down every column one cumulative product of the interleaved factors t,
-    ratio_x, x, ratio_x, x, ... performs next_diagonal's float operations,
+    ratio_x, x, ratio_x, x, ... performs `diagonal_terms`' float operations,
     (t * ratio_x) * x, in its order, so every term has the bits of the
     term-by-term recurrence.  A new column n = k0+i starts from t_{0,k0}
     with the factors ratio_y, y, ratio_y, y, ... of the i steps in y along
-    m = 0, so that its product reaches t_{0,n} as next_diagonal steps it,
+    m = 0, so that its product reaches t_{0,n} as `diagonal_terms` steps it,
     and then steps in x.
     """
     k0 = len(last) - 1
@@ -129,9 +134,9 @@ def _band(info: KindInfo, p: dict, x: float, y: float, last, width: int):
 
 
 def _bands(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
-    """Yield (k0, band, live) for diagonals 1..count at scalar (x, y): each
-    `_band` steps BAND diagonals past k0, fewer once it would pass
-    BAND_TERMS terms, and never past `count`."""
+    """Yield (k0, band, live) for diagonals 1..count at scalar (x, y) to
+    `_sum_by_diagonals`: each `_band` steps BAND diagonals past k0, fewer
+    once it would pass BAND_TERMS terms, and never past `count`."""
     last = np.ones(1)
     k = 0
     while k < count:
@@ -142,26 +147,6 @@ def _bands(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
         yield k, band, live
         last = band[-1]
         k += width
-
-
-def diagonal_terms(info: KindInfo, p: dict, x, y, count: int) -> Iterator:
-    """Yield the terms of diagonals 1..count of the kind's series at (x, y)
-    with the float parameters p, c_{0,0} = 1.
-
-    Scalar (x, y) are stepped a band at a time (`_bands`); each diagonal
-    is a list of floats.  Arrays, one ray per element, are stepped one
-    diagonal at a time by next_diagonal, each diagonal one (k+1,) +
-    ray-shape array.  The shape of (x, y) alone picks the path.
-    """
-    if np.ndim(x) or np.ndim(y):
-        terms = np.ones((1,) + np.broadcast(x, y).shape)
-        for _ in range(count):
-            terms = next_diagonal(info, p, terms, x, y)
-            yield terms
-        return
-    for k, band, _ in _bands(info, p, x, y, count):
-        for j in range(len(band)):
-            yield band[j, :k + j + 2].tolist()
 
 
 class SeriesDiag(_ReadOnly):
@@ -354,7 +339,7 @@ def sum_series(info: KindInfo, p: dict, x, tol: float, max_terms: int,
                what: str, y=None) -> tuple[float, dict]:
     """Sum 1 + t_1 + t_2 + ... at the float parameters p: a single-variable
     kind's terms at x, a float or a node array, or, with node arrays x and
-    y, a bivariate kind's diagonals (`next_diagonal`, each summed by
+    y, a bivariate kind's diagonals (`diagonal_terms`, each summed by
     np.sum).  Returns (value, {terms, est_error}).
 
     A step's size is |t|, or its diagonal's sum of |t|, and the scale |sum|;

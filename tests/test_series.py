@@ -8,15 +8,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from humbert.catalog import verify_all, verify_formula
 from humbert.errors import (
+    ArgumentError,
     DomainError,
+    HumbertError,
     NoConvergence,
     PoleError,
     SignatureError,
+    UnknownFormula,
     UnsupportedTransform,
 )
+from humbert.expressions import parse_affine
+from humbert.profiles import resolved_params
 from humbert.quadrature import (
     bessel_arr,
+    cross_check,
+    eval_integral,
     gauss_arr,
     kummer_arr,
     phi1_arr,
@@ -911,14 +919,15 @@ class TestDiagonalBands:
     def test_every_term_has_the_per_term_bits(self, kind, x, y):
         # 150 diagonals: the first band, later ones and, from k0 = 96, bands
         # narrowed by BAND_TERMS; each band's mask picks out exactly the
-        # k + 1 terms of each of its diagonals
+        # k + 1 terms of each of its diagonals.  diagonal_terms steps the
+        # same point as one ray, each diagonal a (k + 1,) array by m
         ref = FunctionRef(kind, REFERENCE_PARAMS[kind])
         p = {k: float(v) for k, v in ref.params.items()}
         want = list(per_term_diagonals(ref.info, p, x, y, 150))
-        banded = summation.diagonal_terms(ref.info, p, x, y, 150)
-        for k, got in enumerate(banded, 1):
-            assert [t.hex() for t in got] == [
-                t.hex() for t in want[k - 1][::-1]], k
+        for k, got in enumerate(
+                summation.diagonal_terms(ref.info, p, x, y, 150), 1):
+            assert got.shape == (k + 1,)
+            assert [t.hex() for t in got] == [t.hex() for t in want[k - 1]], k
         assert k == 150
         widths = []
         for k0, band, live in summation._bands(ref.info, p, x, y, 150):
@@ -1555,3 +1564,71 @@ class TestGoldenBits:
                 ref = mpmath.hyper2d({"m+n": [a], "m": [b]}, {"m+n": [c]},
                                      mpmath.mpf(u), mpmath.mpf(v))
             assert abs(value - ref) <= bound * abs(ref), (u, v)
+
+
+# (id, the argument's name, a call of it with the other arguments fixed, an
+# int in the domain); p holds 4.1's float parameters
+REAL_ARGUMENTS = [
+    ("Kummer1F1-x", "x", lambda v, p: eval_single_series(
+        "Kummer1F1", {"alpha": 1, "gamma": 2}, v), 1),
+    ("Gauss2F1-x", "x", lambda v, p: eval_single_series(
+        "Gauss2F1", SINGLE_PARAMS["Gauss2F1"], v), 0),
+    ("Phi1-x", "x", lambda v, p: eval_double_series(
+        FunctionRef("Phi1", REFERENCE_PARAMS["Phi1"]), v, 0.2), 0),
+    ("Phi1-y", "y", lambda v, p: eval_double_series(
+        FunctionRef("Phi1", REFERENCE_PARAMS["Phi1"]), 0.3, v), -2),
+    ("4.1-x", "x", lambda v, p: eval_integral("4.1", p, v, 0.2), 0),
+    ("4.1-y", "y", lambda v, p: eval_integral("4.1", p, 0.3, v), -2),
+]
+
+# (id, a call with one malformed argument, the error it raises); the
+# verifiers return their reports, each an error report naming it
+MALFORMED_ARGUMENTS = [
+    ("FunctionRef", lambda: FunctionRef("Phi1", [1, 2]), SignatureError),
+    ("verify_formula", lambda: [verify_formula("2.36", [1])], SignatureError),
+    ("verify_all", lambda: verify_all([1], degree=2), SignatureError),
+    ("eval_integral", lambda: eval_integral("4.1", [1], 0.1, 0.2),
+     SignatureError),
+    ("truncated_series", lambda: truncated_series("Phi1", 3), SignatureError),
+    ("eval_double_series", lambda: eval_double_series("Phi1", 0.1, 0.2),
+     SignatureError),
+    ("parse_affine", lambda: parse_affine(2.5), SignatureError),
+    ("cross_check", lambda: cross_check(2.5, {}), UnknownFormula),
+    ("cross_check-params", lambda: cross_check("4.1", [1]), SignatureError),
+    ("eval_integral-rep", lambda: eval_integral(["4.1"], {}, 0.1, 0.2),
+     UnknownFormula),
+]
+
+
+class TestArgumentTypes:
+    """The float entry points take a real argument as the float it
+    denotes, and a malformed argument anywhere is one of the package's own
+    errors, never a bare AttributeError or TypeError."""
+
+    @pytest.mark.parametrize("name, call, n",
+                             [case[1:] for case in REAL_ARGUMENTS],
+                             ids=[case[0] for case in REAL_ARGUMENTS])
+    def test_a_real_argument_is_the_float_it_denotes(self, name, call, n,
+                                                     config):
+        p = resolved_params("generic-A", "4.1", config)
+        for v in (n, F(1, 4), F(-1, 3)):
+            # repr writes every float of the result exactly
+            assert repr(call(v, p)) == repr(call(float(v), p)), v
+        for bad in ("a", None, True, 1j):
+            with pytest.raises(ArgumentError,
+                               match=f"^{name} must be a real number, got "):
+                call(bad, p)
+
+    @pytest.mark.parametrize("call, error",
+                             [case[1:] for case in MALFORMED_ARGUMENTS],
+                             ids=[case[0] for case in MALFORMED_ARGUMENTS])
+    def test_a_malformed_argument_is_a_package_error(self, call, error):
+        try:
+            reports = call()
+        except HumbertError as exc:
+            assert type(exc) is error
+        else:
+            assert isinstance(reports, list) and reports
+            for report in reports:
+                assert report.status == "error"
+                assert report.detail.startswith(f"{error.__name__}: ")
